@@ -18,7 +18,8 @@ the q-exponent of every (i, j, k) cell is at least s(s-1), so the cut is
 exhaustive on the window.  The positive sums bound the t-degree M by
 M^2 <= max_q (a class partition with M parts weighs at least M^2) and the
 inner s-range by the observed support window of P, guarded by checking
-that P vanishes just past the window edges.
+that P vanishes just past the window edges.  Every term of both sums is
+homogeneous in t, so it is built on one q-row and added once into its t-row.
 
 The staircase step all class series share (multiply the t^M slice by
 q^{M^2}) is `apply_staircase`; composing it with the marker products
@@ -34,7 +35,7 @@ from enum import Enum
 
 from . import ppoly
 from .partitions import KrVariant, brute_series, check_at_most_twice, check_kr
-from .series import BiSeries, neg_pochhammer_alternating
+from .series import BiSeries, divide_geometric
 
 
 class Form(Enum):
@@ -100,28 +101,32 @@ def _alternating_q_exponent(variant: KrVariant, i: int, j: int, k: int) -> int:
 
 def kr_alternating(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
     """The signed triple sum over (i, j, k); t-degree is i + 2j + 3k."""
-    acc = BiSeries.zero(max_q, max_t)
+    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     s = 0
-    while s * (s - 1) <= max_q:
-        if s <= max_t:
-            for k in range(s // 3 + 1):
-                for j in range((s - 3 * k) // 2 + 1):
-                    i = s - 3 * k - 2 * j
-                    exp = _alternating_q_exponent(variant, i, j, k)
-                    if exp > max_q:
-                        continue
-                    term = BiSeries.monomial(
-                        -1 if k % 2 else 1, exp, s, max_q, max_t
-                    )
-                    for r in range(1, i + 1):
-                        term = term.mul_geometric_inverse(0, r)
-                    for r in range(1, j + 1):
-                        term = term.mul_geometric_inverse(0, 4 * r)
-                    for r in range(1, k + 1):
-                        term = term.mul_geometric_inverse(0, 6 * r)
-                    acc = acc + term
+    while s <= max_t and s * (s - 1) <= max_q:
+        for k in range(s // 3 + 1):
+            for j in range((s - 3 * k) // 2 + 1):
+                i = s - 3 * k - 2 * j
+                exp = _alternating_q_exponent(variant, i, j, k)
+                if exp > max_q:
+                    continue
+                term = [0] * (max_q + 1)
+                term[exp] = -1 if k % 2 else 1
+                for d in range(1, i + 1):
+                    divide_geometric(term, d)
+                for d in range(4, 4 * j + 1, 4):
+                    divide_geometric(term, d)
+                for d in range(6, 6 * k + 1, 6):
+                    divide_geometric(term, d)
+                _add_into(rows[s], term)
         s += 1
-    return acc
+    return BiSeries._wrap(max_q, max_t, rows)
+
+
+def _add_into(dst: list, src: list) -> None:
+    for n, c in enumerate(src):
+        if c:
+            dst[n] += c
 
 
 # --------------------------------------------------------------- positive
@@ -141,59 +146,49 @@ def _guarded_s_range(m1: int, m2: int, m3: int) -> range:
     return range(lo, hi + 1)
 
 
-def _positive_cell(
-    variant: KrVariant,
-    m1: int,
-    m2: int,
-    m3: int,
-    n12: int,
-    i: int,
-    j: int,
-    k: int,
-    max_q: int,
-    max_t: int,
-) -> BiSeries | None:
-    """Sum over the inner s of one (m1,m2,m3,n12,i,j[,k]) cell, or None."""
-    n2 = m1 + m2 + 2 * m3
-    cap = 2 * (m1 + m2) + 5 * m3 + n12 + i + 2 * j + k
-    if cap > max_t or cap * cap > max_q:
-        return None
-    if variant is KrVariant.D:
-        fixed = i + 4 * j
-    elif variant is KrVariant.DPRIME:
-        fixed = i
-    else:
-        fixed = 3 * i + 4 * j + 4 * m1 + 4 * m2 + 10 * m3 + 2 * n12
-    cell = None
+def _positive_cell(cell: tuple, b: int, shift: int, steps, max_q: int) -> list | None:
+    """One cell of a positive sum as a q-row, or None when it is zero.
+
+    ``cell`` starts with (m1, m2, m3, n12).  The row is
+    sum_s P(m1,m2,m3,s; q^b) q^{b((s-1)n12 + n12^2) + shift}, divided by
+    (q^b; q^b)_{n12} (q^{3b}; q^{3b})_{m1+m2+2m3} and by 1 - q^d for each d
+    in ``steps``; a negative coefficient raises AssertionError.
+    """
+    m1, m2, m3, n12 = cell[:4]
+    row = [0] * (max_q + 1)
     for s in _guarded_s_range(m1, m2, m3):
         poly = ppoly.p(m1, m2, m3, s)
         if not poly:
             continue
-        m = s - 1
-        exponent = 2 * m * n12 + 2 * n12 * n12 + fixed + cap * cap
-        if exponent + 2 * (poly.min_degree or 0) > max_q:
+        exponent = b * ((s - 1) * n12 + n12 * n12) + shift
+        if exponent + b * (poly.min_degree or 0) > max_q:
             continue
-        lifted = BiSeries.from_qpoly(
-            poly.stretched(2).shifted(exponent), max_q, max_t, dt=0
-        )
-        cell = lifted if cell is None else cell + lifted
-    if cell is None or cell.is_zero():
+        for e, c in enumerate(poly.coeffs[: (max_q - exponent) // b + 1]):
+            row[exponent + b * e] += c
+    if not any(row):
         return None
-    cell = cell.mul_monomial(1, 0, cap)
-    for r in range(1, n12 + 1):
-        cell = cell.mul_geometric_inverse(0, 2 * r)
-    for r in range(1, n2 + 1):
-        cell = cell.mul_geometric_inverse(0, 6 * r)
-    for r in range(1, i + 1):
-        cell = cell.mul_geometric_inverse(0, 2 * r)
-    for r in range(1, j + 1):
-        cell = cell.mul_geometric_inverse(0, 4 * r)
-    return cell
+    for d in range(b, b * n12 + 1, b):
+        divide_geometric(row, d)
+    for d in range(3 * b, 3 * b * (m1 + m2 + 2 * m3) + 1, 3 * b):
+        divide_geometric(row, d)
+    for d in steps:
+        divide_geometric(row, d)
+    if min(row) < 0:
+        raise AssertionError("negative coefficient in the positive-sum cell %s" % (cell,))
+    return row
+
+
+def _positive_q_shift(variant: KrVariant, m1, m2, m3, n12, i, j) -> int:
+    if variant is KrVariant.D:
+        return i + 4 * j
+    if variant is KrVariant.DPRIME:
+        return i
+    return 3 * i + 4 * j + 4 * m1 + 4 * m2 + 10 * m3 + 2 * n12
 
 
 def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
     """The evidently positive multi-sum; each cell is checked nonnegative."""
-    acc = BiSeries.zero(max_q, max_t)
+    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     mcap = min(max_t, math.isqrt(max_q))
     has_k = variant is KrVariant.D  # the free 1/(1-t) index
     for m1 in range(mcap // 2 + 1):
@@ -205,112 +200,75 @@ def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
                         for j in range((room_s - n12 - i) // 2 + 1):
                             kmax = room_s - n12 - i - 2 * j if has_k else 0
                             for k in range(kmax + 1):
-                                cell = _positive_cell(
-                                    variant, m1, m2, m3, n12, i, j, k, max_q, max_t
-                                )
-                                if cell is None:
+                                cap = 2 * (m1 + m2) + 5 * m3 + n12 + i + 2 * j + k
+                                if cap > max_t or cap * cap > max_q:
                                     continue
-                                if not cell.is_nonnegative():
-                                    raise AssertionError(
-                                        "negative coefficient in a positive-form "
-                                        "cell (%d,%d,%d,%d,%d,%d,%d)"
-                                        % (m1, m2, m3, n12, i, j, k)
-                                    )
-                                acc = acc + cell
-    return acc
+                                shift = cap * cap + _positive_q_shift(
+                                    variant, m1, m2, m3, n12, i, j
+                                )
+                                steps = [*range(2, 2 * i + 1, 2), *range(4, 4 * j + 1, 4)]
+                                cell = (m1, m2, m3, n12, i, j, k)
+                                row = _positive_cell(cell, 2, shift, steps, max_q)
+                                if row is not None:
+                                    _add_into(rows[cap], row)
+    return BiSeries._wrap(max_q, max_t, rows)
 
 
 def h_product(max_q: int, max_t: int) -> BiSeries:
     """prod_{n>=1} (1 + t q^n + t^2 q^{2n}), truncated."""
     acc = BiSeries.one(max_q, max_t)
     for n in range(1, max_q + 1):
-        factor = BiSeries.one(max_q, max_t)
-        if max_t >= 1:
-            factor = factor + BiSeries.monomial(1, n, 1, max_q, max_t)
-        if max_t >= 2 and 2 * n <= max_q:
-            factor = factor + BiSeries.monomial(1, 2 * n, 2, max_q, max_t)
-        acc = acc.mul(factor)
+        acc = acc.mul_sparse([(1, 1, n), (1, 2, 2 * n)])
     return acc
 
 
 def h_positive(max_q: int, max_t: int) -> BiSeries:
     """sum P(m1,m2,m3,s;q) q^{m*n12 + n12^2} t^{2m1+2m2+5m3+n12} over cells,
     divided by (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}."""
-    acc = BiSeries.zero(max_q, max_t)
+    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     for m1 in range(max_t // 2 + 1):
         for m2 in range((max_t - 2 * m1) // 2 + 1):
             for m3 in range((max_t - 2 * m1 - 2 * m2) // 5 + 1):
-                n2 = m1 + m2 + 2 * m3
                 for n12 in range(max_t - 2 * m1 - 2 * m2 - 5 * m3 + 1):
-                    tdeg = 2 * m1 + 2 * m2 + 5 * m3 + n12
-                    cell = None
-                    for s in _guarded_s_range(m1, m2, m3):
-                        poly = ppoly.p(m1, m2, m3, s)
-                        if not poly:
-                            continue
-                        exponent = (s - 1) * n12 + n12 * n12
-                        if exponent + (poly.min_degree or 0) > max_q:
-                            continue
-                        lifted = BiSeries.from_qpoly(
-                            poly.shifted(exponent), max_q, max_t, dt=0
-                        )
-                        cell = lifted if cell is None else cell + lifted
-                    if cell is None or cell.is_zero():
-                        continue
-                    cell = cell.mul_monomial(1, 0, tdeg)
-                    for r in range(1, n12 + 1):
-                        cell = cell.mul_geometric_inverse(0, r)
-                    for r in range(1, n2 + 1):
-                        cell = cell.mul_geometric_inverse(0, 3 * r)
-                    if not cell.is_nonnegative():
-                        raise AssertionError(
-                            "negative coefficient in an H cell (%d,%d,%d,%d)"
-                            % (m1, m2, m3, n12)
-                        )
-                    acc = acc + cell
-    return acc
+                    row = _positive_cell((m1, m2, m3, n12), 1, 0, (), max_q)
+                    if row is not None:
+                        _add_into(rows[2 * m1 + 2 * m2 + 5 * m3 + n12], row)
+    return BiSeries._wrap(max_q, max_t, rows)
 
 
 # ---------------------------------------------------------------- product
 
-_PRODUCT_FACTORS = {
-    # (residues, modulus) of 1/(q^a; q^mod)_inf factors
-    KrVariant.D: ((1, 4, 6, 8, 11), 12),
-    KrVariant.DPRIMEPRIME: ((4, 5, 6, 7, 8), 12),
+_PRODUCTS = {
+    # residues a of the 1/(q^a; q^mod)_inf factors, mod, and whether the
+    # (q^6; q^12)_inf numerator is present
+    KrVariant.D: ((1, 4, 6, 8, 11), 12, False),
+    KrVariant.DPRIME: ((2, 3, 4), 6, True),
+    KrVariant.DPRIMEPRIME: ((4, 5, 6, 7, 8), 12, False),
 }
+_KR2_MOD12 = ((2, 3, 4, 8, 9, 10), 12, True)
+
+
+def _infinite_product(residues, mod: int, numerator: bool, max_q: int) -> BiSeries:
+    """[(q^6; q^12)_inf] / prod_a (q^a; q^mod)_inf, expanded to max_q."""
+    acc = BiSeries.one(max_q, 0)
+    if numerator:
+        for d in range(6, max_q + 1, 12):
+            acc = acc.mul_sparse([(-1, 0, d)])
+    for a in residues:
+        for d in range(a, max_q + 1, mod):
+            acc = acc.mul_geometric_inverse(0, d)
+    return acc
 
 
 def product_side(variant: KrVariant, max_q: int) -> BiSeries:
     """The t = 1 infinite product of the class, expanded to max_q."""
-    acc = BiSeries.one(max_q, 0)
-    if variant is KrVariant.DPRIME:
-        acc = acc.mul(neg_pochhammer_alternating(0, 6, 12, max_q, 0))
-        for a in (2, 3, 4):
-            n = 0
-            while a + 6 * n <= max_q:
-                acc = acc.mul_geometric_inverse(0, a + 6 * n)
-                n += 1
-        return acc
-    residues, mod = _PRODUCT_FACTORS[variant]
-    for a in residues:
-        n = 0
-        while a + mod * n <= max_q:
-            acc = acc.mul_geometric_inverse(0, a + mod * n)
-            n += 1
-    return acc
+    return _infinite_product(*_PRODUCTS[variant], max_q)
 
 
 def product_side_mod12(variant: KrVariant, max_q: int) -> BiSeries:
     """The kr2 product in its modulus-12 printing; other classes unchanged."""
-    if variant is not KrVariant.DPRIME:
-        return product_side(variant, max_q)
-    acc = neg_pochhammer_alternating(0, 6, 12, max_q, 0)
-    for a in (2, 3, 4, 8, 9, 10):
-        n = 0
-        while a + 12 * n <= max_q:
-            acc = acc.mul_geometric_inverse(0, a + 12 * n)
-            n += 1
-    return acc
+    factors = _KR2_MOD12 if variant is KrVariant.DPRIME else _PRODUCTS[variant]
+    return _infinite_product(*factors, max_q)
 
 
 def marginal_max_t(max_q: int) -> int:

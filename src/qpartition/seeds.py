@@ -182,12 +182,7 @@ def _marker_product(a: int, max_q: int, max_t: int, zeros_dt: int) -> BiSeries:
     acc = BiSeries.one(max_q, max_t)
     n = 1
     while 2 * n - 1 <= max_q:
-        numer = BiSeries.one(max_q, max_t)
-        if 2 * n <= max_q and max_t >= 1:
-            numer = numer + BiSeries.monomial(1, 2 * n, 1, max_q, max_t)
-        if a != 1 and 4 * n <= max_q and max_t >= 2:
-            numer = numer + BiSeries.monomial(a - 1, 4 * n, 2, max_q, max_t)
-        acc = acc.mul(numer)
+        acc = acc.mul_sparse([(1, 1, 2 * n), (a - 1, 2, 4 * n)])
         acc = acc.mul_geometric_inverse(1, 2 * n - 1)
         acc = acc.mul_geometric_inverse(2, 4 * n)
         n += 1

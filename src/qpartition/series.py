@@ -15,15 +15,18 @@ Truncation policy: combining two series shrinks to the componentwise minimum
 of the windows, so a coefficient is never reported at a degree where one of
 the operands was unknown.
 
-Pochhammer convention: infinite products (x; q^b)_inf and the denominators
-(q^b; q^b)_n use the n-factor convention (1-x)(1-xq^b)...(1-xq^{b(n-1)}),
-the one under which the Euler expansions
+The series kernel is two operations:
 
-    1/(x; q^b)_inf = sum_{n>=0} x^n / (q^b; q^b)_n
-    (x; q^b)_inf   = sum_{n>=0} (-1)^n x^n q^{b n(n-1)/2} / (q^b; q^b)_n
+* ``divide_geometric(row, d)`` multiplies a q-row (a list whose entry n is
+  the coefficient of q^n) in place by 1/(1 - q^d);
+* ``BiSeries.mul_sparse(terms)`` multiplies a series by a factor with a few
+  terms, 1 + sum c t^dt q^dq, filling one copy of the rows.
 
-hold termwise.  ``finite_pochhammer`` also offers the (n+1)-factor variant
-behind ``inclusive=True``.
+Every product and Pochhammer symbol the routes need is a loop over these:
+1/(q^b; q^b)_n is n calls of ``divide_geometric``, and (x; q^b)_inf is one
+``mul_sparse`` per factor (1 - x q^{bn}) that meets the window.  The tests
+check these products against the Euler expansions (Andrews, *The Theory of
+Partitions*, 1976, ch. 2).
 """
 
 from __future__ import annotations
@@ -273,10 +276,6 @@ class BiSeries:
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self.add(-other)
 
-    def scale(self, c: int) -> "BiSeries":
-        rows = [[c * v for v in row] for row in self._rows]
-        return BiSeries._wrap(self.max_q, self.max_t, rows)
-
     def mul(self, other: "BiSeries") -> "BiSeries":
         """Cauchy product, truncated to the common window."""
         mq, mt = self._common_window(other)
@@ -324,8 +323,7 @@ class BiSeries:
         rows = [row[:] for row in self._rows]
         if dt == 0:
             for row in rows:
-                for n in range(dq, self.max_q + 1):
-                    row[n] += row[n - dq]
+                divide_geometric(row, dq)
         else:
             # rows below m - dt are final before row m is touched
             for m in range(dt, self.max_t + 1):
@@ -334,6 +332,29 @@ class BiSeries:
                 for n in range(dq, self.max_q + 1):
                     if src[n - dq]:
                         dst[n] += src[n - dq]
+        return BiSeries._wrap(self.max_q, self.max_t, rows)
+
+    def mul_sparse(self, terms) -> "BiSeries":
+        """Multiply by 1 + sum of c * t^dt q^dq over the (c, dt, dq) in ``terms``.
+
+        Every (dt, dq) must be nonnegative and not (0, 0): the constant term
+        of the factor is the leading 1.  Terms past the window drop.  Each
+        cell of the product reads the unmodified source, so several terms may
+        share a t-row.
+        """
+        rows = [row[:] for row in self._rows]
+        for c, dt, dq in terms:
+            if dt < 0 or dq < 0 or (dt, dq) == (0, 0):
+                raise ValueError(
+                    "sparse factor term needs (dt, dq) != (0, 0), both >= 0"
+                )
+            for m in range(dt, self.max_t + 1):
+                src = self._rows[m - dt]
+                dst = rows[m]
+                for n in range(dq, self.max_q + 1):
+                    v = src[n - dq]
+                    if v:
+                        dst[n] += c * v
         return BiSeries._wrap(self.max_q, self.max_t, rows)
 
     def substitute_scale(self, t_qshift: int, q_stretch: int) -> "BiSeries":
@@ -388,9 +409,19 @@ class BiSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BiSeries":
+        """Inverse of ``to_json_dict``; a malformed or out-of-window term is a
+        ValueError."""
         s = cls(int(d["max_q"]), int(d["max_t"]))
-        for m, n, c in d["terms"]:
-            s._rows[int(m)][int(n)] = int(c)
+        for term in d["terms"]:
+            if len(term) != 3:
+                raise ValueError("series term %r is not [dt, dq, coeff]" % (term,))
+            m, n = int(term[0]), int(term[1])
+            if not (0 <= n <= s.max_q and 0 <= m <= s.max_t):
+                raise ValueError(
+                    "series term (dq=%d, dt=%d) outside window (max_q=%d, max_t=%d)"
+                    % (n, m, s.max_q, s.max_t)
+                )
+            s._rows[m][n] = int(term[2])
         return s
 
     def __repr__(self) -> str:
@@ -404,120 +435,14 @@ class BiSeries:
         return "BiSeries(max_q=%d, max_t=%d: %s)" % (self.max_q, self.max_t, body)
 
 
-def _check_pochhammer_args(x_dt: int, x_dq: int, base_dq: int) -> None:
-    if x_dt < 0 or x_dq < 0:
-        raise ValueError("pochhammer argument degrees must be >= 0")
-    if base_dq < 1:
-        raise ValueError("pochhammer base step must be >= 1 (non-terminating otherwise)")
-    if x_dt == 0 and x_dq == 0:
-        raise ValueError("pochhammer argument x = 1 is singular")
+def divide_geometric(row: list, d: int) -> None:
+    """Multiply the q-row ``row`` in place by 1/(1 - q^d) = 1 + q^d + q^2d + ...
 
-
-def inv_pochhammer(x_dt: int, x_dq: int, base_dq: int, max_q: int, max_t: int) -> BiSeries:
-    """1/(x; q^base)_inf for x = t^x_dt q^x_dq, as the Euler sum.
-
-    Computed as sum_{n>=0} x^n/(q^base; q^base)_n; each summand is the
-    previous one times x/(1 - q^{base*n}), and the loop stops once x^n falls
-    off the window.
+    ``row[n]`` is the coefficient of q^n and ``len(row)`` is the window, so
+    the result is exact on it.  Requires d >= 1; a d past the window leaves
+    the row unchanged.
     """
-    _check_pochhammer_args(x_dt, x_dq, base_dq)
-    acc = BiSeries.one(max_q, max_t)
-    term = BiSeries.one(max_q, max_t)
-    n = 1
-    while (x_dt == 0 or n * x_dt <= max_t) and (x_dt > 0 or n * x_dq <= max_q):
-        term = term.mul_monomial(1, x_dq, x_dt).mul_geometric_inverse(0, base_dq * n)
-        if term.is_zero():
-            break
-        acc = acc + term
-        n += 1
-    return acc
-
-
-def inv_pochhammer_product(
-    x_dt: int, x_dq: int, base_dq: int, max_q: int, max_t: int
-) -> BiSeries:
-    """Same value as inv_pochhammer, built as the iterated geometric product."""
-    _check_pochhammer_args(x_dt, x_dq, base_dq)
-    acc = BiSeries.one(max_q, max_t)
-    n = 0
-    while x_dq + base_dq * n <= max_q:
-        acc = acc.mul_geometric_inverse(x_dt, x_dq + base_dq * n)
-        n += 1
-    return acc
-
-
-def neg_pochhammer_alternating(
-    x_dt: int, x_dq: int, base_dq: int, max_q: int, max_t: int
-) -> BiSeries:
-    """(x; q^base)_inf as the alternating Euler sum.
-
-    sum_{n>=0} (-1)^n x^n q^{base*n(n-1)/2} / (q^base; q^base)_n; the term
-    ratio is -x q^{base(n-1)} / (1 - q^{base*n}).
-    """
-    _check_pochhammer_args(x_dt, x_dq, base_dq)
-    acc = BiSeries.one(max_q, max_t)
-    term = BiSeries.one(max_q, max_t)
-    n = 1
-    while True:
-        min_q = n * x_dq + base_dq * (n * (n - 1)) // 2
-        if (x_dt > 0 and n * x_dt > max_t) or (x_dt == 0 and min_q > max_q):
-            break
-        term = term.mul_monomial(-1, x_dq + base_dq * (n - 1), x_dt)
-        term = term.mul_geometric_inverse(0, base_dq * n)
-        if term.is_zero():
-            break
-        acc = acc + term
-        n += 1
-    return acc
-
-
-def pochhammer_product(
-    x_dt: int, x_dq: int, base_dq: int, max_q: int, max_t: int
-) -> BiSeries:
-    """(x; q^base)_inf as the direct product of (1 - x q^{base*n}) factors.
-
-    Factors whose q-degree exceeds max_q are identically 1 on the window, so
-    the product is finite.
-    """
-    _check_pochhammer_args(x_dt, x_dq, base_dq)
-    acc = BiSeries.one(max_q, max_t)
-    n = 0
-    while x_dq + base_dq * n <= max_q:
-        dq = x_dq + base_dq * n
-        if x_dt <= max_t:
-            factor = BiSeries.one(max_q, max_t) + BiSeries.monomial(
-                -1, dq, x_dt, max_q, max_t
-            )
-            acc = acc.mul(factor)
-        n += 1
-    return acc
-
-
-def finite_pochhammer(
-    x_dt: int,
-    x_dq: int,
-    base_dq: int,
-    n: int,
-    max_q: int,
-    max_t: int,
-    inclusive: bool = False,
-) -> BiSeries:
-    """Finite product (1-x)(1-xq^b)...(1-xq^{b(n-1)}), x = t^x_dt q^x_dq.
-
-    ``inclusive=True`` appends the extra (1 - x q^{b*n}) factor, giving the
-    (n+1)-factor variant.  n = 0 without ``inclusive`` is the empty product.
-    """
-    if n < 0:
-        raise ValueError("factor count must be >= 0")
-    if x_dt < 0 or x_dq < 0 or base_dq < 0:
-        raise ValueError("degrees must be >= 0")
-    count = n + 1 if inclusive else n
-    acc = BiSeries.one(max_q, max_t)
-    for r in range(count):
-        dq = x_dq + base_dq * r
-        if dq > max_q or x_dt > max_t:
-            continue  # factor is 1 on the window
-        acc = acc.mul(
-            BiSeries.one(max_q, max_t) + BiSeries.monomial(-1, dq, x_dt, max_q, max_t)
-        )
-    return acc
+    if d < 1:
+        raise ValueError("geometric step must be >= 1, got %d" % d)
+    for n in range(d, len(row)):
+        row[n] += row[n - d]

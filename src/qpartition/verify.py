@@ -1,14 +1,11 @@
 """Verification suites: golden tables, worked examples, and series identities.
 
-Each suite is a list of independent named checks returning (ok, lines);
-checks are pure, so they may be evaluated concurrently (QPARTITION_THREADS
-caps the worker count) and are always reported in a canonical order.
+Each suite is a list of independent named checks returning (ok, lines),
+run in order and reported in that order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,21 +41,8 @@ class SuiteResult:
         return out
 
 
-def worker_count() -> int:
-    raw = os.environ.get("QPARTITION_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run(suite: str, checks: list[tuple[str, Callable[[], tuple[bool, list[str]]]]]) -> SuiteResult:
-    workers = worker_count()
-    if workers > 1 and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda c: c[1](), checks))
-    else:
-        outcomes = [fn() for _, fn in checks]
+    outcomes = [fn() for _, fn in checks]
     results = tuple(
         CheckResult(name, ok, tuple(lines))
         for (name, _), (ok, lines) in zip(checks, outcomes)

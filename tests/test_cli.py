@@ -164,15 +164,6 @@ def test_unknown_flag_exits_two():
     assert info.value.code == 2
 
 
-def test_threads_env_changes_nothing(capsys, monkeypatch):
-    monkeypatch.setenv("QPARTITION_THREADS", "4")
-    code, out_threaded, _ = run_cli(capsys, "verify", "--suite", "examples")
-    monkeypatch.setenv("QPARTITION_THREADS", "1")
-    code2, out_serial, _ = run_cli(capsys, "verify", "--suite", "examples")
-    assert code == code2 == 0
-    assert out_threaded == out_serial
-
-
 def test_every_readme_command_runs(capsys):
     import pathlib
     import shlex

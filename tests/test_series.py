@@ -1,15 +1,51 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpartition.partitions import iter_partitions
-from qpartition.series import (
-    BiSeries,
-    QPoly,
-    finite_pochhammer,
-    inv_pochhammer,
-    inv_pochhammer_product,
-    neg_pochhammer_alternating,
-    pochhammer_product,
-)
+from qpartition.series import BiSeries, QPoly, divide_geometric
+
+
+def inv_product(x_dt, x_dq, base, max_q, max_t):
+    """1/(x; q^base)_inf for x = t^x_dt q^x_dq, one geometric factor per n."""
+    s = BiSeries.one(max_q, max_t)
+    for dq in range(x_dq, max_q + 1, base):
+        s = s.mul_geometric_inverse(x_dt, dq)
+    return s
+
+
+def product(x_dt, x_dq, base, max_q, max_t):
+    """(x; q^base)_inf, one sparse factor (1 - x q^{base n}) per n."""
+    s = BiSeries.one(max_q, max_t)
+    for dq in range(x_dq, max_q + 1, base):
+        s = s.mul_sparse([(-1, x_dt, dq)])
+    return s
+
+
+def dense_product(x_dt, x_dq, base, max_q, max_t):
+    """(x; q^base)_inf through the dense Cauchy product, as the reference."""
+    one = s = BiSeries.one(max_q, max_t)
+    for dq in range(x_dq, max_q + 1, base):
+        if x_dt <= max_t:
+            s = s * (one + BiSeries.monomial(-1, dq, x_dt, max_q, max_t))
+    return s
+
+
+def euler_sum(x_dt, x_dq, base, max_q, max_t, alternating):
+    """The Euler expansions sum_n x^n / (q^base; q^base)_n of 1/(x; q^base)_inf
+    and, alternating, sum_n (-1)^n x^n q^{base n(n-1)/2} / (q^base; q^base)_n
+    of (x; q^base)_inf."""
+    acc = term = BiSeries.one(max_q, max_t)
+    n = 1
+    while n * x_dt <= max_t and n * x_dq <= max_q:
+        if alternating:
+            term = term.mul_monomial(-1, x_dq + base * (n - 1), x_dt)
+        else:
+            term = term.mul_monomial(1, x_dq, x_dt)
+        term = term.mul_geometric_inverse(0, base * n)
+        acc = acc + term
+        n += 1
+    return acc
 
 
 def test_monomial_basics():
@@ -75,21 +111,21 @@ def test_geometric_inverse_examples():
 
 def test_inv_pochhammer_counts_partitions():
     # independent oracle: count all partitions of n by enumeration
-    s = inv_pochhammer(0, 1, 1, 12, 0)
+    s = inv_product(0, 1, 1, 12, 0)
     for n in range(13):
         assert s.coeff(n, 0) == sum(1 for _ in iter_partitions(n))
 
 
 def test_inv_pochhammer_single_part_odd():
     # 1/(tq; q^2): the t^1 slice is q + q^3 + q^5 + ...
-    s = inv_pochhammer(1, 1, 2, 9, 3)
+    s = inv_product(1, 1, 2, 9, 3)
     assert [s.coeff(n, 1) for n in range(10)] == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_inv_pochhammer_pairs_of_multiples_of_four():
     # 1/(t^2 q^4; q^4): coefficient of t^{2j} q^n counts partitions of n
     # into j parts divisible by 4
-    s = inv_pochhammer(2, 4, 4, 20, 6)
+    s = inv_product(2, 4, 4, 20, 6)
 
     def count(n, j):
         return sum(
@@ -105,12 +141,15 @@ def test_inv_pochhammer_pairs_of_multiples_of_four():
 
 
 def test_pochhammer_rejects_nonterminating():
+    one = BiSeries.one(5, 5)
     with pytest.raises(ValueError):
-        inv_pochhammer(0, 0, 1, 5, 5)
+        one.mul_geometric_inverse(0, 0)
     with pytest.raises(ValueError):
-        inv_pochhammer(1, 1, 0, 5, 5)
+        one.mul_sparse([(-1, 0, 0)])
     with pytest.raises(ValueError):
-        neg_pochhammer_alternating(0, 0, 2, 5, 5)
+        one.mul_sparse([(1, 1, 1), (-1, -1, 2)])
+    with pytest.raises(ValueError):
+        divide_geometric([1, 0, 0], 0)
 
 
 @pytest.mark.parametrize(
@@ -119,12 +158,10 @@ def test_pochhammer_rejects_nonterminating():
 )
 def test_euler_sums_match_products(x_dt, x_dq, base):
     max_q, max_t = 18, 7
-    assert inv_pochhammer(x_dt, x_dq, base, max_q, max_t) == inv_pochhammer_product(
-        x_dt, x_dq, base, max_q, max_t
-    )
-    assert neg_pochhammer_alternating(
-        x_dt, x_dq, base, max_q, max_t
-    ) == pochhammer_product(x_dt, x_dq, base, max_q, max_t)
+    args = (x_dt, x_dq, base, max_q, max_t)
+    assert euler_sum(*args, alternating=False) == inv_product(*args)
+    assert euler_sum(*args, alternating=True) == product(*args)
+    assert product(*args) == dense_product(*args)
 
 
 @pytest.mark.parametrize(
@@ -133,34 +170,40 @@ def test_euler_sums_match_products(x_dt, x_dq, base):
 )
 def test_mutual_inverses(x_dt, x_dq, base):
     max_q, max_t = 16, 6
-    a = inv_pochhammer(x_dt, x_dq, base, max_q, max_t)
-    b = neg_pochhammer_alternating(x_dt, x_dq, base, max_q, max_t)
+    a = inv_product(x_dt, x_dq, base, max_q, max_t)
+    b = product(x_dt, x_dq, base, max_q, max_t)
     assert a * b == BiSeries.one(max_q, max_t)
 
 
 def test_alternating_pentagonal_signs():
     # (q; q)_inf = 1 - q - q^2 + q^5 + q^7 - q^12 - ...
-    s = neg_pochhammer_alternating(0, 1, 1, 15, 0)
+    s = product(0, 1, 1, 15, 0)
     expected = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
     for n in range(16):
         assert s.coeff(n, 0) == expected.get(n, 0)
 
 
 def test_alternating_beyond_window_is_one():
-    assert neg_pochhammer_alternating(0, 9, 2, 8, 2) == BiSeries.one(8, 2)
+    one = BiSeries.one(8, 2)
+    assert one.mul_sparse([(-1, 0, 9), (5, 3, 1)]) == one
+    assert product(0, 9, 2, 8, 2) == one
 
 
 def test_finite_pochhammer_conventions():
-    assert finite_pochhammer(0, 1, 1, 0, 8, 0) == BiSeries.one(8, 0)
+    one = BiSeries.one(8, 0)
+    assert one.mul_sparse([]) == one
     # (q; q)_2 = (1-q)(1-q^2)
-    s = finite_pochhammer(0, 1, 1, 2, 8, 0)
+    s = one.mul_sparse([(-1, 0, 1)]).mul_sparse([(-1, 0, 2)])
     assert [s.coeff(n, 0) for n in range(4)] == [1, -1, -1, 1]
-    # inclusive convention appends the extra factor: n+1 factors in total
-    incl = finite_pochhammer(0, 1, 1, 1, 8, 0, inclusive=True)
-    assert incl == finite_pochhammer(0, 1, 1, 2, 8, 0)
+    # a factor with two terms on one row is not two factors: 1 - q - q^2
+    s = one.mul_sparse([(-1, 0, 1), (-1, 0, 2)])
+    assert [s.coeff(n, 0) for n in range(4)] == [1, -1, -1, 0]
     # denominator usage: 1/(q; q)_1 is the geometric series
-    geom = BiSeries.one(8, 0).mul_geometric_inverse(0, 1)
-    assert finite_pochhammer(0, 1, 1, 1, 8, 0) * geom == BiSeries.one(8, 0)
+    geom = one.mul_geometric_inverse(0, 1)
+    assert one.mul_sparse([(-1, 0, 1)]) * geom == one
+    row = [1] + [0] * 8
+    divide_geometric(row, 1)
+    assert row == [1] * 9
 
 
 def test_substitute_scale():
@@ -175,8 +218,8 @@ def test_substitute_scale():
 
 def test_algebra_properties():
     max_q, max_t = 10, 4
-    a = inv_pochhammer(1, 1, 2, max_q, max_t)
-    b = neg_pochhammer_alternating(1, 2, 2, max_q, max_t)
+    a = inv_product(1, 1, 2, max_q, max_t)
+    b = product(1, 2, 2, max_q, max_t)
     c = BiSeries.monomial(2, 1, 1, max_q, max_t) + BiSeries.one(max_q, max_t)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
@@ -199,9 +242,17 @@ def test_json_round_trip_with_big_coefficients():
     assert BiSeries.from_json_dict(d) == s
 
 
+@pytest.mark.parametrize(
+    "terms", [[[-1, -1, "5"]], [[0, 9, "5"]], [[2, 0, "5"]], [[0, 0]], [[0, 0, "1", 7]]]
+)
+def test_json_rejects_terms_outside_the_window(terms):
+    with pytest.raises(ValueError):
+        BiSeries.from_json_dict({"max_q": 3, "max_t": 1, "terms": terms})
+
+
 def test_recomputation_is_bit_identical():
-    a = inv_pochhammer(1, 1, 2, 14, 6) * neg_pochhammer_alternating(3, 6, 6, 14, 6)
-    b = inv_pochhammer(1, 1, 2, 14, 6) * neg_pochhammer_alternating(3, 6, 6, 14, 6)
+    a = inv_product(1, 1, 2, 14, 6) * product(3, 6, 6, 14, 6)
+    b = inv_product(1, 1, 2, 14, 6) * product(3, 6, 6, 14, 6)
     assert a == b and a.to_json_dict() == b.to_json_dict()
 
 
@@ -216,3 +267,36 @@ def test_qpoly_basics():
     assert QPoly((1, 2)).stretched(3).coeffs == (1, 0, 0, 2)
     assert (QPoly((1, 1)) - QPoly((1, 1))).coeffs == ()
     assert QPoly((2, 0, 1)).format_q() == "q^2 + 2"
+
+
+_coeff = st.integers(-5, 5)
+
+
+@st.composite
+def _series_and_factor(draw):
+    max_q, max_t = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    rows = [[draw(_coeff) for _ in range(max_q + 1)] for _ in range(max_t + 1)]
+    degree = st.tuples(st.integers(0, max_t + 1), st.integers(0, max_q + 1)).filter(
+        lambda d: d != (0, 0)
+    )
+    terms = [(draw(_coeff), *draw(degree)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):  # two terms on one t-row
+        dt = terms[0][1]
+        dq = draw(st.integers(1 if dt == 0 else 0, max_q + 1))
+        terms.append((draw(_coeff), dt, dq))
+    return BiSeries(max_q, max_t, rows), terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_and_factor(), st.integers(1, 8))
+def test_sparse_kernel_matches_dense_product(case, d):
+    s, terms = case
+    factor = BiSeries.one(s.max_q, s.max_t)
+    for c, dt, dq in terms:
+        if dt <= s.max_t and dq <= s.max_q:
+            factor = factor + BiSeries.monomial(c, dq, dt, s.max_q, s.max_t)
+    assert s.mul_sparse(terms) == s * factor
+    rows = [list(row) for row in s._rows]
+    for row in rows:
+        divide_geometric(row, d)
+    assert BiSeries(s.max_q, s.max_t, rows).mul_sparse([(-1, 0, d)]) == s
