@@ -3,7 +3,7 @@
 Subcommands: kr, ppoly, decompose, compose, seed-expand, bases, verify.
 Output is deterministic for fixed arguments; JSON is UTF-8 with a stable key
 order and a trailing newline.  Exit codes: 0 success, 1 verification
-mismatch, 2 invalid input.
+mismatch, 2 invalid input (including input too deep for the recursion).
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def _cmd_bases(args) -> int:
     if args.max_weight is not None:
         cap = args.max_weight
     else:
-        _, hi = ppoly.support_window(args.m1, args.m2, args.m3)
-        cap = (2 * args.m1 + 2 * args.m2 + 5 * args.m3) * hi
+        top = ppoly.s_range(args.m1, args.m2, args.m3)[-1]
+        cap = ppoly.max_structure_weight(args.m1, args.m2, args.m3, top)
     records = moves.enumerate_bases(args.m1, args.m2, args.m3, cap)
     rows = [
         {
@@ -267,6 +267,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 2
+    except RecursionError:
+        sys.stderr.write("error: input too deep for the recursion\n")
         return 2
 
 

@@ -17,9 +17,9 @@ The alternating sums iterate over s = i + 2j + 3k while s(s-1) <= max_q:
 the q-exponent of every (i, j, k) cell is at least s(s-1), so the cut is
 exhaustive on the window.  The positive sums bound the t-degree M by
 M^2 <= max_q (a class partition with M parts weighs at least M^2) and the
-inner s-range by the observed support window of P, guarded by checking
-that P vanishes just past the window edges.  Every term of both sums is
-homogeneous in t, so it is built on one q-row and added once into its t-row.
+inner s-range by ``ppoly.s_range``, outside which the recursion proves P
+vanishes.  Every term of both sums is homogeneous in t, so it is built on
+one q-row and added once into its t-row.
 
 The staircase step all class series share (multiply the t^M slice by
 q^{M^2}) is `apply_staircase`; composing it with the marker products
@@ -72,6 +72,8 @@ class GenFunSpec:
     max_t: int
 
     def __post_init__(self):
+        if self.max_q < 0 or self.max_t < 0:
+            raise ValueError("max_q and max_t must be >= 0")
         if self.form is Form.PRODUCT and self.family is not SeriesFamily.H:
             if self.max_t != 0:
                 raise ValueError("product form is a t = 1 identity; use max_t = 0")
@@ -131,21 +133,6 @@ def _add_into(dst: list, src: list) -> None:
 
 # --------------------------------------------------------------- positive
 
-def _guarded_s_range(m1: int, m2: int, m3: int) -> range:
-    """Support window of P as a loop bound, with a vanishing guard."""
-    lo, hi = ppoly.support_window(m1, m2, m3)
-    for s in (hi + 1, hi + 2, hi + 3):
-        if ppoly.p(m1, m2, m3, s):
-            raise AssertionError(
-                "P(%d,%d,%d,%d) is nonzero past the support window" % (m1, m2, m3, s)
-            )
-    if lo - 1 >= 1 and ppoly.p(m1, m2, m3, lo - 1):
-        raise AssertionError(
-            "P(%d,%d,%d,%d) is nonzero below the support window" % (m1, m2, m3, lo - 1)
-        )
-    return range(lo, hi + 1)
-
-
 def _positive_cell(cell: tuple, b: int, shift: int, steps, max_q: int) -> list | None:
     """One cell of a positive sum as a q-row, or None when it is zero.
 
@@ -156,7 +143,7 @@ def _positive_cell(cell: tuple, b: int, shift: int, steps, max_q: int) -> list |
     """
     m1, m2, m3, n12 = cell[:4]
     row = [0] * (max_q + 1)
-    for s in _guarded_s_range(m1, m2, m3):
+    for s in ppoly.s_range(m1, m2, m3):
         poly = ppoly.p(m1, m2, m3, s)
         if not poly:
             continue

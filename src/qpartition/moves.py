@@ -331,6 +331,11 @@ def _classify(tp: TaggedPartition) -> TaggedPartition:
     return TaggedPartition(items)
 
 
+def _without_roles(items: Iterable[Item]) -> TaggedPartition:
+    """The structure with singleton roles dropped, as `tag` would build it."""
+    return TaggedPartition(it if isinstance(it, Pair) else Singleton(it.value) for it in items)
+
+
 def _largest_pair_lo(tp: TaggedPartition) -> int:
     pairs = tp.pairs()
     return pairs[-1].lo if pairs else 0
@@ -375,9 +380,7 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
         else:
             base_items.append(it)
     base = TaggedPartition(base_items)
-    if tag(sorted(base.parts)) != TaggedPartition(
-        [Pair(it.lo, it.hi) if isinstance(it, Pair) else Singleton(it.value) for it in base_items]
-    ):
+    if tag(sorted(base.parts)) != _without_roles(base_items):
         raise AssertionError("stowing singletons disturbed the structure: %s" % base)
     return Decomposition(base, tuple(mu), theta, n2, len(immobile), len(moveable))
 
@@ -396,12 +399,7 @@ def make_decomposition(base, mu, theta) -> Decomposition:
     """
     if isinstance(base, TaggedPartition):
         base_parts = tuple(sorted(base.parts))
-        if tag(base_parts) != TaggedPartition(
-            [
-                Pair(it.lo, it.hi) if isinstance(it, Pair) else Singleton(it.value)
-                for it in base.items
-            ]
-        ):
+        if tag(base_parts) != _without_roles(base.items):
             raise ValueError("structure %s is not the greedy tagging of its parts" % base)
     else:
         base_parts = as_parts(base)
@@ -515,15 +513,10 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
                     [Pair(v - 1, v), Singleton(v, IMMOBILE), Pair(v + 2, v + 2)],
                 )
 
-    def strip_roles(items: tuple[Item, ...]) -> TaggedPartition:
-        return TaggedPartition(
-            [it if isinstance(it, Pair) else Singleton(it.value) for it in items]
-        )
-
     def dfs(parts: tuple[int, ...], items: tuple[Item, ...], r1: int, r2: int, r3: int):
         if r1 == r2 == r3 == 0:
             tp = TaggedPartition(items)
-            if parts and tag(parts) != strip_roles(items):
+            if parts and tag(parts) != _without_roles(items):
                 return
             if not _blocked_everywhere(tp):
                 return
@@ -548,7 +541,7 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
                 cand_items = items + tuple(new_items)
                 # prefix tagging is stable: every item ends in a pair
                 tp = TaggedPartition(cand_items)
-                if tag(cand_parts) != strip_roles(cand_items):
+                if tag(cand_parts) != _without_roles(cand_items):
                     continue
                 # blockedness of a pair never changes once larger items
                 # arrive above it, so prune as soon as a new pair can move

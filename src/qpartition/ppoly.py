@@ -12,12 +12,13 @@ singletons are excluded.  The two components satisfy
   P1(m1,m2,m3,s) = q^{2m+1} [P1(m1,m2-1,m3,s-1) + P0(m1,m2-1,m3,s-1)
                            + P1(m1,m2-1,m3,s-2)]
 
-with base cases: 0 whenever some count is negative or s <= 0;
-P0(0,0,0,1) = 1 (the empty base); P1(0,0,0,1) = 0; both 0 at (0,0,0,s) for
-s != 1.  Every recursive call strictly decreases m1+m2+m3, so the descent
-is acyclic; results are memoized.  The recursion is calibrated against
-``p_oracle``, an independent brute-force enumeration of the bases
-themselves.
+with base cases: 0 whenever some count is negative; P0(0,0,0,1) = 1 (the
+empty base) and P1(0,0,0,1) = 0.  Every recursive call strictly decreases
+m1+m2+m3, so the descent is acyclic; results are memoized.  Both components
+vanish for s outside ``s_range(m1, m2, m3)``, which the step sizes of the
+recursion prove, so the descent never enters (or stores) such states.  The
+recursion is calibrated against ``p_oracle``, an independent brute-force
+enumeration of the bases themselves.
 
 The memo tables are the only shared state; entries are pure functions of
 the key, so racing fills are idempotent and the tables are append-only.
@@ -58,10 +59,10 @@ def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     """One parity component of P; see the module docstring for the rules."""
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    if m1 < 0 or m2 < 0 or m3 < 0 or s <= 0:
+    if min(m1, m2, m3) < 0 or s not in s_range(m1, m2, m3):
         return QPOLY_ZERO
     if m1 == 0 and m2 == 0 and m3 == 0:
-        return QPOLY_ONE if (s == 1 and parity == 0) else QPOLY_ZERO
+        return QPOLY_ONE if parity == 0 else QPOLY_ZERO
     key = (m1, m2, m3, s, parity)
     hit = _pmemo.get(key)
     if hit is not None:
@@ -105,19 +106,23 @@ def p(m1: int, m2: int, m3: int, s: int) -> QPoly:
     return p_parity(m1, m2, m3, s, 0) + p_parity(m1, m2, m3, s, 1)
 
 
-def support_window(m1: int, m2: int, m3: int) -> tuple[int, int]:
-    """Observed support bounds: P(m1,m2,m3,s) = 0 outside [lo, hi].
+def s_range(m1: int, m2: int, m3: int) -> range:
+    """The s for which P(m1, m2, m3, s) can be nonzero.
 
-    Asserted against the oracle over the calibration range; callers that use
-    it as a loop bound must guard by checking p == 0 past the window.
+    Proof from the recursion: a pair step (m1 or m2 down by one) lowers s by
+    1 or 2, a block step (m3 down by one) lowers it by 4 or 5, and the only
+    nonzero base case is P0(0,0,0,1).  So s - 1 is a sum of m1+m2 steps in
+    {1, 2} and m3 steps in {4, 5}: m1+m2+4m3+1 <= s <= 2(m1+m2)+5m3+1.
     """
-    if m1 == 0 and m2 == 0:
-        return (4 * m3 + 1, 4 * m3 + 1)
-    return (m1 + m2 + 4 * m3 + 1, 2 * (m1 + m2) + 4 * m3 + 1)
+    if min(m1, m2, m3) < 0:
+        raise ValueError("counts must be >= 0")
+    lo = m1 + m2 + 4 * m3 + 1
+    return range(lo, lo + m1 + m2 + m3 + 1)
 
 
-def _max_structure_weight(m1: int, m2: int, m3: int, s_cap: int) -> int:
-    # every part of a base with largest pair [s-1, s] is at most s
+def max_structure_weight(m1: int, m2: int, m3: int, s_cap: int) -> int:
+    """Weight cap covering every base whose largest pair is [s-1, s-1] or
+    [s-1, s] with s <= s_cap: each of its 2m1+2m2+5m3 parts is at most s."""
     return (2 * m1 + 2 * m2 + 5 * m3) * max(s_cap, 1)
 
 
@@ -129,7 +134,7 @@ def p_oracle(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
         return QPOLY_ZERO
     if (m1, m2, m3) == (0, 0, 0):
         return QPOLY_ONE if (s == 1 and parity == 0) else QPOLY_ZERO
-    cap = _max_structure_weight(m1, m2, m3, s)
+    cap = max_structure_weight(m1, m2, m3, s)
     cached = _oracle_memo.get((m1, m2, m3))
     if cached is None or cached[0] < cap:
         table: dict[tuple[int, int], list[int]] = {}

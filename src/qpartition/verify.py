@@ -289,51 +289,32 @@ def suite_corollary(max_q: int = 40, max_t: int = 12) -> SuiteResult:
 # ------------------------------------------------------------ closed forms
 
 def suite_closed_forms(m_max: int = 6, m3_max: int = 3) -> SuiteResult:
-    def check_px00():
-        bad = []
-        for m1 in range(m_max + 1):
-            for s in range(1, 2 * m1 + 4):
-                if ppoly.closed_form(ppoly.PX00, m1=m1, s=s) != ppoly.p(m1, 0, 0, s):
-                    bad.append("px00 at m1=%d, s=%d" % (m1, s))
-        return not bad, bad
+    ms, m3s = range(m_max + 1), range(m3_max + 1)
+    # each case names the parameters a failure line shows; a case without s
+    # sits at s = m1 + m2 + 4*m3 + 1, the only s where px0x and p0xx exist
+    table = [
+        (ppoly.PX00, [{"m1": m, "s": s} for m in ms for s in range(1, 2 * m + 4)],
+         "repeating-pairs"),
+        (ppoly.P0X0, [{"m2": m, "s": s} for m in ms for s in range(1, 2 * m + 4)],
+         "consecutive-pairs"),
+        (ppoly.P00X, [{"m3": m, "s": s} for m in m3s for s in range(1, 4 * m + 4)],
+         "pure-blocks"),
+        (ppoly.PX0X, [{"m1": m, "m3": m3} for m in ms for m3 in m3s], "repeating+blocks"),
+        (ppoly.P0XX, [{"m2": m, "m3": m3} for m in ms for m3 in m3s], "consecutive+blocks"),
+    ]
 
-    def check_p0x0():
-        bad = []
-        for m2 in range(m_max + 1):
-            for s in range(1, 2 * m2 + 4):
-                if ppoly.closed_form(ppoly.P0X0, m2=m2, s=s) != ppoly.p(0, m2, 0, s):
-                    bad.append("p0x0 at m2=%d, s=%d" % (m2, s))
-        return not bad, bad
+    def check_form(kind, cases):
+        def run():
+            bad = []
+            for case in cases:
+                args = {"m1": 0, "m2": 0, "m3": 0, **case}
+                args.setdefault("s", args["m1"] + args["m2"] + 4 * args["m3"] + 1)
+                if ppoly.closed_form(kind, **args) != ppoly.p(**args):
+                    shown = ", ".join("%s=%d" % item for item in case.items())
+                    bad.append("%s at %s" % (kind, shown))
+            return not bad, bad
 
-    def check_p00x():
-        bad = []
-        for m3 in range(m3_max + 1):
-            for s in range(1, 4 * m3 + 4):
-                if ppoly.closed_form(ppoly.P00X, m3=m3, s=s) != ppoly.p(0, 0, m3, s):
-                    bad.append("p00x at m3=%d, s=%d" % (m3, s))
-        return not bad, bad
-
-    def check_px0x():
-        bad = []
-        for m1 in range(m_max + 1):
-            for m3 in range(m3_max + 1):
-                s = m1 + 4 * m3 + 1
-                if ppoly.closed_form(ppoly.PX0X, m1=m1, m3=m3, s=s) != ppoly.p(
-                    m1, 0, m3, s
-                ):
-                    bad.append("px0x at m1=%d, m3=%d" % (m1, m3))
-        return not bad, bad
-
-    def check_p0xx():
-        bad = []
-        for m2 in range(m_max + 1):
-            for m3 in range(m3_max + 1):
-                s = m2 + 4 * m3 + 1
-                if ppoly.closed_form(ppoly.P0XX, m2=m2, m3=m3, s=s) != ppoly.p(
-                    0, m2, m3, s
-                ):
-                    bad.append("p0xx at m2=%d, m3=%d" % (m2, m3))
-        return not bad, bad
+        return run
 
     def check_report():
         report = ppoly.exponent_discrepancy_report()
@@ -361,13 +342,10 @@ def suite_closed_forms(m_max: int = 6, m3_max: int = 3) -> SuiteResult:
     return _run(
         "closed-forms",
         [
-            ("repeating-pairs form matches the recursion", check_px00),
-            ("consecutive-pairs form matches the recursion", check_p0x0),
-            ("pure-blocks form matches the recursion", check_p00x),
-            ("repeating+blocks form matches the recursion", check_px0x),
-            ("consecutive+blocks form matches the recursion", check_p0xx),
-            ("exponent discrepancy report", check_report),
-        ],
+            ("%s form matches the recursion" % label, check_form(kind, cases))
+            for kind, cases, label in table
+        ]
+        + [("exponent discrepancy report", check_report)],
     )
 
 

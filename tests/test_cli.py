@@ -158,6 +158,29 @@ def test_invalid_variant_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("form", ("brute", "alternating", "positive", "product"))
+def test_negative_window_exits_two(capsys, form):
+    code, out, err = run_cli(capsys, "kr", "--variant", "1", "--form", form, "--max-q", "-1")
+    assert (code, out) == (2, "") and "error" in err
+    if form != "product":  # the product form ignores --max-t
+        code, out, err = run_cli(
+            capsys, "kr", "--variant", "1", "--form", form, "--max-t", "-2"
+        )
+        assert (code, out) == (2, "") and "error" in err
+
+
+def test_recursion_too_deep_exits_two(capsys, monkeypatch):
+    from qpartition import ppoly
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(ppoly, "p", too_deep)
+    code, out, err = run_cli(capsys, "ppoly", "--m1", "0", "--m2", "0", "--m3", "1", "--s", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "too deep" in err
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["kr", "--wrong-flag", "1"])

@@ -13,7 +13,7 @@ from qpartition.ppoly import (
     p_oracle,
     p_parity,
     qbinomial,
-    support_window,
+    s_range,
 )
 from qpartition.series import QPoly
 
@@ -80,23 +80,32 @@ def test_recursion_matches_oracle_small():
                         ), (m1, m2, m3, s, parity)
 
 
-def test_support_window_against_recursion():
-    for m1 in range(4):
-        for m2 in range(4):
-            for m3 in range(2):
-                lo, hi = support_window(m1, m2, m3)
-                for s in range(1, hi + 4):
-                    inside = lo <= s <= hi
-                    if not inside:
-                        assert not p(m1, m2, m3, s), (m1, m2, m3, s)
+def test_s_range_contains_the_exact_support():
+    for m1 in range(6):
+        for m2 in range(6):
+            for m3 in range(4):
+                if m1 == m2 == 0:
+                    support = range(4 * m3 + 1, 4 * m3 + 2)
+                else:
+                    top = 2 * (m1 + m2) + 4 * m3 + 1 - (m2 > 0 and m3 == 0)
+                    support = range(m1 + m2 + 4 * m3 + 1, top + 1)
+                bound = s_range(m1, m2, m3)
+                assert support[0] in bound and support[-1] in bound
+                for s in range(1, bound[-1] + 4):
+                    assert bool(p(m1, m2, m3, s)) == (s in support), (m1, m2, m3, s)
+
+
+def test_s_range_rejects_negative_counts():
+    assert s_range(0, 0, 0) == range(1, 2)
+    with pytest.raises(ValueError):
+        s_range(0, 0, -1)
 
 
 def test_all_coefficients_nonnegative():
     for m1 in range(4):
         for m2 in range(4):
             for m3 in range(3):
-                _, hi = support_window(m1, m2, m3)
-                for s in range(1, hi + 1):
+                for s in s_range(m1, m2, m3):
                     assert p(m1, m2, m3, s).is_nonnegative()
 
 
