@@ -179,12 +179,12 @@ def _cmd_bases(args) -> int:
 def _cmd_verify(args) -> int:
     factory = verify.SUITES[args.suite]
     if args.max_q is not None:
-        if args.suite == "products":
+        if args.max_q < 0:
+            raise ValueError("--max-q must be >= 0")
+        if args.suite in ("products", "corollary"):
             result = factory(max_q=args.max_q)
         elif args.suite == "forms":
             result = factory(max_q=args.max_q, alt_max_q=args.max_q)
-        elif args.suite == "corollary":
-            result = factory(max_q=args.max_q)
         else:
             raise ValueError("--max-q does not apply to the %s suite" % args.suite)
     else:

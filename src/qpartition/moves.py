@@ -3,8 +3,9 @@
 Tagging.  Scanning a sorted partition left to right, two adjacent unbound
 parts differing by at most 1 bind into a *pair* (repeating [k,k] or
 consecutive [k,k+1]); leftmost parts pair first.  Unbound parts are
-*singletons*.  Tagging is a pure function of the part multiset, and every
-move below re-derives it from scratch after rewriting the moved parts.
+*singletons*.  Tagging is a pure function of the part multiset.  `tag`
+validates outside input; a move checks only the multiplicities of the
+multiset it rewrites and re-tags that multiset greedily from scratch.
 
 Backward moves.  A pair rewrites [k,k+1] -> [k-1,k-1] or [k,k] -> [k-2,k-1],
 dropping the weight by exactly 3.  The move is legal iff
@@ -23,11 +24,12 @@ undrawn variants thereof) are all caught by the same predicate; there is no
 case table in the code.
 
 Decomposition.  Pairs are driven to their blocked position smallest-first,
-recording 3x(move count) in mu.  Afterwards singletons strictly between
-pairs are *immobile* and the trailing ones *moveable*; the moveables slide
-down (weight -1 per step) onto the staircase k+1, k+3, ..., k+2*n12-1 above
-the largest pair index k, recording their offsets in theta (immobile
-singletons contribute forced zeros).  Composition inverts everything:
+recording 3x(move count) in mu.  A singleton's role then follows from its
+position, so nothing stores it: singletons before the last pair are
+*immobile* and the trailing ones *moveable*.  The moveables slide down
+(weight -1 per step) onto the staircase k+1, k+3, ..., k+2*n12-1 above the
+largest pair index k, recording their offsets in theta (immobile singletons
+contribute forced zeros).  Composition inverts everything:
 theta is added back largest-to-largest, then pairs move forward
 ([k-1,k-1] -> [k,k+1], [k-2,k-1] -> [k,k]) largest-first, where a pair with
 a singleton right behind its top regroups (a,[b,s] for [a,b],s) before
@@ -36,14 +38,10 @@ moving.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .partitions import as_parts, check_at_most_twice
-
-IMMOBILE = "immobile"
-MOVEABLE = "moveable"
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class Pair:
 @dataclass(frozen=True)
 class Singleton:
     value: int
-    role: Optional[str] = None  # IMMOBILE / MOVEABLE once classified
 
     def __str__(self) -> str:
         return str(self.value)
@@ -109,9 +106,6 @@ class TaggedPartition:
     def pairs(self) -> list[Pair]:
         return [it for it in self.items if isinstance(it, Pair)]
 
-    def singletons(self) -> list[Singleton]:
-        return [it for it in self.items if isinstance(it, Singleton)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TaggedPartition):
             return NotImplemented
@@ -132,8 +126,18 @@ def tag(p) -> TaggedPartition:
     parts = as_parts(p)
     if parts and parts[0] < 1:
         raise ValueError("parts must be >= 1")
-    if not check_at_most_twice(parts):
+    if _has_triple(parts):
         raise ValueError("some part appears more than twice: %s" % (parts,))
+    return _greedy(parts)
+
+
+def _has_triple(parts) -> bool:
+    """True iff some value of the sorted parts appears three times or more."""
+    return any(a == b for a, b in zip(parts, parts[2:]))
+
+
+def _greedy(parts) -> TaggedPartition:
+    """Leftmost pairing of sorted parts already known to be valid."""
     items: list[Item] = []
     i = 0
     while i < len(parts):
@@ -181,16 +185,13 @@ def _pair_positions(tp: TaggedPartition) -> list[int]:
 
 
 def _rebuilt(tp: TaggedPartition, drop: tuple[int, int], put: tuple[int, int]):
-    """Part multiset after replacing the two dropped values; None if mult > 2."""
+    """Tagging after replacing the two dropped values; None if mult > 2."""
     parts = list(tp.parts)
     parts.remove(drop[0])
     parts.remove(drop[1])
     parts.extend(put)
     parts.sort()
-    counts = Counter(parts)
-    if any(c > 2 for c in counts.values()):
-        return None
-    return parts
+    return None if _has_triple(parts) else _greedy(parts)
 
 
 def _check_stability(old: TaggedPartition, new: TaggedPartition, pair_index: int) -> None:
@@ -226,10 +227,9 @@ def backward_move(
         below = tp.items[positions[pair_index - 1]]
         if put[0] < below.hi:
             return None  # pairs do not move through pairs
-    parts = _rebuilt(tp, (pair.lo, pair.hi), put)
-    if parts is None:
+    new_tp = _rebuilt(tp, (pair.lo, pair.hi), put)
+    if new_tp is None:
         return None
-    new_tp = tag(parts)
     _check_stability(tp, new_tp, pair_index)
     if trace is not None:
         moved = new_tp.pairs()[pair_index]
@@ -268,13 +268,12 @@ def forward_move(
         put = (moving[0] + 1, moving[0] + 2)
     else:
         put = (moving[1] + 1, moving[1] + 1)
-    parts = _rebuilt(tp, moving, put)
-    if parts is None:
+    new_tp = _rebuilt(tp, moving, put)
+    if new_tp is None:
         raise ValueError(
             "forward move on %s of %s would repeat a part more than twice"
             % (Pair(*moving), tp)
         )
-    new_tp = tag(parts)
     _check_stability(tp, new_tp, pair_index)
     if trace is not None:
         trace.append(
@@ -290,14 +289,26 @@ def forward_move(
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The bijection image (base, mu, theta) plus the singleton counts."""
+    """The bijection image (base, mu, theta); the counts follow from the base."""
 
     base: TaggedPartition
     mu: tuple[int, ...]
     theta: tuple[int, ...]
-    n2: int
-    n11: int
-    n12: int
+
+    @property
+    def n2(self) -> int:
+        """Number of pairs."""
+        return len(self.base.pairs())
+
+    @property
+    def n12(self) -> int:
+        """Number of moveable singletons: those after the last pair."""
+        return len(self.base.items) - _past_last_pair(self.base)
+
+    @property
+    def n11(self) -> int:
+        """Number of immobile singletons: those before the last pair."""
+        return len(self.base.items) - self.n2 - self.n12
 
     @property
     def base_weight(self) -> int:
@@ -316,24 +327,11 @@ class Decomposition:
         return self.base_weight + self.mu_weight + self.theta_weight
 
 
-def _classify(tp: TaggedPartition) -> TaggedPartition:
-    """Mark singletons: between pairs -> immobile, trailing -> moveable."""
-    last_pair = -1
-    for i, it in enumerate(tp.items):
-        if isinstance(it, Pair):
-            last_pair = i
-    items: list[Item] = []
-    for i, it in enumerate(tp.items):
-        if isinstance(it, Singleton):
-            items.append(Singleton(it.value, IMMOBILE if i < last_pair else MOVEABLE))
-        else:
-            items.append(it)
-    return TaggedPartition(items)
-
-
-def _without_roles(items: Iterable[Item]) -> TaggedPartition:
-    """The structure with singleton roles dropped, as `tag` would build it."""
-    return TaggedPartition(it if isinstance(it, Pair) else Singleton(it.value) for it in items)
+def _past_last_pair(tp: TaggedPartition) -> int:
+    """Index just past the last pair (0 without pairs): the singletons before
+    it are immobile, the ones from it on moveable."""
+    positions = _pair_positions(tp)
+    return positions[-1] + 1 if positions else 0
 
 
 def _largest_pair_lo(tp: TaggedPartition) -> int:
@@ -344,9 +342,8 @@ def _largest_pair_lo(tp: TaggedPartition) -> int:
 def decompose(p, trace: Optional[list] = None) -> Decomposition:
     """Drive every pair to its blocked position, then stow the singletons."""
     tp = tag(p)
-    n2 = len(tp.pairs())
     mu = []
-    for i in range(n2):
+    for i in range(len(tp.pairs())):
         count = 0
         while True:
             nxt = backward_move(tp, i, trace)
@@ -356,33 +353,22 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
             count += 1
         mu.append(3 * count)
 
-    tp = _classify(tp)
-    singles = tp.singletons()
-    immobile = [s for s in singles if s.role == IMMOBILE]
-    moveable = [s for s in singles if s.role == MOVEABLE]
+    end = _past_last_pair(tp)
     k = _largest_pair_lo(tp)
-    theta_moves = []
-    for rank, s in enumerate(sorted(x.value for x in moveable), start=1):
-        target = k + 2 * rank - 1
+    base_items = list(tp.items[:end])
+    theta = [0] * (end - len(mu))  # forced zeros for the immobile singletons
+    for rank, it in enumerate(tp.items[end:], start=1):
+        s, target = it.value, k + 2 * rank - 1
         if s < target:
             raise AssertionError("moveable singleton %d below its slot %d" % (s, target))
-        theta_moves.append(s - target)
+        theta.append(s - target)
         if trace is not None and s != target:
             trace.append({"op": "backward", "singleton": s, "result": target})
-    theta = tuple([0] * len(immobile) + theta_moves)
-
-    base_items: list[Item] = []
-    rank = 0
-    for it in tp.items:
-        if isinstance(it, Singleton) and it.role == MOVEABLE:
-            rank += 1
-            base_items.append(Singleton(k + 2 * rank - 1, MOVEABLE))
-        else:
-            base_items.append(it)
+        base_items.append(Singleton(target))
     base = TaggedPartition(base_items)
-    if tag(sorted(base.parts)) != _without_roles(base_items):
+    if tag(sorted(base.parts)) != base:
         raise AssertionError("stowing singletons disturbed the structure: %s" % base)
-    return Decomposition(base, tuple(mu), theta, n2, len(immobile), len(moveable))
+    return Decomposition(base, tuple(mu), tuple(theta))
 
 
 def is_base(p) -> bool:
@@ -399,7 +385,7 @@ def make_decomposition(base, mu, theta) -> Decomposition:
     """
     if isinstance(base, TaggedPartition):
         base_parts = tuple(sorted(base.parts))
-        if tag(base_parts) != _without_roles(base.items):
+        if tag(base_parts) != base:
             raise ValueError("structure %s is not the greedy tagging of its parts" % base)
     else:
         base_parts = as_parts(base)
@@ -414,7 +400,7 @@ def make_decomposition(base, mu, theta) -> Decomposition:
         raise ValueError("mu parts must be non-negative multiples of 3: %s" % (mu,))
     if any(mu[i] > mu[i + 1] for i in range(len(mu) - 1)):
         raise ValueError("mu must be non-decreasing: %s" % (mu,))
-    n1 = d0.n11 + d0.n12
+    n1 = len(d0.theta)
     if len(theta) != n1:
         raise ValueError("theta must have %d parts, got %d" % (n1, len(theta)))
     if any(x < 0 for x in theta):
@@ -426,7 +412,7 @@ def make_decomposition(base, mu, theta) -> Decomposition:
             "theta needs at least %d zeros for the immobile singletons: %s"
             % (d0.n11, (theta,))
         )
-    return Decomposition(d0.base, mu, theta, d0.n2, d0.n11, d0.n12)
+    return Decomposition(d0.base, mu, theta)
 
 
 def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
@@ -436,29 +422,20 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
     # forward moves on moveable singletons: i-th largest theta part onto the
     # i-th largest singleton (the trailing ones; the rest of theta is zero)
     items = list(d.base.items)
-    moveable_pos = [
-        i
-        for i, it in enumerate(items)
-        if isinstance(it, Singleton) and it.role == MOVEABLE
-    ]
-    for offset, pos in enumerate(reversed(moveable_pos), start=1):
-        t = d.theta[-offset] if offset <= len(d.theta) else 0
-        s = items[pos]
+    moveable_pos = range(len(items) - 1, _past_last_pair(d.base) - 1, -1)
+    for pos, t in zip(moveable_pos, reversed(d.theta)):
+        s = items[pos].value
         if t:
             if trace is not None:
-                trace.append(
-                    {"op": "forward", "singleton": s.value, "result": s.value + t}
-                )
-            items[pos] = Singleton(s.value + t, MOVEABLE)
+                trace.append({"op": "forward", "singleton": s, "result": s + t})
+            items[pos] = Singleton(s + t)
     tp = tag(sorted(TaggedPartition(items).parts))
     if len(tp.pairs()) != d.n2:
         raise ValueError("theta placement broke the pair structure")
 
     # forward moves on pairs, largest pair first with the largest mu part
-    for back in range(1, d.n2 + 1):
-        steps = d.mu[-back] // 3
-        idx = d.n2 - back
-        for _ in range(steps):
+    for idx in reversed(range(d.n2)):
+        for _ in range(d.mu[idx] // 3):
             tp = forward_move(tp, idx, trace)
     out = tuple(sorted(tp.parts))
     if not check_at_most_twice(out):
@@ -473,16 +450,21 @@ class BaseRecord:
     """One enumerated base structure (moveable singletons excluded)."""
 
     structure: TaggedPartition
-    largest_pair_index: int  # the m of [m,m] / [m,m+1]; 0 for the empty base
-    parity: int  # 0 repeating, 1 consecutive
 
     @property
     def weight(self) -> int:
         return self.structure.weight
 
+    @property
+    def largest_pair_index(self) -> int:
+        """The m of the largest pair [m,m] / [m,m+1]; 0 for the empty base."""
+        return _largest_pair_lo(self.structure)
 
-def _blocked_everywhere(tp: TaggedPartition) -> bool:
-    return all(backward_move(tp, i) is None for i in range(len(tp.pairs())))
+    @property
+    def parity(self) -> int:
+        """0 repeating, 1 consecutive (0 for the empty base)."""
+        pairs = self.structure.pairs()
+        return pairs[-1].parity if pairs else 0
 
 
 def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseRecord]:
@@ -510,21 +492,13 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
             elif v >= 2:
                 yield (
                     (v - 1, v, v, v + 2, v + 2),
-                    [Pair(v - 1, v), Singleton(v, IMMOBILE), Pair(v + 2, v + 2)],
+                    [Pair(v - 1, v), Singleton(v), Pair(v + 2, v + 2)],
                 )
 
     def dfs(parts: tuple[int, ...], items: tuple[Item, ...], r1: int, r2: int, r3: int):
         if r1 == r2 == r3 == 0:
-            tp = TaggedPartition(items)
-            if parts and tag(parts) != _without_roles(items):
-                return
-            if not _blocked_everywhere(tp):
-                return
-            pairs = tp.pairs()
-            if pairs:
-                results.append(BaseRecord(tp, pairs[-1].lo, pairs[-1].parity))
-            else:
-                results.append(BaseRecord(tp, 0, 0))
+            # every prefix was tagged and checked when its items arrived
+            results.append(BaseRecord(TaggedPartition(items)))
             return
         last = parts[-1] if parts else 0
         weight = sum(parts)
@@ -535,16 +509,15 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
                 if new_parts[0] < last or weight + sum(new_parts) > max_weight:
                     continue
                 cand_parts = parts + new_parts
-                counts = Counter(cand_parts)
-                if any(c > 2 for c in counts.values()):
+                if _has_triple(cand_parts):
                     continue
-                cand_items = items + tuple(new_items)
                 # prefix tagging is stable: every item ends in a pair
-                tp = TaggedPartition(cand_items)
-                if tag(cand_parts) != _without_roles(cand_items):
+                tp = TaggedPartition(items + tuple(new_items))
+                if _greedy(cand_parts) != tp:
                     continue
-                # blockedness of a pair never changes once larger items
-                # arrive above it, so prune as soon as a new pair can move
+                # whether a pair can move backward depends only on the parts
+                # up to its top, and every later item is at least `last`, so
+                # a pair blocked now stays blocked; prune as soon as one moves
                 npairs = len(tp.pairs())
                 fresh = 2 if kind == "b" else 1
                 if any(
@@ -552,7 +525,7 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
                     for i in range(npairs - fresh, npairs)
                 ):
                     continue
-                dfs(cand_parts, cand_items, *rest)
+                dfs(cand_parts, tp.items, *rest)
 
     dfs((), (), m1, m2, m3)
     results.sort(key=lambda r: (r.weight, r.structure.parts))

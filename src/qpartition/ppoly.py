@@ -12,13 +12,14 @@ singletons are excluded.  The two components satisfy
   P1(m1,m2,m3,s) = q^{2m+1} [P1(m1,m2-1,m3,s-1) + P0(m1,m2-1,m3,s-1)
                            + P1(m1,m2-1,m3,s-2)]
 
-with base cases: 0 whenever some count is negative; P0(0,0,0,1) = 1 (the
-empty base) and P1(0,0,0,1) = 0.  Every recursive call strictly decreases
-m1+m2+m3, so the descent is acyclic; results are memoized.  Both components
-vanish for s outside ``s_range(m1, m2, m3)``, which the step sizes of the
-recursion prove, so the descent never enters (or stores) such states.  The
-recursion is calibrated against ``p_oracle``, an independent brute-force
-enumeration of the bases themselves.
+with base cases: 0 whenever some count is negative; P1 = 0 whenever m2 = 0
+(a parity-1 component ends in a consecutive pair); P0(0,0,0,1) = 1 (the
+empty base).  Every recursive call strictly decreases m1+m2+m3, so the
+descent is acyclic; results are memoized.  Both components vanish for s
+outside ``s_range(m1, m2, m3)``, which the step sizes of the recursion
+prove, so the descent never enters (or stores) such states.  The recursion
+is calibrated against ``p_oracle``, an independent brute-force enumeration
+of the bases themselves.
 
 The memo tables are the only shared state; entries are pure functions of
 the key, so racing fills are idempotent and the tables are append-only.
@@ -59,10 +60,10 @@ def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     """One parity component of P; see the module docstring for the rules."""
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    if min(m1, m2, m3) < 0 or s not in s_range(m1, m2, m3):
+    if min(m1, m2 - parity, m3) < 0 or s not in s_range(m1, m2, m3):
         return QPOLY_ZERO
     if m1 == 0 and m2 == 0 and m3 == 0:
-        return QPOLY_ONE if parity == 0 else QPOLY_ZERO
+        return QPOLY_ONE
     key = (m1, m2, m3, s, parity)
     hit = _pmemo.get(key)
     if hit is not None:

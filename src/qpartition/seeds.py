@@ -57,10 +57,6 @@ class SeedDecomposition:
     groups: tuple[SeedGroup, ...]
     forced_prefix: int  # leading mu entries rewritten unconditionally
 
-    @property
-    def toggle_count(self) -> int:
-        return len(self.groups)
-
 
 def to_seed(p, variant: KrVariant) -> tuple[int, ...]:
     """Rewrite every repeated even pair (2k)+(2k) as (2k-1)+(2k+1).

@@ -169,6 +169,12 @@ def test_negative_window_exits_two(capsys, form):
         assert (code, out) == (2, "") and "error" in err
 
 
+@pytest.mark.parametrize("suite", ("products", "forms", "corollary"))
+def test_negative_verify_window_exits_two(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-q", "-1")
+    assert (code, out, err) == (2, "", "error: --max-q must be >= 0\n")
+
+
 def test_recursion_too_deep_exits_two(capsys, monkeypatch):
     from qpartition import ppoly
 

@@ -1,8 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpartition.moves import (
-    IMMOBILE,
-    MOVEABLE,
     Pair,
     Singleton,
     backward_move,
@@ -228,23 +228,57 @@ def test_round_trip_small_sweep():
             assert compose(d) == parts
 
 
+@st.composite
+def _at_most_twice(draw, max_weight=200):
+    """Values rising by small steps, each once or twice, cut at the weight."""
+    rise = st.tuples(st.integers(1, 6), st.integers(1, 2))
+    steps = draw(st.lists(rise, min_size=8, max_size=40))
+    parts, v = [], 0
+    for step, mult in steps:
+        v += step
+        for _ in range(mult):
+            if sum(parts) + v > max_weight:
+                return tuple(parts)
+            parts.append(v)
+    return tuple(parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_at_most_twice())
+def test_round_trip_property(parts):
+    d = decompose(parts)
+    assert compose(d) == parts
+    assert d.total_weight == sum(parts)
+    assert d.n2 == len(d.base.pairs())
+    assert d.n11 + d.n12 == len(d.theta)
+
+
 def test_singleton_classification_roles():
+    # one immobile singleton before the last pair, three moveable after it
     d = decompose((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))
-    roles = [s.role for s in d.base.singletons()]
-    assert roles == [IMMOBILE, MOVEABLE, MOVEABLE, MOVEABLE]
+    assert (d.n11, d.n12) == (1, 3)
+
+
+def test_base_carries_only_its_parts_and_pairs():
+    d = decompose((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))
+    assert d.base == parse_structure(str(d.base))
 
 
 def test_observed_immobile_singletons_sit_in_blocks():
-    # every immobile singleton observed in the sweep is wedged between a
-    # consecutive pair ending at its value and a repeating pair two above
+    # every immobile singleton (one before the last pair) observed in the
+    # sweep is wedged between a consecutive pair ending at its value and a
+    # repeating pair two above
     for n in range(23):
         for parts in iter_partitions(n):
             if not check_at_most_twice(parts):
                 continue
             base = decompose(parts).base
             items = base.items
-            for i, it in enumerate(items):
-                if isinstance(it, Singleton) and it.role == IMMOBILE:
+            past_last_pair = max(
+                (i + 1 for i, it in enumerate(items) if isinstance(it, Pair)), default=0
+            )
+            for i, it in enumerate(items[:past_last_pair]):
+                if isinstance(it, Singleton):
                     before, after = items[i - 1], items[i + 1]
                     assert isinstance(before, Pair) and not before.repeating
                     assert before.hi == it.value

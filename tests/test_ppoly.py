@@ -101,6 +101,15 @@ def test_s_range_rejects_negative_counts():
         s_range(0, 0, -1)
 
 
+def test_memo_stores_no_zero_polynomial(monkeypatch):
+    from qpartition import ppoly
+
+    monkeypatch.setattr(ppoly, "_pmemo", {})
+    p(40, 0, 0, 60)
+    assert ppoly._pmemo
+    assert all(value != QPoly() for value in ppoly._pmemo.values())
+
+
 def test_all_coefficients_nonnegative():
     for m1 in range(4):
         for m2 in range(4):
