@@ -107,7 +107,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _cmd_compose(args) -> int:
     base = moves.parse_structure(args.base)
-    d = moves.make_decomposition(base, _parse_int_list(args.mu), _parse_int_list(args.theta))
+    # compose validates the triple; parse_structure has already checked
+    # that the base is the greedy tagging of its parts
+    d = moves.Decomposition(base, _parse_int_list(args.mu), _parse_int_list(args.theta))
     trace = [] if args.trace else None
     parts = moves.compose(d, trace)
     out = _decomposition_dict(d, parts)

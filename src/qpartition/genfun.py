@@ -3,7 +3,8 @@
 Each partition class has three series routes that must agree coefficient
 for coefficient on any shared window:
 
-* BRUTE        -- count partitions directly (`partitions.brute_series`);
+* BRUTE        -- count partitions directly (`partitions.brute_series`,
+                  pruned by the local class rules);
 * ALTERNATING  -- the triple sum over (i, j, k) with a (-1)^k sign;
 * POSITIVE     -- the evidently positive multi-sum built from the base
                   polynomials P(m1,m2,m3,s;q^2); every term is nonnegative,
@@ -81,12 +82,39 @@ class GenFunSpec:
 
 # ----------------------------------------------------------------- brute
 
+def _third_copy(parts: tuple, x: int) -> bool:
+    return len(parts) >= 2 and parts[-2] == x
+
+
+def _kr_extends(variant: KrVariant):
+    """The local class rules as a prefix rule for ``brute_series``: a prefix
+    that breaks one of them cannot extend into the class.  Rule (c) is left
+    to ``check_kr``."""
+    first_min = {KrVariant.D: 1, KrVariant.DPRIME: 2, KrVariant.DPRIMEPRIME: 4}[variant]
+
+    def extends(parts: tuple, x: int) -> bool:
+        if not parts:
+            return x >= first_min
+        last = parts[-1]
+        if x == last:  # (b), and a third copy breaks (c)
+            if x % 2 or _third_copy(parts, x):
+                return False
+            return not (x == 2 and variant is KrVariant.D)  # D bars 2+2
+        return x != last + 1  # (a)
+
+    return extends
+
+
 def kr_brute(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
-    return brute_series(lambda parts: check_kr(parts, variant), max_q, max_t)
+    return brute_series(
+        lambda parts: check_kr(parts, variant), max_q, max_t, extends=_kr_extends(variant)
+    )
 
 
 def h_brute(max_q: int, max_t: int) -> BiSeries:
-    return brute_series(check_at_most_twice, max_q, max_t)
+    return brute_series(
+        check_at_most_twice, max_q, max_t, extends=lambda parts, x: not _third_copy(parts, x)
+    )
 
 
 # ----------------------------------------------------------- alternating

@@ -16,7 +16,15 @@ initial condition:
 
 ``brute_series`` turns any predicate into a bivariate counting series and is
 the enumeration oracle every generating-function identity in this package is
-checked against.
+checked against.  It is one depth-first walk: parts are appended in
+non-decreasing order, every node (weight <= max_q, length <= max_t) is a
+partition, and each node the predicate accepts is counted, so one pass
+covers every weight.  An optional prefix rule ``extends(parts, x)`` skips
+the subtree below ``parts + (x,)``; it must return False only when no
+partition in that subtree satisfies the predicate.  The predicate still
+decides every counted partition, so a wrong prefix rule can only lose
+partitions, never add one.  ``iter_partitions`` is the unpruned enumeration
+the prefix rules are tested against.
 """
 
 from __future__ import annotations
@@ -157,7 +165,7 @@ def check_at_most_twice(p) -> bool:
     """True iff every value has multiplicity <= 2."""
     parts = as_parts(p)
     _reject_zeros(parts)
-    return all(c <= 2 for c in Counter(parts).values())
+    return not any(a == b for a, b in zip(parts, parts[2:]))  # parts are sorted
 
 
 def iter_partitions(n: int, max_len: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -179,31 +187,29 @@ def iter_partitions(n: int, max_len: Optional[int] = None) -> Iterator[tuple[int
     return gen(n, 1, limit)
 
 
-def enumerate_partitions(
-    n: int,
-    length: Optional[int] = None,
-    pred: Optional[Callable[[tuple[int, ...]], bool]] = None,
-) -> list[tuple[int, ...]]:
-    """Partitions of n (with exactly ``length`` parts if given) passing ``pred``.
-
-    Output is deterministic: lexicographic order of part tuples.
-    """
-    out = []
-    for parts in iter_partitions(n, max_len=length):
-        if length is not None and len(parts) != length:
-            continue
-        if pred is None or pred(parts):
-            out.append(parts)
-    return out
-
-
 def brute_series(
-    pred: Callable[[tuple[int, ...]], bool], max_q: int, max_t: int
+    pred: Callable[[tuple[int, ...]], bool],
+    max_q: int,
+    max_t: int,
+    extends: Optional[Callable[[tuple[int, ...], int], bool]] = None,
 ) -> BiSeries:
-    """Counting series sum_{n,m} #{partitions of n into m parts, pred} q^n t^m."""
+    """Counting series sum_{n,m} #{partitions of n into m parts, pred} q^n t^m.
+
+    The walk enters ``parts + (x,)`` only when ``extends(parts, x)`` holds
+    (see the module docstring for what a prefix rule may skip).
+    """
+    if max_q < 0 or max_t < 0:
+        raise ValueError("max_q and max_t must be >= 0")
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
-    for n in range(max_q + 1):
-        for parts in iter_partitions(n, max_len=max_t):
-            if pred(parts):
-                rows[len(parts)][n] += 1
+
+    def visit(parts: tuple[int, ...], weight: int) -> None:
+        if pred(parts):
+            rows[len(parts)][weight] += 1
+        if len(parts) == max_t:
+            return
+        for x in range(parts[-1] if parts else 1, max_q - weight + 1):
+            if extends is None or extends(parts, x):
+                visit(parts + (x,), weight + x)
+
+    visit((), 0)
     return BiSeries._wrap(max_q, max_t, rows)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpartition import moves
 from qpartition.cli import main
 from qpartition.series import BiSeries
 
@@ -70,6 +75,25 @@ def test_compose_round_trips_the_worked_example(capsys):
     data = json.loads(out)
     assert data["partition"] == "2,4,4,5,6,6,8,8,9,12,12,14,14,16,20"
     assert data["weights"]["total"] == 140
+
+
+def test_compose_validates_the_triple_once(capsys, monkeypatch):
+    calls = []
+    decompose = moves.decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(moves, "decompose", counted)
+    code, _, _ = run_cli(
+        capsys,
+        "compose",
+        "--base", "[2,2],[3,4],4,[6,6],[7,8],8,[10,10],11,13,15",
+        "--mu", "3,3,3,6,6",
+        "--theta", "0,0,2,3,5",
+    )
+    assert code == 0 and len(calls) == 1
 
 
 def test_seed_expand_reports_groups(capsys):
@@ -209,3 +233,68 @@ def test_every_readme_command_runs(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 0, command
+
+
+_TEXT = st.text(alphabet="[],-0123456789", max_size=14)
+
+
+@st.composite
+def _argv(draw):
+    """Small-window argv for every subcommand, valid or not."""
+
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    def parts(values=st.integers(-1, 14)):
+        ints = st.lists(values, max_size=8)
+        text = st.one_of(ints, ints.map(sorted)).map(lambda xs: ",".join(map(str, xs)))
+        return draw(st.one_of(text, _TEXT))
+
+    fmt = ["--format", draw(st.sampled_from(["table", "json"]))]
+    command = draw(
+        st.sampled_from(["kr", "ppoly", "decompose", "compose", "seed-expand", "bases", "verify"])
+    )
+    if command == "kr":
+        return [
+            "kr", "--variant", draw(st.sampled_from(["1", "2", "3", "4", "d''"])),
+            "--form", draw(st.sampled_from(["brute", "alternating", "positive", "product"])),
+            "--max-q", num(-1, 30), "--max-t", num(-1, 8),
+        ] + fmt
+    if command == "ppoly":
+        argv = ["ppoly", "--m1", num(-1, 3), "--m2", num(-1, 3), "--m3", num(-1, 2)]
+        argv += ["--s", num(-1, 20)]
+        if draw(st.booleans()):
+            argv += ["--parity", num(-1, 2)]
+        return argv + fmt
+    if command == "decompose":
+        return ["decompose", "--partition", parts()] + ["--trace"] * draw(st.integers(0, 1)) + fmt
+    if command == "compose":
+        base = draw(st.one_of(st.just("[2,2],[3,4],4,[6,6]"), st.just("1,4,4"), _TEXT))
+        mu, theta = parts(st.sampled_from([0, 3, 6])), parts(st.integers(0, 3))
+        return ["compose", "--base", base, "--mu", mu, "--theta", theta] + fmt
+    if command == "seed-expand":
+        return ["seed-expand", "--partition", parts(), "--variant", num(0, 4)] + fmt
+    if command == "bases":
+        argv = ["bases", "--m1", num(-1, 2), "--m2", num(-1, 2), "--m3", num(-1, 1)]
+        if draw(st.booleans()):
+            argv += ["--max-weight", num(-1, 40)]
+        return argv + fmt
+    windowed = ("products", "forms", "corollary")
+    suite = draw(st.sampled_from(("appendix", "examples", "closed-forms") + windowed))
+    argv = ["verify", "--suite", suite]
+    if suite in windowed or draw(st.booleans()):
+        argv += ["--max-q", num(-1, 12)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

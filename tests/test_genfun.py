@@ -1,5 +1,10 @@
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpartition import genfun
 from qpartition.genfun import (
     Form,
     GenFunSpec,
@@ -17,7 +22,7 @@ from qpartition.genfun import (
     product_side_mod12,
     series_for,
 )
-from qpartition.partitions import KrVariant, check_kr, iter_partitions
+from qpartition.partitions import KrVariant, check_at_most_twice, check_kr, iter_partitions
 from qpartition.seeds import product_A, product_B
 from qpartition.series import BiSeries
 
@@ -183,3 +188,65 @@ def test_brute_matches_explicit_membership():
     ]
     for parts in listed:
         assert check_kr(parts, D)
+
+
+# The pruned brute walk against the naive oracle: every partition of the
+# window from iter_partitions, filtered by the full class predicate.
+
+_ORACLE_Q = 24
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_counts(family):
+    pred = check_at_most_twice if family == "h" else (lambda p: check_kr(p, family))
+    counts = [[0] * (_ORACLE_Q + 1) for _ in range(_ORACLE_Q + 1)]
+    for n in range(_ORACLE_Q + 1):
+        for parts in iter_partitions(n):
+            if pred(parts):
+                counts[len(parts)][n] += 1
+    return counts
+
+
+def _matches_oracle(series, family):
+    counts = _naive_counts(family)
+    return all(
+        series.coeff(n, m) == counts[m][n]
+        for m in range(series.max_t + 1)
+        for n in range(series.max_q + 1)
+    )
+
+
+@pytest.mark.parametrize("variant", [D, DP, DPP])
+def test_pruned_kr_brute_matches_the_naive_oracle(variant):
+    assert _matches_oracle(kr_brute(variant, _ORACLE_Q, 12), variant)
+
+
+def test_pruned_h_brute_matches_the_naive_oracle():
+    assert _matches_oracle(h_brute(_ORACLE_Q, 12), "h")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([D, DP, DPP, "h"]), st.integers(0, 22), st.integers(0, 8))
+def test_pruned_brute_matches_the_naive_oracle_on_any_window(family, max_q, max_t):
+    series = h_brute(max_q, max_t) if family == "h" else kr_brute(family, max_q, max_t)
+    assert (series.max_q, series.max_t) == (max_q, max_t)
+    assert _matches_oracle(series, family)
+
+
+def test_kr_brute_prunes_the_walk(monkeypatch):
+    # the naive walk tests 149,790 partitions on this window; the class
+    # rules on prefixes cut that to a few thousand (4,633)
+    calls = []
+    walk = genfun.brute_series
+
+    def counting_walk(pred, *args, **kwargs):
+        def counted(parts):
+            calls.append(parts)
+            return pred(parts)
+
+        return walk(counted, *args, **kwargs)
+
+    monkeypatch.setattr(genfun, "brute_series", counting_walk)
+    series = kr_brute(D, 40, 12)
+    assert 0 < len(calls) <= 5000
+    assert sum(series.coeff(n, m) for m in range(13) for n in range(41)) == 3718

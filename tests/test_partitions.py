@@ -6,7 +6,6 @@ from qpartition.partitions import (
     brute_series,
     check_at_most_twice,
     check_kr,
-    enumerate_partitions,
     iter_partitions,
 )
 
@@ -66,16 +65,16 @@ def test_at_most_twice_examples():
 
 
 def test_enumerate_examples():
-    assert enumerate_partitions(4, pred=lambda p: check_kr(p, D)) == [(1, 3), (4,)]
-    assert enumerate_partitions(0) == [()]
-    assert enumerate_partitions(3, pred=check_at_most_twice) == [(1, 2), (3,)]
-    assert enumerate_partitions(5, length=2) == [(1, 4), (2, 3)]
+    assert [p for p in iter_partitions(4) if check_kr(p, D)] == [(1, 3), (4,)]
+    assert list(iter_partitions(0)) == [()]
+    assert [p for p in iter_partitions(3) if check_at_most_twice(p)] == [(1, 2), (3,)]
+    assert [p for p in iter_partitions(5, max_len=2) if len(p) == 2] == [(1, 4), (2, 3)]
 
 
 def test_enumerate_is_lexicographic_and_deterministic():
-    out = enumerate_partitions(7)
+    out = list(iter_partitions(7))
     assert out == sorted(out)
-    assert out == enumerate_partitions(7)
+    assert out == list(iter_partitions(7))
 
 
 def test_counts_match_classical_recurrence():
@@ -117,6 +116,16 @@ def test_brute_series_window_respects_length():
     # only partitions with at most two parts are counted
     assert s.coeff(3, 2) == 1  # 1+2
     assert s.coeff(6, 2) == 3  # 1+5, 2+4, 3+3
+
+
+def test_brute_series_prefix_rule_only_skips_subtrees():
+    distinct = brute_series(lambda p: len(set(p)) == len(p), 12, 6)
+    pruned = brute_series(
+        lambda p: True, 12, 6, extends=lambda parts, x: not parts or x > parts[-1]
+    )
+    assert pruned == distinct
+    with pytest.raises(ValueError):
+        brute_series(lambda p: True, -1, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 26))

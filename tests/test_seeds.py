@@ -1,6 +1,8 @@
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpartition.partitions import KrVariant, check_kr, iter_partitions
 from qpartition.seeds import (
@@ -128,6 +130,38 @@ def test_expansions_share_their_seed():
             seed = to_seed(parts, D)
             for member in expand_seed(seed, D):
                 assert to_seed(member, D) == seed
+
+
+@st.composite
+def _class_partition(draw):
+    """A variant and a member of its class, built to satisfy (a)-(c) and the
+    initial condition: gaps of at least 2, only even values doubled, a gap
+    of at least 4 on both sides of a doubled value, and no 2+2 for D."""
+    variant = draw(st.sampled_from([D, DP, DPP]))
+    v = draw(st.integers({D: 1, DP: 2, DPP: 4}[variant], 8))
+    parts = []
+    for _ in range(draw(st.integers(1, 14))):
+        double = (
+            v % 2 == 0
+            and (not parts or v - parts[-1] >= 4)
+            and not (variant is D and v == 2)
+            and draw(st.booleans())
+        )
+        parts.extend([v, v] if double else [v])
+        v += draw(st.integers(4 if double else 2, 8))
+    return variant, tuple(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_class_partition())
+def test_seed_round_trip_property(case):
+    variant, parts = case
+    assert check_kr(parts, variant)
+    expansion = expand_seed(to_seed(parts, variant), variant)
+    assert parts in expansion
+    for member in expansion:
+        assert check_kr(member, variant)
+        assert (sum(member), len(member)) == (sum(parts), len(parts))
 
 
 def _weighted_zero_count(a, n, m, even_zeros):
