@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import ppoly
-from .partitions import KrVariant, brute_series, check_at_most_twice, check_kr
+from .partitions import KrVariant, brute_series, has_triple
 from .series import BiSeries, divide_geometric
 
 
@@ -86,11 +86,15 @@ def _third_copy(parts: tuple, x: int) -> bool:
     return len(parts) >= 2 and parts[-2] == x
 
 
+# the smallest part each variant allows (D also bars 2+2)
+_FIRST_MIN = {KrVariant.D: 1, KrVariant.DPRIME: 2, KrVariant.DPRIMEPRIME: 4}
+
+
 def _kr_extends(variant: KrVariant):
     """The local class rules as a prefix rule for ``brute_series``: a prefix
     that breaks one of them cannot extend into the class.  Rule (c) is left
-    to ``check_kr``."""
-    first_min = {KrVariant.D: 1, KrVariant.DPRIME: 2, KrVariant.DPRIMEPRIME: 4}[variant]
+    to ``_kr_member``."""
+    first_min = _FIRST_MIN[variant]
 
     def extends(parts: tuple, x: int) -> bool:
         if not parts:
@@ -105,15 +109,38 @@ def _kr_extends(variant: KrVariant):
     return extends
 
 
+def _kr_member(variant: KrVariant):
+    """``check_kr`` for the walk's nodes, which are sorted and zero-free, so
+    nothing is validated: a value repeats exactly when it equals a sorted
+    neighbour, and the smallest part is the first."""
+    first_min = _FIRST_MIN[variant]
+
+    def member(parts: tuple) -> bool:
+        for a, b in zip(parts, parts[1:]):
+            if b - a == 1 or (a == b and a % 2):  # (a), (b)
+                return False
+        for a, mid, c in zip(parts, parts[1:], parts[2:]):
+            if c - a < 4 and not mid % 2 and (a == mid or mid == c):  # (c)
+                return False
+        if parts and parts[0] < first_min:
+            return False
+        return variant is not KrVariant.D or parts.count(2) < 2  # D bars 2+2
+
+    return member
+
+
 def kr_brute(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
     return brute_series(
-        lambda parts: check_kr(parts, variant), max_q, max_t, extends=_kr_extends(variant)
+        _kr_member(variant), max_q, max_t, extends=_kr_extends(variant)
     )
 
 
 def h_brute(max_q: int, max_t: int) -> BiSeries:
     return brute_series(
-        check_at_most_twice, max_q, max_t, extends=lambda parts, x: not _third_copy(parts, x)
+        lambda parts: not has_triple(parts),
+        max_q,
+        max_t,
+        extends=lambda parts, x: not _third_copy(parts, x),
     )
 
 
@@ -175,11 +202,11 @@ def _positive_cell(cell: tuple, b: int, shift: int, steps, max_q: int) -> list |
         poly = ppoly.p(m1, m2, m3, s)
         if not poly:
             continue
-        exponent = b * ((s - 1) * n12 + n12 * n12) + shift
-        if exponent + b * (poly.min_degree or 0) > max_q:
+        start = b * ((s - 1) * n12 + n12 * n12 + poly.low) + shift
+        if start > max_q:
             continue
-        for e, c in enumerate(poly.coeffs[: (max_q - exponent) // b + 1]):
-            row[exponent + b * e] += c
+        for e, c in enumerate(poly.body[: (max_q - start) // b + 1]):
+            row[start + b * e] += c
     if not any(row):
         return None
     for d in range(b, b * n12 + 1, b):

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .partitions import as_parts, check_at_most_twice
+from .partitions import as_parts, check_at_most_twice, has_triple
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,9 @@ def tag(p) -> TaggedPartition:
     parts = as_parts(p)
     if parts and parts[0] < 1:
         raise ValueError("parts must be >= 1")
-    if _has_triple(parts):
+    if has_triple(parts):
         raise ValueError("some part appears more than twice: %s" % (parts,))
     return _greedy(parts)
-
-
-def _has_triple(parts) -> bool:
-    """True iff some value of the sorted parts appears three times or more."""
-    return any(a == b for a, b in zip(parts, parts[2:]))
 
 
 def _greedy(parts) -> TaggedPartition:
@@ -191,7 +186,7 @@ def _rebuilt(tp: TaggedPartition, drop: tuple[int, int], put: tuple[int, int]):
     parts.remove(drop[1])
     parts.extend(put)
     parts.sort()
-    return None if _has_triple(parts) else _greedy(parts)
+    return None if has_triple(parts) else _greedy(parts)
 
 
 def _check_stability(old: TaggedPartition, new: TaggedPartition, pair_index: int) -> None:
@@ -509,7 +504,7 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
                 if new_parts[0] < last or weight + sum(new_parts) > max_weight:
                     continue
                 cand_parts = parts + new_parts
-                if _has_triple(cand_parts):
+                if has_triple(cand_parts):
                     continue
                 # prefix tagging is stable: every item ends in a pair
                 tp = TaggedPartition(items + tuple(new_items))

@@ -165,7 +165,13 @@ def check_at_most_twice(p) -> bool:
     """True iff every value has multiplicity <= 2."""
     parts = as_parts(p)
     _reject_zeros(parts)
-    return not any(a == b for a, b in zip(parts, parts[2:]))  # parts are sorted
+    return not has_triple(parts)
+
+
+def has_triple(parts: tuple[int, ...]) -> bool:
+    """True iff some value of the sorted parts appears three times or more
+    (unchecked: the parts must already be sorted)."""
+    return any(a == b for a, b in zip(parts, parts[2:]))
 
 
 def iter_partitions(n: int, max_len: Optional[int] = None) -> Iterator[tuple[int, ...]]:

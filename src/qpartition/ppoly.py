@@ -21,8 +21,10 @@ prove, so the descent never enters (or stores) such states.  The recursion
 is calibrated against ``p_oracle``, an independent brute-force enumeration
 of the bases themselves.
 
-The memo tables are the only shared state; entries are pure functions of
-the key, so racing fills are idempotent and the tables are append-only.
+The memo tables are the only shared state: module-level and append-only,
+each entry a pure function of its key.  A ``QPoly`` stores only the span
+from its lowest to its highest term, so the shifts of the recursion copy
+nothing and its sums touch only the nonzero spans.
 """
 
 from __future__ import annotations

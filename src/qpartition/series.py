@@ -2,14 +2,15 @@
 
 Two value types cover every series-like object in the package:
 
-* ``QPoly`` -- a univariate polynomial in q, dense integer coefficients,
-  trailing zeros trimmed.
+* ``QPoly`` -- a univariate polynomial in q, stored as its lowest exponent
+  and the coefficients from there to its degree, so shifting is free and
+  sums touch only the nonzero spans.
 * ``BiSeries`` -- a bivariate formal power series in q and t, truncated to a
   rectangular window 0 <= deg_q <= max_q, 0 <= deg_t <= max_t.
 
 Everything is exact Python integer arithmetic; no floating point anywhere.
 Values are immutable after construction (operations return new objects), so
-instances are safe to share between threads.
+instances can be shared freely, as the ``ppoly`` memo does.
 
 Truncation policy: combining two series shrinks to the componentwise minimum
 of the windows, so a coefficient is never reported at a degree where one of
@@ -31,134 +32,170 @@ Partitions*, 1976, ch. 2).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 
 class QPoly:
-    """Polynomial in q with exact integer coefficients.
+    """Polynomial in q with exact integer coefficients, stored from its
+    lowest term.
 
-    ``coeffs[e]`` is the coefficient of q^e; trailing zeros are trimmed, the
-    zero polynomial has empty coeffs and degree ``None``.
+    ``body[i]`` is the coefficient of q^(low + i).  ``body`` starts and ends
+    with a nonzero coefficient, so ``low`` is the lowest exponent with a
+    nonzero coefficient; the zero polynomial has ``low`` 0, an empty body and
+    degree ``None``.  The constructor takes dense coefficients from q^0 and
+    trims both ends; ``coeffs`` is that dense form again, built on request.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("low", "body")
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        poly = QPoly._trimmed(0, tuple(coeffs))
+        object.__setattr__(self, "low", poly.low)
+        object.__setattr__(self, "body", poly.body)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
+
+    @classmethod
+    def _wrap(cls, low: int, body: tuple) -> "QPoly":
+        # Internal constructor: ``body`` is already trimmed at both ends.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "low", low)
+        object.__setattr__(obj, "body", body)
+        return obj
+
+    @classmethod
+    def _trimmed(cls, low: int, body: tuple) -> "QPoly":
+        """The polynomial sum body[i] q^(low + i); zeros at either end go."""
+        if body and body[0] and body[-1]:
+            return cls._wrap(low, body)
+        start, stop = 0, len(body)
+        while stop and not body[stop - 1]:
+            stop -= 1
+        if not stop:
+            return cls._wrap(0, ())
+        while not body[start]:
+            start += 1
+        return cls._wrap(low + start, body[start:stop])
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "QPoly":
         if exp < 0:
             raise ValueError("monomial exponent must be >= 0, got %d" % exp)
         if coeff == 0:
-            return cls()
-        return cls((0,) * exp + (coeff,))
+            return QPOLY_ZERO
+        return cls._wrap(exp, (coeff,))
+
+    @property
+    def coeffs(self) -> tuple:
+        """Dense coefficients from q^0: ``coeffs[e]`` is the coefficient of
+        q^e, with no trailing zeros.  Built on every access."""
+        return (0,) * self.low + self.body if self.body else ()
 
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return self.low + len(self.body) - 1 if self.body else None
 
     @property
     def min_degree(self):
         """Smallest exponent with a nonzero coefficient, or None if zero."""
-        for e, c in enumerate(self.coeffs):
-            if c:
-                return e
-        return None
+        return self.low if self.body else None
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.body)
 
     def __getitem__(self, exp: int) -> int:
-        if 0 <= exp < len(self.coeffs):
-            return self.coeffs[exp]
+        i = exp - self.low
+        if 0 <= i < len(self.body):
+            return self.body[i]
         return 0
 
     def terms(self):
         """Nonzero (exponent, coefficient) pairs, ascending exponent."""
-        return [(e, c) for e, c in enumerate(self.coeffs) if c]
+        return [(e, c) for e, c in enumerate(self.body, self.low) if c]
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        if not other.body:
+            return self
+        if not self.body:
+            return other
+        first, second = (self, other) if self.low <= other.low else (other, self)
+        a, b = first.body, second.body
+        off = second.low - first.low
+        if off >= len(a):  # disjoint spans: zeros fill the gap
+            return QPoly._wrap(first.low, a + (0,) * (off - len(a)) + b)
+        top = min(len(a), off + len(b))  # the overlap is a[off:top]
+        body = a[:off] + tuple(map(operator.add, a[off:top], b)) + a[top:] + b[top - off :]
+        return QPoly._trimmed(first.low, body)
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._wrap(self.low, tuple(-c for c in self.body))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        if not self.coeffs or not other.coeffs:
-            return QPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        if not self.body or not other.body:
+            return QPOLY_ZERO
+        out = [0] * (len(self.body) + len(other.body) - 1)
+        for i, a in enumerate(self.body):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.body):
                     if b:
                         out[i + j] += a * b
-        return QPoly(out)
+        # the end coefficients are products of nonzero ends, so nonzero
+        return QPoly._wrap(self.low + other.low, tuple(out))
 
     def shifted(self, dq: int) -> "QPoly":
         """Multiply by q^dq (dq >= 0)."""
         if dq < 0:
             raise ValueError("negative shift %d" % dq)
-        if not self.coeffs:
+        if not dq or not self.body:
             return self
-        return QPoly((0,) * dq + self.coeffs)
+        return QPoly._wrap(self.low + dq, self.body)
 
     def stretched(self, k: int) -> "QPoly":
         """Substitute q -> q^k (k >= 1)."""
         if k < 1:
             raise ValueError("stretch factor must be >= 1, got %d" % k)
-        if k == 1 or not self.coeffs:
+        if k == 1 or not self.body:
             return self
-        out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        for e, c in enumerate(self.coeffs):
-            out[e * k] = c
-        return QPoly(out)
+        out = [0] * ((len(self.body) - 1) * k + 1)
+        out[::k] = self.body
+        return QPoly._wrap(self.low * k, tuple(out))
 
     def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
+        return not self.body or min(self.body) >= 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, QPoly)
+            and self.low == other.low
+            and self.body == other.body
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.low, self.body))
 
     def format_q(self) -> str:
         """Human form, descending exponents: ``q^30 + 2q^28 + ... + 3``."""
-        if not self.coeffs:
+        if not self.body:
             return "0"
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
+        for e, c in reversed(self.terms()):
             mag = abs(c)
             if e == 0:
-                body = str(mag)
+                text = str(mag)
             elif e == 1:
-                body = "q" if mag == 1 else "%dq" % mag
+                text = "q" if mag == 1 else "%dq" % mag
             else:
-                body = "q^%d" % e if mag == 1 else "%dq^%d" % (mag, e)
+                text = "q^%d" % e if mag == 1 else "%dq^%d" % (mag, e)
             if not parts:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(text if c > 0 else "-" + text)
             else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+                parts.append(("+ " if c > 0 else "- ") + text)
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -110,6 +110,26 @@ def test_memo_stores_no_zero_polynomial(monkeypatch):
     assert all(value != QPoly() for value in ppoly._pmemo.values())
 
 
+def test_memo_stores_only_the_nonzero_span(monkeypatch):
+    from qpartition import ppoly
+
+    monkeypatch.setattr(ppoly, "_pmemo", {})
+    p(40, 0, 0, 60)
+    assert ppoly._pmemo
+    for value in ppoly._pmemo.values():
+        assert value.body[0] != 0 and value.body[-1] != 0
+        assert value.low == value.min_degree > 0
+
+
+def test_closed_forms_match_recursion_past_the_oracle():
+    # m = 60 is far beyond what enumerate_bases can list; the closed forms
+    # are the independent check there
+    for s in s_range(60, 0, 0):
+        assert closed_form(PX00, m1=60, s=s) == p(60, 0, 0, s), s
+    for s in s_range(0, 60, 0):
+        assert closed_form(P0X0, m2=60, s=s) == p(0, 60, 0, s), s
+
+
 def test_all_coefficients_nonnegative():
     for m1 in range(4):
         for m2 in range(4):

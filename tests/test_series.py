@@ -300,3 +300,100 @@ def test_sparse_kernel_matches_dense_product(case, d):
     for row in rows:
         divide_geometric(row, d)
     assert BiSeries(s.max_q, s.max_t, rows).mul_sparse([(-1, 0, d)]) == s
+
+
+# QPoly against a plain dense list: entry e is the coefficient of q^e.
+
+
+def _ref_trim(dense):
+    dense = list(dense)
+    while dense and dense[-1] == 0:
+        dense.pop()
+    return tuple(dense)
+
+
+def _ref_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for e, c in [*enumerate(a), *enumerate(b)]:
+        out[e] += c
+    return _ref_trim(out)
+
+
+def _ref_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_format(dense):
+    out = []
+    for e in reversed(range(len(dense))):
+        c = dense[e]
+        if c:
+            mono = "" if e == 0 else "q" if e == 1 else "q^%d" % e
+            mag = "" if abs(c) == 1 and e else str(abs(c))
+            sign = ("- " if c < 0 else "+ ") if out else ("-" if c < 0 else "")
+            out.append(sign + mag + mono)
+    return " ".join(out) or "0"
+
+
+_dense = st.builds(
+    lambda lead, mid, trail: [0] * lead + mid + [0] * trail,
+    st.integers(0, 6),
+    st.lists(st.integers(-3, 3), max_size=8),
+    st.integers(0, 3),
+)
+
+
+@st.composite
+def _dense_pair(draw):
+    """Two dense lists; often the second cancels the first at its low end,
+    its high end, both, or entirely, outside a block of fresh values."""
+    a = draw(_dense)
+    if draw(st.booleans()):
+        return a, draw(_dense)
+    b = [-c for c in a] + [0] * draw(st.integers(0, 2))
+    lo = draw(st.integers(0, len(b)))
+    hi = draw(st.integers(lo, len(b)))
+    b[lo:hi] = draw(st.lists(st.integers(-3, 3), min_size=hi - lo, max_size=hi - lo))
+    return a, b
+
+
+def _assert_matches(poly, dense):
+    dense = _ref_trim(dense)
+    nonzero = [e for e, c in enumerate(dense) if c]
+    if poly.body:  # stored from the lowest term to the highest, both nonzero
+        assert poly.body[0] and poly.body[-1]
+        assert poly.low == nonzero[0]
+    else:
+        assert (poly.low, dense) == (0, ())
+    assert poly.coeffs == dense
+    assert poly.degree == (len(dense) - 1 if dense else None)
+    assert poly.min_degree == (nonzero[0] if nonzero else None)
+    assert poly.terms() == [(e, dense[e]) for e in nonzero]
+    assert [poly[e] for e in range(-2, len(dense) + 3)] == [0, 0, *dense, 0, 0, 0]
+    assert poly.format_q() == _ref_format(dense)
+    assert poly.is_nonnegative() == all(c >= 0 for c in dense)
+    assert bool(poly) == bool(dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_pair(), st.integers(0, 5), st.integers(1, 4))
+def test_qpoly_matches_dense_reference(pair, dq, k):
+    a, b = pair
+    pa, pb = QPoly(a), QPoly(b)
+    _assert_matches(pa, a)
+    _assert_matches(pa + pb, _ref_add(a, b))
+    _assert_matches(pa - pb, _ref_add(a, [-c for c in b]))
+    _assert_matches(-pa, [-c for c in a])
+    _assert_matches(pa * pb, _ref_mul(a, b))
+    _assert_matches(pa.shifted(dq), [0] * dq + a)
+    stretched = [0] * (len(a) * k)
+    stretched[::k] = a
+    _assert_matches(pa.stretched(k), stretched)
+    assert (pa == pb) == (_ref_trim(a) == _ref_trim(b))
+    if pa == pb:
+        assert hash(pa) == hash(pb)
+    assert pa + pb - pb == pa and hash(pa + pb - pb) == hash(pa)
