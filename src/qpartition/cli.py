@@ -159,7 +159,7 @@ def _cmd_bases(args) -> int:
     records = moves.enumerate_bases(args.m1, args.m2, args.m3, cap)
     rows = [
         {
-            "parts": format_parts(sorted(rec.structure.parts)),
+            "parts": format_parts(rec.structure.parts),
             "structure": str(rec.structure),
             "weight": rec.weight,
             "largest_pair_index": rec.largest_pair_index,

@@ -3,9 +3,12 @@
 Tagging.  Scanning a sorted partition left to right, two adjacent unbound
 parts differing by at most 1 bind into a *pair* (repeating [k,k] or
 consecutive [k,k+1]); leftmost parts pair first.  Unbound parts are
-*singletons*.  Tagging is a pure function of the part multiset.  `tag`
-validates outside input; a move checks only the multiplicities of the
-multiset it rewrites and re-tags that multiset greedily from scratch.
+*singletons*.  Tagging is a pure function of the part multiset, so a
+`TaggedPartition` stores only its sorted parts; the pair start indices are
+derived from them by the greedy scan in its constructor, and the bracket
+form ``[1,2],3,[5,5]`` is only printed and parsed.  `tag` validates outside
+input; a move rewrites two parts, checks only the multiplicities of the new
+multiset and re-tags it from scratch.
 
 Backward moves.  A pair rewrites [k,k+1] -> [k-1,k-1] or [k,k] -> [k-2,k-1],
 dropping the weight by exactly 3.  The move is legal iff
@@ -39,83 +42,59 @@ moving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional
 
-from .partitions import as_parts, check_at_most_twice, has_triple
-
-
-@dataclass(frozen=True)
-class Pair:
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.hi - self.lo not in (0, 1):
-            raise ValueError("pair parts must be equal or consecutive")
-
-    @property
-    def repeating(self) -> bool:
-        return self.hi == self.lo
-
-    @property
-    def parity(self) -> int:
-        """0 for [k,k], 1 for [k,k+1]."""
-        return self.hi - self.lo
-
-    def __str__(self) -> str:
-        return "[%d,%d]" % (self.lo, self.hi)
-
-
-@dataclass(frozen=True)
-class Singleton:
-    value: int
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-Item = Union[Pair, Singleton]
+from .partitions import Partition, as_parts, check_at_most_twice, has_triple
 
 
 class TaggedPartition:
-    """A partition together with its greedy pair/singleton structure."""
+    """Sorted parts and the start indices of their greedy pairs, derived here.
 
-    __slots__ = ("items",)
+    The parts must already be sorted and valid; `tag` checks outside input.
+    """
 
-    def __init__(self, items: Iterable[Item]):
-        object.__setattr__(self, "items", tuple(items))
+    __slots__ = ("parts", "starts")
+
+    def __init__(self, parts):
+        parts = tuple(parts)
+        starts = []
+        i = 0
+        while i < len(parts) - 1:
+            if parts[i + 1] - parts[i] <= 1:
+                starts.append(i)
+                i += 2
+            else:
+                i += 1
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "starts", tuple(starts))
 
     def __setattr__(self, name, value):
         raise AttributeError("TaggedPartition is immutable")
 
     @property
-    def parts(self) -> tuple[int, ...]:
-        out = []
-        for it in self.items:
-            if isinstance(it, Pair):
-                out.append(it.lo)
-                out.append(it.hi)
-            else:
-                out.append(it.value)
-        return tuple(out)
-
-    @property
     def weight(self) -> int:
         return sum(self.parts)
 
-    def pairs(self) -> list[Pair]:
-        return [it for it in self.items if isinstance(it, Pair)]
+    def pairs(self) -> list[tuple[int, int]]:
+        """The (lo, hi) spans of the pairs, smallest first."""
+        return [(self.parts[i], self.parts[i + 1]) for i in self.starts]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TaggedPartition):
             return NotImplemented
-        return self.items == other.items
+        return self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self.items)
+        return hash(self.parts)
 
     def __str__(self) -> str:
-        return ",".join(str(it) for it in self.items)
+        items, parts, i = [], self.parts, 0
+        for j in self.starts + (len(parts),):
+            items.extend(str(x) for x in parts[i:j])
+            if j < len(parts):
+                items.append("[%d,%d]" % (parts[j], parts[j + 1]))
+            i = j + 2
+        return ",".join(items)
 
     def __repr__(self) -> str:
         return "TaggedPartition(%s)" % self
@@ -128,65 +107,28 @@ def tag(p) -> TaggedPartition:
         raise ValueError("parts must be >= 1")
     if has_triple(parts):
         raise ValueError("some part appears more than twice: %s" % (parts,))
-    return _greedy(parts)
-
-
-def _greedy(parts) -> TaggedPartition:
-    """Leftmost pairing of sorted parts already known to be valid."""
-    items: list[Item] = []
-    i = 0
-    while i < len(parts):
-        if i + 1 < len(parts) and parts[i + 1] - parts[i] <= 1:
-            items.append(Pair(parts[i], parts[i + 1]))
-            i += 2
-        else:
-            items.append(Singleton(parts[i]))
-            i += 1
-    return TaggedPartition(items)
+    return TaggedPartition(parts)
 
 
 def parse_structure(text: str) -> TaggedPartition:
     """Parse the bracket form ``[1,2],[3,4],4,[6,6]`` (or plain parts)."""
     text = text.replace(" ", "")
     if "[" not in text:
-        from .partitions import Partition
-
         return tag(Partition.parse(text).parts)
-    items: list[Item] = []
-    i = 0
-    while i < len(text):
-        if text[i] == ",":
-            i += 1
-            continue
-        if text[i] == "[":
-            j = text.index("]", i)
-            lo, hi = (int(tok) for tok in text[i + 1 : j].split(","))
-            items.append(Pair(lo, hi))
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and text[j] != ",":
-                j += 1
-            items.append(Singleton(int(text[i:j])))
-            i = j
-    tp = TaggedPartition(items)
-    if tag(sorted(tp.parts)) != tp:
+    try:
+        parts = Partition.parse(text.replace("[", "").replace("]", "")).parts
+    except ValueError as exc:
+        raise ValueError("cannot parse structure %r: %s" % (text, exc)) from None
+    tp = tag(parts)
+    if str(tp) != text:
         raise ValueError("structure %r is not the greedy tagging of its parts" % text)
     return tp
 
 
-def _pair_positions(tp: TaggedPartition) -> list[int]:
-    return [i for i, it in enumerate(tp.items) if isinstance(it, Pair)]
-
-
-def _rebuilt(tp: TaggedPartition, drop: tuple[int, int], put: tuple[int, int]):
-    """Tagging after replacing the two dropped values; None if mult > 2."""
-    parts = list(tp.parts)
-    parts.remove(drop[0])
-    parts.remove(drop[1])
-    parts.extend(put)
-    parts.sort()
-    return None if has_triple(parts) else _greedy(parts)
+def _rebuilt(tp: TaggedPartition, i: int, put: tuple[int, int]):
+    """Tagging after replacing parts[i:i+2] by ``put``; None if mult > 2."""
+    parts = sorted(tp.parts[:i] + put + tp.parts[i + 2 :])
+    return None if has_triple(parts) else TaggedPartition(parts)
 
 
 def _check_stability(old: TaggedPartition, new: TaggedPartition, pair_index: int) -> None:
@@ -201,6 +143,12 @@ def _check_stability(old: TaggedPartition, new: TaggedPartition, pair_index: int
         )
 
 
+def _pair_start(tp: TaggedPartition, pair_index: int) -> int:
+    if not (0 <= pair_index < len(tp.starts)):
+        raise ValueError("no pair with index %d in %s" % (pair_index, tp))
+    return tp.starts[pair_index]
+
+
 def backward_move(
     tp: TaggedPartition, pair_index: int, trace: Optional[list] = None
 ) -> Optional[TaggedPartition]:
@@ -208,32 +156,24 @@ def backward_move(
 
     Returns the re-tagged partition, or None when the move is blocked.
     """
-    positions = _pair_positions(tp)
-    if not (0 <= pair_index < len(positions)):
-        raise ValueError("no pair with index %d in %s" % (pair_index, tp))
-    pair = tp.items[positions[pair_index]]
-    if pair.repeating:
-        put = (pair.lo - 2, pair.lo - 1)
-    else:
-        put = (pair.lo - 1, pair.lo - 1)
+    j = _pair_start(tp, pair_index)
+    lo, hi = tp.parts[j], tp.parts[j + 1]
+    put = (lo - 2, lo - 1) if lo == hi else (lo - 1, lo - 1)
     if put[0] < 1:
         return None
-    if pair_index > 0:
-        below = tp.items[positions[pair_index - 1]]
-        if put[0] < below.hi:
-            return None  # pairs do not move through pairs
-    new_tp = _rebuilt(tp, (pair.lo, pair.hi), put)
+    if pair_index > 0 and put[0] < tp.parts[tp.starts[pair_index - 1] + 1]:
+        return None  # pairs do not move through pairs
+    new_tp = _rebuilt(tp, j, put)
     if new_tp is None:
         return None
     _check_stability(tp, new_tp, pair_index)
     if trace is not None:
-        moved = new_tp.pairs()[pair_index]
         trace.append(
             {
                 "op": "backward",
-                "pair": [pair.lo, pair.hi],
+                "pair": [lo, hi],
                 "result": [put[0], put[1]],
-                "regroup": (moved.lo, moved.hi) != put,
+                "regroup": new_tp.pairs()[pair_index] != put,
             }
         )
     return new_tp
@@ -248,26 +188,26 @@ def forward_move(
     Raises ValueError when the move would push some value past multiplicity
     2 (which signals a malformed decomposition triple).
     """
-    positions = _pair_positions(tp)
-    if not (0 <= pair_index < len(positions)):
-        raise ValueError("no pair with index %d in %s" % (pair_index, tp))
-    pos = positions[pair_index]
-    pair = tp.items[pos]
-    moving = (pair.lo, pair.hi)
-    regrouped = False
-    nxt = tp.items[pos + 1] if pos + 1 < len(tp.items) else None
-    if isinstance(nxt, Singleton) and nxt.value - pair.hi <= 1:
-        moving = (pair.hi, nxt.value)  # a,[b,s] regrouping; pair.lo stays behind
-        regrouped = True
+    j = _pair_start(tp, pair_index)
+    parts, starts = tp.parts, tp.starts
+    # a,[b,s] regrouping when a singleton s trails [a,b]: a stays behind
+    regrouped = (
+        j + 2 < len(parts)
+        and (pair_index + 1 == len(starts) or starts[pair_index + 1] != j + 2)
+        and parts[j + 2] - parts[j + 1] <= 1
+    )
+    if regrouped:
+        j += 1
+    moving = (parts[j], parts[j + 1])
     if moving[0] == moving[1]:
         put = (moving[0] + 1, moving[0] + 2)
     else:
         put = (moving[1] + 1, moving[1] + 1)
-    new_tp = _rebuilt(tp, moving, put)
+    new_tp = _rebuilt(tp, j, put)
     if new_tp is None:
         raise ValueError(
-            "forward move on %s of %s would repeat a part more than twice"
-            % (Pair(*moving), tp)
+            "forward move on [%d,%d] of %s would repeat a part more than twice"
+            % (moving[0], moving[1], tp)
         )
     _check_stability(tp, new_tp, pair_index)
     if trace is not None:
@@ -293,17 +233,17 @@ class Decomposition:
     @property
     def n2(self) -> int:
         """Number of pairs."""
-        return len(self.base.pairs())
+        return len(self.base.starts)
 
     @property
     def n12(self) -> int:
         """Number of moveable singletons: those after the last pair."""
-        return len(self.base.items) - _past_last_pair(self.base)
+        return len(self.base.parts) - _past_last_pair(self.base)
 
     @property
     def n11(self) -> int:
         """Number of immobile singletons: those before the last pair."""
-        return len(self.base.items) - self.n2 - self.n12
+        return len(self.base.parts) - 2 * self.n2 - self.n12
 
     @property
     def base_weight(self) -> int:
@@ -323,22 +263,20 @@ class Decomposition:
 
 
 def _past_last_pair(tp: TaggedPartition) -> int:
-    """Index just past the last pair (0 without pairs): the singletons before
-    it are immobile, the ones from it on moveable."""
-    positions = _pair_positions(tp)
-    return positions[-1] + 1 if positions else 0
+    """Index of the part just past the last pair (0 without pairs): the
+    singletons before it are immobile, the ones from it on moveable."""
+    return tp.starts[-1] + 2 if tp.starts else 0
 
 
 def _largest_pair_lo(tp: TaggedPartition) -> int:
-    pairs = tp.pairs()
-    return pairs[-1].lo if pairs else 0
+    return tp.parts[tp.starts[-1]] if tp.starts else 0
 
 
 def decompose(p, trace: Optional[list] = None) -> Decomposition:
     """Drive every pair to its blocked position, then stow the singletons."""
     tp = tag(p)
     mu = []
-    for i in range(len(tp.pairs())):
+    for i in range(len(tp.starts)):
         count = 0
         while True:
             nxt = backward_move(tp, i, trace)
@@ -350,18 +288,18 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
 
     end = _past_last_pair(tp)
     k = _largest_pair_lo(tp)
-    base_items = list(tp.items[:end])
-    theta = [0] * (end - len(mu))  # forced zeros for the immobile singletons
-    for rank, it in enumerate(tp.items[end:], start=1):
-        s, target = it.value, k + 2 * rank - 1
+    base_parts = list(tp.parts[:end])
+    theta = [0] * (end - 2 * len(mu))  # forced zeros for the immobile singletons
+    for rank, s in enumerate(tp.parts[end:], start=1):
+        target = k + 2 * rank - 1
         if s < target:
             raise AssertionError("moveable singleton %d below its slot %d" % (s, target))
         theta.append(s - target)
         if trace is not None and s != target:
             trace.append({"op": "backward", "singleton": s, "result": target})
-        base_items.append(Singleton(target))
-    base = TaggedPartition(base_items)
-    if tag(sorted(base.parts)) != base:
+        base_parts.append(target)
+    base = tag(base_parts)
+    if base.starts != tp.starts:
         raise AssertionError("stowing singletons disturbed the structure: %s" % base)
     return Decomposition(base, tuple(mu), tuple(theta))
 
@@ -378,12 +316,7 @@ def make_decomposition(base, mu, theta) -> Decomposition:
     ``base`` may be parts or a TaggedPartition; mu/theta are sequences.
     Raises ValueError on any broken invariant.
     """
-    if isinstance(base, TaggedPartition):
-        base_parts = tuple(sorted(base.parts))
-        if tag(base_parts) != base:
-            raise ValueError("structure %s is not the greedy tagging of its parts" % base)
-    else:
-        base_parts = as_parts(base)
+    base_parts = as_parts(base.parts if isinstance(base, TaggedPartition) else base)
     d0 = decompose(base_parts)
     if any(x != 0 for x in d0.mu) or any(x != 0 for x in d0.theta):
         raise ValueError("not a base partition: %s" % (base_parts,))
@@ -416,23 +349,23 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
 
     # forward moves on moveable singletons: i-th largest theta part onto the
     # i-th largest singleton (the trailing ones; the rest of theta is zero)
-    items = list(d.base.items)
-    moveable_pos = range(len(items) - 1, _past_last_pair(d.base) - 1, -1)
+    parts = list(d.base.parts)
+    moveable_pos = range(len(parts) - 1, _past_last_pair(d.base) - 1, -1)
     for pos, t in zip(moveable_pos, reversed(d.theta)):
-        s = items[pos].value
+        s = parts[pos]
         if t:
             if trace is not None:
                 trace.append({"op": "forward", "singleton": s, "result": s + t})
-            items[pos] = Singleton(s + t)
-    tp = tag(sorted(TaggedPartition(items).parts))
-    if len(tp.pairs()) != d.n2:
+            parts[pos] = s + t
+    tp = tag(sorted(parts))
+    if len(tp.starts) != d.n2:
         raise ValueError("theta placement broke the pair structure")
 
     # forward moves on pairs, largest pair first with the largest mu part
     for idx in reversed(range(d.n2)):
         for _ in range(d.mu[idx] // 3):
             tp = forward_move(tp, idx, trace)
-    out = tuple(sorted(tp.parts))
+    out = tp.parts
     if not check_at_most_twice(out):
         raise AssertionError("composition left the at-most-twice class: %s" % (out,))
     if sum(out) != d.total_weight:
@@ -459,7 +392,12 @@ class BaseRecord:
     def parity(self) -> int:
         """0 repeating, 1 consecutive (0 for the empty base)."""
         pairs = self.structure.pairs()
-        return pairs[-1].parity if pairs else 0
+        return pairs[-1][1] - pairs[-1][0] if pairs else 0
+
+
+# (part offsets from v, pair-start offsets) of the repeating pair [v,v], the
+# consecutive pair [v,v+1] and the block [v-1,v],v,[v+2,v+2]
+_SHAPES = (((0, 0), (0,)), ((0, 1), (0,)), ((-1, 0, 0, 2, 2), (0, 3)))
 
 
 def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseRecord]:
@@ -475,53 +413,41 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
         return []
     results: list[BaseRecord] = []
 
-    def item_candidates(kind: str, last: int):
-        # any item placed further than +3 above the prefix can always move
-        # backward, so the blocked check prunes it; the window is generous
-        lo = max(1, last)
-        for v in range(lo, last + 5):
-            if kind == "r":
-                yield (v, v), [Pair(v, v)]
-            elif kind == "c":
-                yield (v, v + 1), [Pair(v, v + 1)]
-            elif v >= 2:
-                yield (
-                    (v - 1, v, v, v + 2, v + 2),
-                    [Pair(v - 1, v), Singleton(v), Pair(v + 2, v + 2)],
-                )
-
-    def dfs(parts: tuple[int, ...], items: tuple[Item, ...], r1: int, r2: int, r3: int):
-        if r1 == r2 == r3 == 0:
-            # every prefix was tagged and checked when its items arrived
-            results.append(BaseRecord(TaggedPartition(items)))
+    def dfs(tp: TaggedPartition, counts: tuple[int, int, int]):
+        if not any(counts):
+            # every prefix was tagged and checked when its shape arrived
+            results.append(BaseRecord(tp))
             return
+        parts = tp.parts
         last = parts[-1] if parts else 0
         weight = sum(parts)
-        for kind, rest in (("r", (r1 - 1, r2, r3)), ("c", (r1, r2 - 1, r3)), ("b", (r1, r2, r3 - 1))):
-            if min(rest) < 0:
+        for kind, (offsets, pair_offsets) in enumerate(_SHAPES):
+            if not counts[kind]:
                 continue
-            for new_parts, new_items in item_candidates(kind, last):
-                if new_parts[0] < last or weight + sum(new_parts) > max_weight:
+            rest = counts[:kind] + (counts[kind] - 1,) + counts[kind + 1 :]
+            # a shape placed further than +3 above the prefix can always move
+            # backward, so the blocked check prunes it; the window is generous
+            for v in range(last, last + 5):
+                new_parts = tuple(v + o for o in offsets)
+                if new_parts[0] < max(last, 1) or weight + sum(new_parts) > max_weight:
                     continue
-                cand_parts = parts + new_parts
-                if has_triple(cand_parts):
+                if has_triple(parts[-2:] + new_parts):  # the prefix has none
                     continue
-                # prefix tagging is stable: every item ends in a pair
-                tp = TaggedPartition(items + tuple(new_items))
-                if _greedy(cand_parts) != tp:
+                cand = TaggedPartition(parts + new_parts)
+                # prefix tagging is stable: every shape ends in a pair
+                if cand.starts != tp.starts + tuple(len(parts) + o for o in pair_offsets):
                     continue
                 # whether a pair can move backward depends only on the parts
-                # up to its top, and every later item is at least `last`, so
+                # up to its top, and every later shape is at least `last`, so
                 # a pair blocked now stays blocked; prune as soon as one moves
-                npairs = len(tp.pairs())
-                fresh = 2 if kind == "b" else 1
+                npairs = len(cand.starts)
                 if any(
-                    backward_move(tp, i) is not None
-                    for i in range(npairs - fresh, npairs)
+                    backward_move(cand, i) is not None
+                    for i in range(npairs - len(pair_offsets), npairs)
                 ):
                     continue
-                dfs(cand_parts, tp.items, *rest)
+                dfs(cand, rest)
 
-    dfs((), (), m1, m2, m3)
+    dfs(TaggedPartition(()), (m1, m2, m3))
     results.sort(key=lambda r: (r.weight, r.structure.parts))
     return results

@@ -62,25 +62,22 @@ def to_seed(p, variant: KrVariant) -> tuple[int, ...]:
     """Rewrite every repeated even pair (2k)+(2k) as (2k-1)+(2k+1).
 
     Requires a partition in the class; the result is sorted, has the same
-    weight and length, and is a fixed point of this map.
+    weight and length, and is a fixed point of this map.  One left-to-right
+    pass suffices: by rule (c) a repeated even 2k has no other part within
+    3 of it, so 2k-1, 2k+1 keep the order and form no new even pair.
     """
     parts = as_parts(p)
     if not check_kr(parts, variant):
         raise ValueError("not a class-%s partition: %s" % (variant.value, parts))
     out = list(parts)
-    changed = True
-    while changed:  # one pass suffices for class partitions; loop is cheap insurance
-        changed = False
-        i = 0
-        while i < len(out) - 1:
-            if out[i] == out[i + 1] and out[i] % 2 == 0:
-                v = out[i]
-                out[i], out[i + 1] = v - 1, v + 1
-                changed = True
-                i += 2
-            else:
-                i += 1
-        out.sort()
+    i = 0
+    while i < len(out) - 1:
+        if out[i] == out[i + 1] and out[i] % 2 == 0:
+            out[i] -= 1
+            out[i + 1] += 1
+            i += 2
+        else:
+            i += 1
     return tuple(out)
 
 

@@ -177,6 +177,19 @@ def test_invalid_partition_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "base", ("[1,2],,2", "[1,2]2", "[1,2", "[a]", "[1,3]", "[2,3],1")
+)
+def test_malformed_structure_exits_two(capsys, base):
+    code, out, err = run_cli(
+        capsys, "compose", "--base", base, "--mu", "0", "--theta", "0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and repr(base) in err
+    assert "Traceback" not in err
+    assert "substring not found" not in err and "invalid literal" not in err
+
+
 def test_invalid_variant_exits_two(capsys):
     code, _, err = run_cli(capsys, "kr", "--variant", "9", "--form", "brute")
     assert code == 2

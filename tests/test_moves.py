@@ -1,10 +1,11 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpartition.moves import (
-    Pair,
-    Singleton,
     backward_move,
     compose,
     decompose,
@@ -253,6 +254,32 @@ def test_round_trip_property(parts):
     assert d.n11 + d.n12 == len(d.theta)
 
 
+def _leftmost_pairs(parts):
+    """Reference tagging: bind each part to the one pending unbound part
+    before it when they differ by at most 1."""
+    pairs, pending = [], None
+    for x in parts:
+        if pending is not None and x - pending <= 1:
+            pairs.append((pending, x))
+            pending = None
+        else:
+            pending = x
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_at_most_twice())
+def test_tagging_and_move_inverse_property(parts):
+    tp = tag(parts)
+    assert tp.parts == parts
+    assert parse_structure(str(tp)) == tp
+    assert tp.pairs() == _leftmost_pairs(parts)
+    for i in range(len(tp.pairs())):
+        moved = backward_move(tp, i)
+        if moved is not None:
+            assert forward_move(moved, i) == tp, (parts, i)
+
+
 def test_singleton_classification_roles():
     # one immobile singleton before the last pair, three moveable after it
     d = decompose((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))
@@ -273,17 +300,19 @@ def test_observed_immobile_singletons_sit_in_blocks():
             if not check_at_most_twice(parts):
                 continue
             base = decompose(parts).base
-            items = base.items
-            past_last_pair = max(
-                (i + 1 for i, it in enumerate(items) if isinstance(it, Pair)), default=0
-            )
-            for i, it in enumerate(items[:past_last_pair]):
-                if isinstance(it, Singleton):
-                    before, after = items[i - 1], items[i + 1]
-                    assert isinstance(before, Pair) and not before.repeating
-                    assert before.hi == it.value
-                    assert isinstance(after, Pair) and after.repeating
-                    assert after.lo == it.value + 2
+            starts = base.starts
+            in_pair = {j for i in starts for j in (i, i + 1)}
+            past_last_pair = starts[-1] + 2 if starts else 0
+            for i in range(past_last_pair):
+                if i not in in_pair:
+                    value = base.parts[i]
+                    assert i - 2 in starts and i + 1 in starts
+                    before = base.parts[i - 2 : i]
+                    after = base.parts[i + 1 : i + 3]
+                    assert before[1] - before[0] == 1  # consecutive
+                    assert before[1] == value
+                    assert after[1] == after[0]  # repeating
+                    assert after[0] == value + 2
 
 
 def test_make_decomposition_validation():
@@ -348,3 +377,37 @@ def test_all_enumerated_bases_decompose_trivially():
         for rec in enumerate_bases(*counts, 60):
             parts = tuple(sorted(rec.structure.parts))
             assert is_base(parts), parts
+
+
+def _bijection_dump():
+    """Canonical JSON of the decompositions (with their traces) of every
+    at-most-twice partition of weight <= 16 and of the base records for
+    m1, m2 <= 3, m3 <= 2 at the default weight cap of ``qpartition bases``."""
+    from qpartition import ppoly
+
+    out = []
+    for n in range(17):
+        for parts in iter_partitions(n):
+            if check_at_most_twice(parts):
+                trace = []
+                d = decompose(parts, trace)
+                out.append([list(parts), str(d.base), list(d.mu), list(d.theta), trace])
+    for m1 in range(4):
+        for m2 in range(4):
+            for m3 in range(3):
+                top = ppoly.s_range(m1, m2, m3)[-1]
+                cap = ppoly.max_structure_weight(m1, m2, m3, top)
+                out.append([
+                    [str(r.structure), r.weight, r.largest_pair_index, r.parity]
+                    for r in enumerate_bases(m1, m2, m3, cap)
+                ])
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+BIJECTION_SHA256 = "586736b517bd1075ef3c07b99a6a21b8387eeb2e0ca28ddce7c6a4858873c25b"
+
+
+def test_bijection_is_pinned():
+    # a different but still invertible bijection would pass the round trips
+    digest = hashlib.sha256(_bijection_dump().encode()).hexdigest()
+    assert digest == BIJECTION_SHA256

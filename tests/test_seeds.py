@@ -33,6 +33,20 @@ def test_to_seed_fixed_point():
     seed = to_seed(p, D)
     assert seed == p
     assert to_seed(seed, D) == seed
+    # the single pass on every class partition of n <= 30
+    for n in range(31):
+        for parts in iter_partitions(n):
+            for variant in (D, DP, DPP):
+                if not check_kr(parts, variant):
+                    continue
+                seed = to_seed(parts, variant)
+                assert list(seed) == sorted(seed), parts
+                assert (sum(seed), len(seed)) == (n, len(parts))
+                assert not any(
+                    a == b and a % 2 == 0 for a, b in zip(seed, seed[1:])
+                ), parts
+                if check_kr(seed, variant):
+                    assert to_seed(seed, variant) == seed
 
 
 def test_to_seed_preserves_weight_and_length():
