@@ -14,13 +14,28 @@ At t = 1 the three classes also equal infinite products with moduli 6/12
 (PRODUCT form).  The at-most-twice class H has its own product
 prod (1 + t q^n + t^2 q^2n), positive sum, and brute count.
 
-The alternating sums iterate over s = i + 2j + 3k while s(s-1) <= max_q:
-the q-exponent of every (i, j, k) cell is at least s(s-1), so the cut is
-exhaustive on the window.  The positive sums bound the t-degree M by
-M^2 <= max_q (a class partition with M parts weighs at least M^2) and the
-inner s-range by ``ppoly.s_range``, outside which the recursion proves P
-vanishes.  Every term of both sums is homogeneous in t, so it is built on
-one q-row and added once into its t-row.
+Every term of both sums is homogeneous in t, so it is built on one q-row
+and added into its t-row.  A term is a product of three kinds of factor: a
+core that depends on (m1, m2, m3, n12) only (positive sums: the sum over s
+of P, divided by (q^2;q^2)_{n12} (q^6;q^6)_{m1+m2+2m3}), Euler-type
+factors 1/(q^a;q^a)_i that grow by one division per index step, and a
+monomial q^e t^M.  Division by 1 - q^d is causal (coefficient n depends
+only on coefficients <= n), so it commutes with multiplication by q^e on a
+window truncated from above: a row divided on the first max_q + 1 - e
+coefficients and then shifted by e equals the row shifted first and
+divided on the whole window.  So each core row is built and divided once
+with shift 0, the index loops extend a parent row by one division on a
+copy (`_divided`), and `_add_shifted` adds the row at its shift.  The
+exponent grows with every index, so each loop stops at the first term
+past the window and rows shrink as it grows.  In the positive sums the
+k index of class D changes only the shift, so one (core, i, j) row serves
+every k; each such row is asserted nonnegative before it is added, and
+every k-row is a truncation of it.
+
+The alternating sums stop at t-degree max_t and at the first q-exponent
+past max_q.  The positive sums bound the t-degree M by M^2 <= max_q (a
+class partition with M parts weighs at least M^2) and the inner s-range by
+``ppoly.s_range``, outside which the recursion proves P vanishes.
 
 The staircase step all class series share (multiply the t^M slice by
 q^{M^2}) is `apply_staircase`; composing it with the marker products
@@ -31,6 +46,7 @@ cross-checks in the test suite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,8 +89,7 @@ class GenFunSpec:
     max_t: int
 
     def __post_init__(self):
-        if self.max_q < 0 or self.max_t < 0:
-            raise ValueError("max_q and max_t must be >= 0")
+        _check_window(self.max_q, self.max_t)
         if self.form is Form.PRODUCT and self.family is not SeriesFamily.H:
             if self.max_t != 0:
                 raise ValueError("product form is a t = 1 identity; use max_t = 0")
@@ -144,6 +159,28 @@ def h_brute(max_q: int, max_t: int) -> BiSeries:
     )
 
 
+# ----------------------------------------------------------------- rows
+
+def _check_window(max_q: int, max_t: int) -> None:
+    if max_q < 0 or max_t < 0:
+        raise ValueError("max_q and max_t must be >= 0")
+
+
+def _divided(row: list, d: int, size: int) -> list:
+    """The first ``size`` coefficients of ``row`` times 1/(1 - q^d), as a new row."""
+    out = row[:size]
+    divide_geometric(out, d)
+    return out
+
+
+def _add_shifted(dst: list, src: list, shift: int, sign: int = 1) -> None:
+    """dst += sign * q^shift * src, truncated to dst's window."""
+    stop = min(len(dst), shift + len(src))
+    if shift < stop:
+        op = operator.add if sign > 0 else operator.sub
+        dst[shift:stop] = map(op, dst[shift:stop], src)
+
+
 # ----------------------------------------------------------- alternating
 
 def _alternating_q_exponent(variant: KrVariant, i: int, j: int, k: int) -> int:
@@ -157,55 +194,58 @@ def _alternating_q_exponent(variant: KrVariant, i: int, j: int, k: int) -> int:
 
 
 def kr_alternating(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
-    """The signed triple sum over (i, j, k); t-degree is i + 2j + 3k."""
+    """The signed triple sum over (i, j, k); t-degree is i + 2j + 3k.
+
+    The (i, j, k) term is (-1)^k q^e / (q^6;q^6)_k (q^4;q^4)_j (q;q)_i with
+    e = ``_alternating_q_exponent``, which grows with each index, so each
+    loop stops at the first term past the window and extends its parent's
+    row by one division.
+    """
+    _check_window(max_q, max_t)
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
-    s = 0
-    while s <= max_t and s * (s - 1) <= max_q:
-        for k in range(s // 3 + 1):
-            for j in range((s - 3 * k) // 2 + 1):
-                i = s - 3 * k - 2 * j
+    row_k = [1] + [0] * max_q
+    for k in range(max_t // 3 + 1):
+        size = max_q + 1 - _alternating_q_exponent(variant, 0, 0, k)
+        if size <= 0:
+            break
+        if k:
+            row_k = _divided(row_k, 6 * k, size)
+        row_j = row_k
+        for j in range((max_t - 3 * k) // 2 + 1):
+            size = max_q + 1 - _alternating_q_exponent(variant, 0, j, k)
+            if size <= 0:
+                break
+            if j:
+                row_j = _divided(row_j, 4 * j, size)
+            row = row_j
+            for i in range(max_t - 3 * k - 2 * j + 1):
                 exp = _alternating_q_exponent(variant, i, j, k)
                 if exp > max_q:
-                    continue
-                term = [0] * (max_q + 1)
-                term[exp] = -1 if k % 2 else 1
-                for d in range(1, i + 1):
-                    divide_geometric(term, d)
-                for d in range(4, 4 * j + 1, 4):
-                    divide_geometric(term, d)
-                for d in range(6, 6 * k + 1, 6):
-                    divide_geometric(term, d)
-                _add_into(rows[s], term)
-        s += 1
+                    break
+                if i:
+                    row = _divided(row, i, max_q + 1 - exp)
+                _add_shifted(rows[i + 2 * j + 3 * k], row, exp, -1 if k % 2 else 1)
     return BiSeries._wrap(max_q, max_t, rows)
-
-
-def _add_into(dst: list, src: list) -> None:
-    for n, c in enumerate(src):
-        if c:
-            dst[n] += c
 
 
 # --------------------------------------------------------------- positive
 
-def _positive_cell(cell: tuple, b: int, shift: int, steps, max_q: int) -> list | None:
-    """One cell of a positive sum as a q-row, or None when it is zero.
-
-    ``cell`` starts with (m1, m2, m3, n12).  The row is
-    sum_s P(m1,m2,m3,s; q^b) q^{b((s-1)n12 + n12^2) + shift}, divided by
-    (q^b; q^b)_{n12} (q^{3b}; q^{3b})_{m1+m2+2m3} and by 1 - q^d for each d
-    in ``steps``; a negative coefficient raises AssertionError.
+def _core_row(core: tuple, b: int, size: int) -> list | None:
+    """The core (m1, m2, m3, n12) of a positive sum as a q-row of ``size``
+    coefficients, or None when it is zero there:
+    sum_s P(m1,m2,m3,s; q^b) q^{b((s-1)n12 + n12^2)} divided by
+    (q^b; q^b)_{n12} (q^{3b}; q^{3b})_{m1+m2+2m3}.
     """
-    m1, m2, m3, n12 = cell[:4]
-    row = [0] * (max_q + 1)
+    m1, m2, m3, n12 = core
+    row = [0] * size
     for s in ppoly.s_range(m1, m2, m3):
         poly = ppoly.p(m1, m2, m3, s)
         if not poly:
             continue
-        start = b * ((s - 1) * n12 + n12 * n12 + poly.low) + shift
-        if start > max_q:
+        start = b * ((s - 1) * n12 + n12 * n12 + poly.low)
+        if start >= size:
             continue
-        for e, c in enumerate(poly.body[: (max_q - start) // b + 1]):
+        for e, c in enumerate(poly.body[: (size - 1 - start) // b + 1]):
             row[start + b * e] += c
     if not any(row):
         return None
@@ -213,11 +253,12 @@ def _positive_cell(cell: tuple, b: int, shift: int, steps, max_q: int) -> list |
         divide_geometric(row, d)
     for d in range(3 * b, 3 * b * (m1 + m2 + 2 * m3) + 1, 3 * b):
         divide_geometric(row, d)
-    for d in steps:
-        divide_geometric(row, d)
+    return row
+
+
+def _check_nonnegative(row: list, cell: tuple) -> None:
     if min(row) < 0:
         raise AssertionError("negative coefficient in the positive-sum cell %s" % (cell,))
-    return row
 
 
 def _positive_q_shift(variant: KrVariant, m1, m2, m3, n12, i, j) -> int:
@@ -229,30 +270,50 @@ def _positive_q_shift(variant: KrVariant, m1, m2, m3, n12, i, j) -> int:
 
 
 def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
-    """The evidently positive multi-sum; each cell is checked nonnegative."""
+    """The evidently positive multi-sum; every row added is checked nonnegative.
+
+    The cell (core, i, j, k) is the core row (``_core_row`` with b = 2)
+    divided by (q^2;q^2)_i (q^4;q^4)_j and shifted by cap^2 plus
+    ``_positive_q_shift``, where cap = 2(m1+m2) + 5m3 + n12 + i + 2j + k is
+    its t-degree; k (class D only) changes nothing but cap.
+    """
+    _check_window(max_q, max_t)
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     mcap = min(max_t, math.isqrt(max_q))
     has_k = variant is KrVariant.D  # the free 1/(1-t) index
     for m1 in range(mcap // 2 + 1):
         for m2 in range((mcap - 2 * m1) // 2 + 1):
             for m3 in range((mcap - 2 * m1 - 2 * m2) // 5 + 1):
-                room_s = mcap - 2 * m1 - 2 * m2 - 5 * m3
-                for n12 in range(room_s + 1):
-                    for i in range(room_s - n12 + 1):
-                        for j in range((room_s - n12 - i) // 2 + 1):
-                            kmax = room_s - n12 - i - 2 * j if has_k else 0
-                            for k in range(kmax + 1):
-                                cap = 2 * (m1 + m2) + 5 * m3 + n12 + i + 2 * j + k
-                                if cap > max_t or cap * cap > max_q:
-                                    continue
-                                shift = cap * cap + _positive_q_shift(
-                                    variant, m1, m2, m3, n12, i, j
-                                )
-                                steps = [*range(2, 2 * i + 1, 2), *range(4, 4 * j + 1, 4)]
-                                cell = (m1, m2, m3, n12, i, j, k)
-                                row = _positive_cell(cell, 2, shift, steps, max_q)
-                                if row is not None:
-                                    _add_into(rows[cap], row)
+                for n12 in range(mcap - 2 * m1 - 2 * m2 - 5 * m3 + 1):
+                    core = (m1, m2, m3, n12)
+                    lowest = 2 * (m1 + m2) + 5 * m3 + n12
+
+                    def shift(i, j, k=0):
+                        cap = lowest + i + 2 * j + k
+                        return cap * cap + _positive_q_shift(variant, *core, i, j)
+
+                    size = max_q + 1 - shift(0, 0)
+                    row_j = _core_row(core, 2, size) if size > 0 else None
+                    if row_j is None:
+                        continue
+                    for j in range((mcap - lowest) // 2 + 1):
+                        size = max_q + 1 - shift(0, j)
+                        if size <= 0:
+                            break
+                        if j:
+                            row_j = _divided(row_j, 4 * j, size)
+                        row = row_j
+                        for i in range(mcap - lowest - 2 * j + 1):
+                            size = max_q + 1 - shift(i, j)
+                            if size <= 0:
+                                break
+                            if i:
+                                row = _divided(row, 2 * i, size)
+                            # every k row below is a truncation of this one
+                            _check_nonnegative(row, core + (i, j))
+                            cap = lowest + i + 2 * j
+                            for k in range(mcap - cap + 1 if has_k else 1):
+                                _add_shifted(rows[cap + k], row, shift(i, j, k))
     return BiSeries._wrap(max_q, max_t, rows)
 
 
@@ -266,15 +327,18 @@ def h_product(max_q: int, max_t: int) -> BiSeries:
 
 def h_positive(max_q: int, max_t: int) -> BiSeries:
     """sum P(m1,m2,m3,s;q) q^{m*n12 + n12^2} t^{2m1+2m2+5m3+n12} over cells,
-    divided by (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}."""
+    divided by (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}: one core row per cell."""
+    _check_window(max_q, max_t)
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     for m1 in range(max_t // 2 + 1):
         for m2 in range((max_t - 2 * m1) // 2 + 1):
             for m3 in range((max_t - 2 * m1 - 2 * m2) // 5 + 1):
                 for n12 in range(max_t - 2 * m1 - 2 * m2 - 5 * m3 + 1):
-                    row = _positive_cell((m1, m2, m3, n12), 1, 0, (), max_q)
+                    core = (m1, m2, m3, n12)
+                    row = _core_row(core, 1, max_q + 1)
                     if row is not None:
-                        _add_into(rows[2 * m1 + 2 * m2 + 5 * m3 + n12], row)
+                        _check_nonnegative(row, core)
+                        _add_shifted(rows[2 * m1 + 2 * m2 + 5 * m3 + n12], row, 0)
     return BiSeries._wrap(max_q, max_t, rows)
 
 

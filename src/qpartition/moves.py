@@ -125,10 +125,17 @@ def parse_structure(text: str) -> TaggedPartition:
     return tp
 
 
-def _rebuilt(tp: TaggedPartition, i: int, put: tuple[int, int]):
-    """Tagging after replacing parts[i:i+2] by ``put``; None if mult > 2."""
-    parts = sorted(tp.parts[:i] + put + tp.parts[i + 2 :])
-    return None if has_triple(parts) else TaggedPartition(parts)
+def _rebuilt(tp: TaggedPartition, i: int, put: tuple[int, int]) -> TaggedPartition:
+    """Tagging after replacing parts[i:i+2] by ``put``."""
+    return TaggedPartition(sorted(tp.parts[:i] + put + tp.parts[i + 2 :]))
+
+
+def _overfills(parts: tuple, put: tuple[int, int]) -> bool:
+    """Whether writing ``put`` over a pair of ``parts`` leaves some value
+    three times.  ``parts`` holds no triple and put's values differ from the
+    pair's (a move writes them all below or all above it), so only put's own
+    values can reach 3."""
+    return any(parts.count(x) + put.count(x) > 2 for x in put)
 
 
 def _check_stability(old: TaggedPartition, new: TaggedPartition, pair_index: int) -> None:
@@ -149,6 +156,18 @@ def _pair_start(tp: TaggedPartition, pair_index: int) -> int:
     return tp.starts[pair_index]
 
 
+def _backward_put(parts: tuple, j: int, below: int) -> Optional[tuple[int, int]]:
+    """The parts a backward move writes over the pair at parts[j:j+2], or
+    None when rules (i)-(iii) block it.  ``below`` is the top part of the
+    pair beneath (0 for the first pair) and ``parts`` holds no triple.  The
+    rewritten parts lie below the pair, so parts above it cannot matter."""
+    lo = parts[j]
+    put = (lo - 2, lo - 1) if lo == parts[j + 1] else (lo - 1, lo - 1)
+    if put[0] < max(below, 1):  # (i), and (iii): pairs do not move through pairs
+        return None
+    return None if _overfills(parts, put) else put  # (ii)
+
+
 def backward_move(
     tp: TaggedPartition, pair_index: int, trace: Optional[list] = None
 ) -> Optional[TaggedPartition]:
@@ -157,21 +176,17 @@ def backward_move(
     Returns the re-tagged partition, or None when the move is blocked.
     """
     j = _pair_start(tp, pair_index)
-    lo, hi = tp.parts[j], tp.parts[j + 1]
-    put = (lo - 2, lo - 1) if lo == hi else (lo - 1, lo - 1)
-    if put[0] < 1:
+    below = tp.parts[tp.starts[pair_index - 1] + 1] if pair_index else 0
+    put = _backward_put(tp.parts, j, below)
+    if put is None:
         return None
-    if pair_index > 0 and put[0] < tp.parts[tp.starts[pair_index - 1] + 1]:
-        return None  # pairs do not move through pairs
     new_tp = _rebuilt(tp, j, put)
-    if new_tp is None:
-        return None
     _check_stability(tp, new_tp, pair_index)
     if trace is not None:
         trace.append(
             {
                 "op": "backward",
-                "pair": [lo, hi],
+                "pair": [tp.parts[j], tp.parts[j + 1]],
                 "result": [put[0], put[1]],
                 "regroup": new_tp.pairs()[pair_index] != put,
             }
@@ -203,12 +218,12 @@ def forward_move(
         put = (moving[0] + 1, moving[0] + 2)
     else:
         put = (moving[1] + 1, moving[1] + 1)
-    new_tp = _rebuilt(tp, j, put)
-    if new_tp is None:
+    if _overfills(parts, put):
         raise ValueError(
             "forward move on [%d,%d] of %s would repeat a part more than twice"
             % (moving[0], moving[1], tp)
         )
+    new_tp = _rebuilt(tp, j, put)
     _check_stability(tp, new_tp, pair_index)
     if trace is not None:
         trace.append(
@@ -406,6 +421,11 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
     A block is the locked five-part shape [k-1,k], k, [k+2,k+2].  Structures
     carry no moveable singletons; every pair must admit no backward move.
     Output is sorted by (weight, parts) and deterministic.
+
+    Every shape ends in a pair, so the greedy tagging of a prefix is final
+    and a new shape's pairs start at its own offsets.  The walk extends a
+    plain part tuple, tests only the new pairs with `_backward_put`, and builds
+    one `TaggedPartition` per record.
     """
     if min(m1, m2, m3) < 0:
         raise ValueError("counts must be >= 0")
@@ -413,14 +433,11 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
         return []
     results: list[BaseRecord] = []
 
-    def dfs(tp: TaggedPartition, counts: tuple[int, int, int]):
+    def dfs(parts: tuple, weight: int, counts: tuple[int, int, int]):
         if not any(counts):
-            # every prefix was tagged and checked when its shape arrived
-            results.append(BaseRecord(tp))
+            results.append(BaseRecord(TaggedPartition(parts)))
             return
-        parts = tp.parts
         last = parts[-1] if parts else 0
-        weight = sum(parts)
         for kind, (offsets, pair_offsets) in enumerate(_SHAPES):
             if not counts[kind]:
                 continue
@@ -429,25 +446,25 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseReco
             # backward, so the blocked check prunes it; the window is generous
             for v in range(last, last + 5):
                 new_parts = tuple(v + o for o in offsets)
-                if new_parts[0] < max(last, 1) or weight + sum(new_parts) > max_weight:
+                new_weight = weight + sum(new_parts)
+                if new_parts[0] < max(last, 1) or new_weight > max_weight:
                     continue
-                if has_triple(parts[-2:] + new_parts):  # the prefix has none
+                # only the lowest new value can meet the prefix, which has no triple
+                low = new_parts[0]
+                if parts[-2:].count(low) + new_parts.count(low) > 2:
                     continue
-                cand = TaggedPartition(parts + new_parts)
-                # prefix tagging is stable: every shape ends in a pair
-                if cand.starts != tp.starts + tuple(len(parts) + o for o in pair_offsets):
-                    continue
+                cand = parts + new_parts
                 # whether a pair can move backward depends only on the parts
                 # up to its top, and every later shape is at least `last`, so
                 # a pair blocked now stays blocked; prune as soon as one moves
-                npairs = len(cand.starts)
-                if any(
-                    backward_move(cand, i) is not None
-                    for i in range(npairs - len(pair_offsets), npairs)
-                ):
-                    continue
-                dfs(cand, rest)
+                below = last
+                for j in (len(parts) + o for o in pair_offsets):
+                    if _backward_put(cand, j, below) is not None:
+                        break
+                    below = cand[j + 1]
+                else:
+                    dfs(cand, new_weight, rest)
 
-    dfs(TaggedPartition(()), (m1, m2, m3))
+    dfs((), 0, (m1, m2, m3))
     results.sort(key=lambda r: (r.weight, r.structure.parts))
     return results

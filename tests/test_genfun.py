@@ -1,10 +1,11 @@
 import functools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartition import genfun
+from qpartition import genfun, ppoly
 from qpartition.genfun import (
     Form,
     GenFunSpec,
@@ -24,7 +25,7 @@ from qpartition.genfun import (
 )
 from qpartition.partitions import KrVariant, check_at_most_twice, check_kr, iter_partitions
 from qpartition.seeds import product_A, product_B
-from qpartition.series import BiSeries
+from qpartition.series import BiSeries, QPoly, divide_geometric
 
 D = KrVariant.D
 DP = KrVariant.DPRIME
@@ -38,6 +39,44 @@ def test_three_forms_agree_on_a_small_window(variant):
     pos = kr_positive(variant, 18, 7)
     assert compare(brute, alt).equal
     assert compare(brute, pos).equal
+
+
+@pytest.mark.parametrize("variant", [D, DP, DPP])
+def test_positive_equals_alternating_on_a_wide_window(variant):
+    assert kr_positive(variant, 150, 12) == kr_alternating(variant, 150, 12)
+
+
+_ROUTES = {
+    "kr_brute": functools.partial(kr_brute, D),
+    "kr_alternating": functools.partial(kr_alternating, D),
+    "kr_positive": functools.partial(kr_positive, D),
+    "h_brute": h_brute,
+    "h_positive": h_positive,
+}
+
+
+@pytest.mark.parametrize("window", [(-1, 3), (5, -2), (-3, -4)])
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_routes_reject_negative_windows(route, window):
+    with pytest.raises(ValueError, match="max_q and max_t must be >= 0"):
+        _ROUTES[route](*window)
+
+
+def test_positivity_guard_names_the_cell(monkeypatch):
+    # a P with a negative coefficient for the one core (1, 0, 0, 0) must stop
+    # both positive sums at the first row that core contributes
+    real_p = ppoly.p
+
+    def broken_p(m1, m2, m3, s):
+        if (m1, m2, m3, s) == (1, 0, 0, 2):
+            return QPoly((-1,))
+        return real_p(m1, m2, m3, s)
+
+    monkeypatch.setattr(ppoly, "p", broken_p)
+    with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0, 0, 0\)$"):
+        kr_positive(D, 40, 8)
+    with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0\)$"):
+        h_positive(20, 8)
 
 
 def test_alternating_low_coefficients():
@@ -260,3 +299,96 @@ def test_kr_brute_prunes_the_walk(monkeypatch):
     series = kr_brute(D, 40, 12)
     assert 0 < len(calls) <= 5000
     assert sum(series.coeff(n, m) for m in range(13) for n in range(41)) == 3718
+
+
+# Naive references for the factored sums: every positive-sum cell and every
+# alternating term is rebuilt and divided from scratch, shift included.
+
+
+def _naive_cell(cell, b, shift, steps, max_q):
+    m1, m2, m3, n12 = cell[:4]
+    row = [0] * (max_q + 1)
+    for s in ppoly.s_range(m1, m2, m3):
+        poly = ppoly.p(m1, m2, m3, s)
+        if not poly:
+            continue
+        start = b * ((s - 1) * n12 + n12 * n12 + poly.low) + shift
+        if start > max_q:
+            continue
+        for e, c in enumerate(poly.body[: (max_q - start) // b + 1]):
+            row[start + b * e] += c
+    for d in range(b, b * n12 + 1, b):
+        divide_geometric(row, d)
+    for d in range(3 * b, 3 * b * (m1 + m2 + 2 * m3) + 1, 3 * b):
+        divide_geometric(row, d)
+    for d in steps:
+        divide_geometric(row, d)
+    assert min(row) >= 0, cell
+    return row
+
+
+def _add_into(dst, src):
+    for n, c in enumerate(src):
+        dst[n] += c
+
+
+def _naive_kr_positive(variant, max_q, max_t):
+    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
+    mcap = min(max_t, math.isqrt(max_q))
+    for m1 in range(mcap // 2 + 1):
+        for m2 in range((mcap - 2 * m1) // 2 + 1):
+            for m3 in range((mcap - 2 * m1 - 2 * m2) // 5 + 1):
+                room = mcap - 2 * m1 - 2 * m2 - 5 * m3
+                for n12 in range(room + 1):
+                    for i in range(room - n12 + 1):
+                        for j in range((room - n12 - i) // 2 + 1):
+                            kmax = room - n12 - i - 2 * j if variant is D else 0
+                            for k in range(kmax + 1):
+                                cap = 2 * (m1 + m2) + 5 * m3 + n12 + i + 2 * j + k
+                                shift = cap * cap + genfun._positive_q_shift(
+                                    variant, m1, m2, m3, n12, i, j
+                                )
+                                steps = [*range(2, 2 * i + 1, 2), *range(4, 4 * j + 1, 4)]
+                                cell = (m1, m2, m3, n12, i, j, k)
+                                _add_into(rows[cap], _naive_cell(cell, 2, shift, steps, max_q))
+    return BiSeries._wrap(max_q, max_t, rows)
+
+
+def _naive_h_positive(max_q, max_t):
+    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
+    for m1 in range(max_t // 2 + 1):
+        for m2 in range((max_t - 2 * m1) // 2 + 1):
+            for m3 in range((max_t - 2 * m1 - 2 * m2) // 5 + 1):
+                for n12 in range(max_t - 2 * m1 - 2 * m2 - 5 * m3 + 1):
+                    row = _naive_cell((m1, m2, m3, n12), 1, 0, (), max_q)
+                    _add_into(rows[2 * m1 + 2 * m2 + 5 * m3 + n12], row)
+    return BiSeries._wrap(max_q, max_t, rows)
+
+
+def _naive_kr_alternating(variant, max_q, max_t):
+    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
+    s = 0
+    while s <= max_t and s * (s - 1) <= max_q:
+        for k in range(s // 3 + 1):
+            for j in range((s - 3 * k) // 2 + 1):
+                i = s - 3 * k - 2 * j
+                exp = genfun._alternating_q_exponent(variant, i, j, k)
+                if exp > max_q:
+                    continue
+                term = [0] * (max_q + 1)
+                term[exp] = -1 if k % 2 else 1
+                for d in [*range(1, i + 1), *range(4, 4 * j + 1, 4), *range(6, 6 * k + 1, 6)]:
+                    divide_geometric(term, d)
+                _add_into(rows[s], term)
+        s += 1
+    return BiSeries._wrap(max_q, max_t, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([D, DP, DPP]), st.integers(0, 90), st.integers(0, 12))
+def test_factored_sums_match_the_naive_references(variant, max_q, max_t):
+    assert kr_positive(variant, max_q, max_t) == _naive_kr_positive(variant, max_q, max_t)
+    assert kr_alternating(variant, max_q, max_t) == _naive_kr_alternating(
+        variant, max_q, max_t
+    )
+    assert h_positive(max_q, max_t) == _naive_h_positive(max_q, max_t)
