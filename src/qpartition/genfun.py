@@ -327,13 +327,17 @@ def h_product(max_q: int, max_t: int) -> BiSeries:
 
 def h_positive(max_q: int, max_t: int) -> BiSeries:
     """sum P(m1,m2,m3,s;q) q^{m*n12 + n12^2} t^{2m1+2m2+5m3+n12} over cells,
-    divided by (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}: one core row per cell."""
+    divided by (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}: one core row per cell.
+
+    M parts, each at most twice, weigh at least 1+1+2+2+... = (M+1)^2 // 4,
+    so t-degrees past isqrt(4*max_q + 3) - 1 are zero and are not visited."""
     _check_window(max_q, max_t)
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
-    for m1 in range(max_t // 2 + 1):
-        for m2 in range((max_t - 2 * m1) // 2 + 1):
-            for m3 in range((max_t - 2 * m1 - 2 * m2) // 5 + 1):
-                for n12 in range(max_t - 2 * m1 - 2 * m2 - 5 * m3 + 1):
+    mcap = min(max_t, math.isqrt(4 * max_q + 3) - 1)
+    for m1 in range(mcap // 2 + 1):
+        for m2 in range((mcap - 2 * m1) // 2 + 1):
+            for m3 in range((mcap - 2 * m1 - 2 * m2) // 5 + 1):
+                for n12 in range(mcap - 2 * m1 - 2 * m2 - 5 * m3 + 1):
                     core = (m1, m2, m3, n12)
                     row = _core_row(core, 1, max_q + 1)
                     if row is not None:

@@ -7,8 +7,20 @@ consecutive [k,k+1]); leftmost parts pair first.  Unbound parts are
 `TaggedPartition` stores only its sorted parts; the pair start indices are
 derived from them by the greedy scan in its constructor, and the bracket
 form ``[1,2],3,[5,5]`` is only printed and parsed.  `tag` validates outside
-input; a move rewrites two parts, checks only the multiplicities of the new
-multiset and re-tags it from scratch.
+input.
+
+Local moves.  A move writes two parts ``put`` over ``parts[j:j+2]`` and
+splices them in place: the result is already sorted.  A backward move writes
+below its pair but not below the pair beneath (rule (iii) below), and a
+singleton right below the pair is at least 2 below its low part, or greedy
+pairing would have bound the two.  A forward move first absorbs a trailing
+singleton within 1 (the regroup below), so the part after it is a singleton
+at least 2 higher or a pair it must not pass.  Greedy tagging of a prefix
+depends on that prefix alone, and the scan is free just past every pair, so
+the new tagging keeps the pairs below the moving one and rescans from just
+past the pair beneath.  Multiplicities are counted by bisection.  Every move
+still checks that put lies between its neighbours, that the pair count is
+unchanged and that the pairs below are untouched.
 
 Backward moves.  A pair rewrites [k,k+1] -> [k-1,k-1] or [k,k] -> [k-2,k-1],
 dropping the weight by exactly 3.  The move is legal iff
@@ -41,6 +53,7 @@ moving.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,16 +70,31 @@ class TaggedPartition:
 
     def __init__(self, parts):
         parts = tuple(parts)
-        starts = []
-        i = 0
-        while i < len(parts) - 1:
-            if parts[i + 1] - parts[i] <= 1:
-                starts.append(i)
-                i += 2
-            else:
-                i += 1
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "starts", tuple(starts))
+        object.__setattr__(self, "starts", _greedy_starts(parts, 0, []))
+
+    @classmethod
+    def _retagged(
+        cls, old: "TaggedPartition", j: int, put: tuple[int, int], pair_index: int
+    ) -> "TaggedPartition":
+        """The tagging after writing ``put`` over old.parts[j:j+2], where j
+        lies at or above the pair ``pair_index``.  The parts below that pair's
+        start are untouched, so their pairs are kept and the greedy scan
+        resumes just past the pair beneath (module docstring)."""
+        parts = old.parts
+        if (j and put[0] < parts[j - 1]) or (
+            j + 2 < len(parts) and put[1] > parts[j + 2]
+        ):
+            raise AssertionError(
+                "move put %s out of order at index %d of %s" % (put, j, old)
+            )
+        parts = parts[:j] + put + parts[j + 2 :]
+        kept = old.starts[:pair_index]
+        resume = kept[-1] + 2 if kept else 0
+        new = object.__new__(cls)
+        object.__setattr__(new, "parts", parts)
+        object.__setattr__(new, "starts", _greedy_starts(parts, resume, list(kept)))
+        return new
 
     def __setattr__(self, name, value):
         raise AttributeError("TaggedPartition is immutable")
@@ -100,6 +128,19 @@ class TaggedPartition:
         return "TaggedPartition(%s)" % self
 
 
+def _greedy_starts(parts: tuple, i: int, starts: list) -> tuple[int, ...]:
+    """Extend ``starts`` by the greedy scan of ``parts`` from index i, where
+    the scan is free (no pair is open at i)."""
+    last = len(parts) - 1
+    while i < last:
+        if parts[i + 1] - parts[i] <= 1:
+            starts.append(i)
+            i += 2
+        else:
+            i += 1
+    return tuple(starts)
+
+
 def tag(p) -> TaggedPartition:
     """Greedy leftmost tagging of an at-most-twice partition."""
     parts = as_parts(p)
@@ -125,26 +166,30 @@ def parse_structure(text: str) -> TaggedPartition:
     return tp
 
 
-def _rebuilt(tp: TaggedPartition, i: int, put: tuple[int, int]) -> TaggedPartition:
-    """Tagging after replacing parts[i:i+2] by ``put``."""
-    return TaggedPartition(sorted(tp.parts[:i] + put + tp.parts[i + 2 :]))
+def _count(parts: tuple, x: int) -> int:
+    """Multiplicity of x in the sorted ``parts``."""
+    return bisect_right(parts, x) - bisect_left(parts, x)
 
 
 def _overfills(parts: tuple, put: tuple[int, int]) -> bool:
-    """Whether writing ``put`` over a pair of ``parts`` leaves some value
-    three times.  ``parts`` holds no triple and put's values differ from the
-    pair's (a move writes them all below or all above it), so only put's own
-    values can reach 3."""
-    return any(parts.count(x) + put.count(x) > 2 for x in put)
+    """Whether writing ``put`` over a pair of the sorted ``parts`` leaves some
+    value three times.  ``parts`` holds no triple and put's values differ from
+    the pair's (a move writes them all below or all above it), so only put's
+    own values can reach 3."""
+    lo, hi = put
+    if lo == hi:
+        return _count(parts, lo) > 0
+    return _count(parts, lo) > 1 or _count(parts, hi) > 1
 
 
 def _check_stability(old: TaggedPartition, new: TaggedPartition, pair_index: int) -> None:
-    old_pairs, new_pairs = old.pairs(), new.pairs()
-    if len(old_pairs) != len(new_pairs):
+    if len(old.starts) != len(new.starts):
         raise AssertionError(
             "move changed the pair count: %s -> %s" % (old, new)
         )
-    if old_pairs[:pair_index] != new_pairs[:pair_index]:
+    kept = old.starts[:pair_index]
+    resume = kept[-1] + 2 if kept else 0
+    if new.starts[:pair_index] != kept or new.parts[:resume] != old.parts[:resume]:
         raise AssertionError(
             "move disturbed a finalized pair: %s -> %s" % (old, new)
         )
@@ -180,15 +225,16 @@ def backward_move(
     put = _backward_put(tp.parts, j, below)
     if put is None:
         return None
-    new_tp = _rebuilt(tp, j, put)
+    new_tp = TaggedPartition._retagged(tp, j, put, pair_index)
     _check_stability(tp, new_tp, pair_index)
     if trace is not None:
+        start = new_tp.starts[pair_index]
         trace.append(
             {
                 "op": "backward",
                 "pair": [tp.parts[j], tp.parts[j + 1]],
                 "result": [put[0], put[1]],
-                "regroup": new_tp.pairs()[pair_index] != put,
+                "regroup": new_tp.parts[start : start + 2] != put,
             }
         )
     return new_tp
@@ -201,7 +247,8 @@ def forward_move(
 
     Regroups first when a singleton trails the pair within distance 1.
     Raises ValueError when the move would push some value past multiplicity
-    2 (which signals a malformed decomposition triple).
+    2 or carry the pair past the pair above it (either signals a malformed
+    decomposition triple).
     """
     j = _pair_start(tp, pair_index)
     parts, starts = tp.parts, tp.starts
@@ -223,7 +270,12 @@ def forward_move(
             "forward move on [%d,%d] of %s would repeat a part more than twice"
             % (moving[0], moving[1], tp)
         )
-    new_tp = _rebuilt(tp, j, put)
+    if j + 2 < len(parts) and put[1] > parts[j + 2]:
+        raise ValueError(
+            "forward move on [%d,%d] of %s would pass the pair above"
+            % (moving[0], moving[1], tp)
+        )
+    new_tp = TaggedPartition._retagged(tp, j, put, pair_index)
     _check_stability(tp, new_tp, pair_index)
     if trace is not None:
         trace.append(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from operator import le
 from typing import Callable, Iterable, Iterator, Optional
 
 from .series import BiSeries
@@ -67,10 +68,10 @@ def as_parts(p) -> tuple[int, ...]:
     """Coerce a Partition or iterable of ints to a validated parts tuple."""
     if isinstance(p, Partition):
         return p.parts
-    parts = tuple(int(x) for x in p)
-    if any(parts[i] > parts[i + 1] for i in range(len(parts) - 1)):
+    parts = tuple(map(int, p))
+    if not all(map(le, parts, parts[1:])):
         raise ValueError("parts must be non-decreasing: %s" % (parts,))
-    if any(x < 0 for x in parts):
+    if parts and parts[0] < 0:
         raise ValueError("parts must be >= 0: %s" % (parts,))
     return parts
 

@@ -392,3 +392,14 @@ def test_factored_sums_match_the_naive_references(variant, max_q, max_t):
         variant, max_q, max_t
     )
     assert h_positive(max_q, max_t) == _naive_h_positive(max_q, max_t)
+
+
+def test_h_positive_skips_cores_that_cannot_fit(monkeypatch):
+    # 11 parts weigh at least 36 > 30, so every t-degree past 10 is zero
+    assert h_positive(30, 30) == h_product(30, 30)
+    monkeypatch.setattr(ppoly, "_pmemo", {})
+    h_positive(30, 12)
+    entries = len(ppoly._pmemo)
+    monkeypatch.setattr(ppoly, "_pmemo", {})
+    h_positive(30, 30)
+    assert len(ppoly._pmemo) <= entries

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpartition import moves
 from qpartition.moves import (
+    TaggedPartition,
+    _check_stability,
     backward_move,
     compose,
     decompose,
@@ -411,3 +414,117 @@ def test_bijection_is_pinned():
     # a different but still invertible bijection would pass the round trips
     digest = hashlib.sha256(_bijection_dump().encode()).hexdigest()
     assert digest == BIJECTION_SHA256
+
+
+# ---------------------------------------------------------------- naive moves
+#
+# Reference moves from scratch: write put's values, sort the whole part
+# tuple, re-tag it from index 0 and compare every pair list.  backward_move
+# and forward_move splice put in place and re-tag from the pair below; they
+# must give the same parts and starts.
+
+
+def _naive_rebuilt(tp, j, put, pair_index):
+    new = TaggedPartition(sorted(tp.parts[:j] + put + tp.parts[j + 2 :]))
+    old_pairs, new_pairs = tp.pairs(), new.pairs()
+    assert len(new_pairs) == len(old_pairs)
+    assert new_pairs[:pair_index] == old_pairs[:pair_index]
+    return new
+
+
+def _naive_overfills(parts, put):
+    return any(parts.count(x) + put.count(x) > 2 for x in put)
+
+
+def _naive_backward(tp, pair_index):
+    parts, starts = tp.parts, tp.starts
+    j = starts[pair_index]
+    lo = parts[j]
+    put = (lo - 2, lo - 1) if lo == parts[j + 1] else (lo - 1, lo - 1)
+    below = parts[starts[pair_index - 1] + 1] if pair_index else 0
+    if put[0] < max(below, 1) or _naive_overfills(parts, put):
+        return None
+    return _naive_rebuilt(tp, j, put, pair_index)
+
+
+def _naive_forward(tp, pair_index):
+    parts, starts = tp.parts, tp.starts
+    j = starts[pair_index]
+    if j + 2 < len(parts) and j + 2 not in starts and parts[j + 2] - parts[j + 1] <= 1:
+        j += 1  # regroup: the trailing singleton pairs with the pair's top
+    a, b = parts[j], parts[j + 1]
+    put = (a + 1, a + 2) if a == b else (b + 1, b + 1)
+    assert not _naive_overfills(parts, put)
+    return _naive_rebuilt(tp, j, put, pair_index)
+
+
+def _moves_of_round_trips(partitions):
+    """Every (kind, before, pair_index, after) that decompose and compose
+    make on the given partitions, through the module's move functions."""
+    made = []
+
+    def spy(move, kind):
+        def recorded(tp, pair_index, trace=None):
+            out = move(tp, pair_index, trace)
+            made.append((kind, tp, pair_index, out))
+            return out
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moves, "backward_move", spy(backward_move, "backward"))
+        mp.setattr(moves, "forward_move", spy(forward_move, "forward"))
+        for parts in partitions:
+            assert compose(decompose(parts)) == parts
+    return made
+
+
+def _assert_moves_match_the_naive_reference(made):
+    naive = {"backward": _naive_backward, "forward": _naive_forward}
+    for kind, tp, pair_index, out in made:
+        ref = naive[kind](tp, pair_index)
+        if ref is None:
+            assert out is None, (kind, tp, pair_index)
+        else:
+            assert (out.parts, out.starts) == (ref.parts, ref.starts), (kind, tp, pair_index)
+
+
+def test_every_round_trip_move_to_weight_30_matches_the_naive_reference():
+    made = _moves_of_round_trips(
+        parts for n in range(31) for parts in iter_partitions(n) if check_at_most_twice(parts)
+    )
+    kinds = {kind for kind, _, _, out in made if out is not None}
+    assert kinds == {"backward", "forward"}
+    _assert_moves_match_the_naive_reference(made)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_at_most_twice())
+def test_moves_match_the_naive_reference_property(parts):
+    _assert_moves_match_the_naive_reference(_moves_of_round_trips([parts]))
+
+
+def test_out_of_order_put_trips_the_sortedness_assertion(monkeypatch):
+    # [2,2] has 6 above it; a put past 6 would need the re-sort it no longer gets
+    monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (7, 8))
+    with pytest.raises(AssertionError, match="out of order"):
+        backward_move(tag((2, 2, 6)), 0)
+    # and below: 1 sits under [4,4]
+    monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (0, 0))
+    with pytest.raises(AssertionError, match="out of order"):
+        backward_move(tag((1, 4, 4)), 0)
+
+
+def test_stability_check_fires():
+    old = tag((1, 2, 4, 5))  # [1,2],[4,5]
+    with pytest.raises(AssertionError, match="changed the pair count"):
+        _check_stability(old, TaggedPartition((1, 2, 4, 7)), 1)  # [1,2],4,7
+    with pytest.raises(AssertionError, match="disturbed a finalized pair"):
+        _check_stability(old, TaggedPartition((2, 3, 4, 5)), 1)  # [2,3],[4,5]
+
+
+def test_forward_move_rejects_passing_the_pair_above():
+    # [1,1] -> [2,3] would land on [2,3]; sorted, that reads [2,2],[3,3],
+    # which no backward move maps back
+    with pytest.raises(ValueError, match="pass the pair above"):
+        forward_move(tag((1, 1, 2, 3)), 0)

@@ -3,6 +3,7 @@ import pytest
 from qpartition.partitions import (
     KrVariant,
     Partition,
+    as_parts,
     brute_series,
     check_at_most_twice,
     check_kr,
@@ -137,3 +138,28 @@ def test_distinct_equals_odd_smoke(n):
     )
     odd = sum(1 for p in iter_partitions(n) if all(x % 2 for x in p))
     assert distinct == odd
+
+
+@pytest.mark.parametrize(
+    "given,expected",
+    [
+        ((3, 1), ValueError("parts must be non-decreasing: (3, 1)")),
+        ((-1, 2), ValueError("parts must be >= 0: (-1, 2)")),
+        ((2, -1), ValueError("parts must be non-decreasing: (2, -1)")),
+        (("1", "x"), ValueError("invalid literal for int() with base 10: 'x'")),
+        (["0", 2, 2.0], (0, 2, 2)),
+        (Partition((1, 2, 2)), (1, 2, 2)),
+        ((), ()),
+        (iter(()), ()),
+    ],
+)
+def test_as_parts_contract(given, expected):
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError) as info:
+            as_parts(given)
+        assert str(info.value) == str(expected)
+        return
+    parts = as_parts(given)
+    assert parts == expected
+    if isinstance(given, Partition):
+        assert parts is given.parts
