@@ -8,13 +8,12 @@ products -- plus the brute-force enumeration oracles everything is verified
 against.  See README.md for the CLI.
 """
 
-from .partitions import KrVariant, Partition, check_at_most_twice, check_kr
+from .partitions import KrVariant, check_at_most_twice, check_kr
 from .series import BiSeries, QPoly
 
 __all__ = [
     "BiSeries",
     "KrVariant",
-    "Partition",
     "QPoly",
     "check_at_most_twice",
     "check_kr",

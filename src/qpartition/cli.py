@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import genfun, moves, ppoly, seeds, verify
-from .partitions import KrVariant, Partition, format_parts
+from .partitions import KrVariant, format_parts, parse_parts
 from .series import BiSeries
 
 
@@ -31,16 +31,19 @@ def _series_table(series: BiSeries) -> list[str]:
     return ["%d\t%d\t%d" % row for row in rows]
 
 
+# the kr routes by --form, in the order --help lists them; the product is
+# the t = 1 identity and ignores --max-t
+_KR_FORMS = {
+    "brute": genfun.kr_brute,
+    "alternating": genfun.kr_alternating,
+    "positive": genfun.kr_positive,
+    "product": lambda variant, max_q, max_t: genfun.product_side(variant, max_q),
+}
+
+
 def _cmd_kr(args) -> int:
-    family = {
-        KrVariant.D: genfun.SeriesFamily.KR1,
-        KrVariant.DPRIME: genfun.SeriesFamily.KR2,
-        KrVariant.DPRIMEPRIME: genfun.SeriesFamily.KR3,
-    }[KrVariant.from_label(args.variant)]
-    form = genfun.Form(args.form)
-    max_t = 0 if form is genfun.Form.PRODUCT else args.max_t
-    spec = genfun.GenFunSpec(family, form, args.max_q, max_t)
-    series = genfun.series_for(spec)
+    variant = KrVariant.from_label(args.variant)
+    series = _KR_FORMS[args.form](variant, args.max_q, args.max_t)
     if args.format == "json":
         _emit_json(series.to_json_dict())
     else:
@@ -80,7 +83,7 @@ def _decomposition_dict(d: moves.Decomposition, partition) -> dict:
 
 
 def _cmd_decompose(args) -> int:
-    parts = Partition.parse(args.partition).parts
+    parts = parse_parts(args.partition)
     trace = [] if args.trace else None
     d = moves.decompose(parts, trace)
     out = _decomposition_dict(d, parts)
@@ -124,7 +127,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_seed_expand(args) -> int:
     variant = KrVariant.from_label(args.variant)
-    parts = Partition.parse(args.partition).parts
+    parts = parse_parts(args.partition)
     try:
         seed = seeds.to_seed(parts, variant)
     except ValueError:
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     kr.add_argument(
         "--form",
         required=True,
-        choices=[f.value for f in genfun.Form],
+        choices=list(_KR_FORMS),
         help="series route; product is the t = 1 identity",
     )
     kr.add_argument("--max-q", type=int, default=40)

@@ -1,18 +1,21 @@
-"""Assembly and cross-verification of the generating functions.
+"""The generating-function routes and their cross-verification.
 
 Each partition class has three series routes that must agree coefficient
 for coefficient on any shared window:
 
-* BRUTE        -- count partitions directly (`partitions.brute_series`,
-                  pruned by the local class rules);
-* ALTERNATING  -- the triple sum over (i, j, k) with a (-1)^k sign;
-* POSITIVE     -- the evidently positive multi-sum built from the base
-                  polynomials P(m1,m2,m3,s;q^2); every term is nonnegative,
-                  which is asserted during accumulation.
+* ``kr_brute``       -- count partitions directly (`partitions.brute_series`,
+                        pruned by the local class rules);
+* ``kr_alternating`` -- the triple sum over (i, j, k) with a (-1)^k sign;
+* ``kr_positive``    -- the evidently positive multi-sum built from the base
+                        polynomials P(m1,m2,m3,s;q^2); every term is
+                        nonnegative, which is asserted during accumulation.
 
 At t = 1 the three classes also equal infinite products with moduli 6/12
-(PRODUCT form).  The at-most-twice class H has its own product
-prod (1 + t q^n + t^2 q^2n), positive sum, and brute count.
+(``product_side``, which takes no t-window).  The at-most-twice class H has
+its own product prod (1 + t q^n + t^2 q^2n) (``h_product``), positive sum
+(``h_positive``) and brute count (``h_brute``).  The class routes take a
+`KrVariant`, every route rejects a negative window with ``ValueError``,
+and ``compare`` diffs any two of them.
 
 Every term of both sums is homogeneous in t, so it is built on one q-row
 and added into its t-row.  A term is a product of three kinds of factor: a
@@ -48,51 +51,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 from . import ppoly
 from .partitions import KrVariant, brute_series, has_triple
 from .series import BiSeries, divide_geometric
-
-
-class Form(Enum):
-    BRUTE = "brute"
-    ALTERNATING = "alternating"
-    POSITIVE = "positive"
-    PRODUCT = "product"
-
-
-class SeriesFamily(Enum):
-    KR1 = "kr1"
-    KR2 = "kr2"
-    KR3 = "kr3"
-    H = "h"
-
-    @property
-    def variant(self) -> KrVariant:
-        if self is SeriesFamily.H:
-            raise ValueError("H is not one of the three restricted classes")
-        return {
-            SeriesFamily.KR1: KrVariant.D,
-            SeriesFamily.KR2: KrVariant.DPRIME,
-            SeriesFamily.KR3: KrVariant.DPRIMEPRIME,
-        }[self]
-
-
-@dataclass(frozen=True)
-class GenFunSpec:
-    """A fully pinned series request, as dispatched by the CLI."""
-
-    family: SeriesFamily
-    form: Form
-    max_q: int
-    max_t: int
-
-    def __post_init__(self):
-        _check_window(self.max_q, self.max_t)
-        if self.form is Form.PRODUCT and self.family is not SeriesFamily.H:
-            if self.max_t != 0:
-                raise ValueError("product form is a t = 1 identity; use max_t = 0")
 
 
 # ----------------------------------------------------------------- brute
@@ -319,6 +281,7 @@ def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
 
 def h_product(max_q: int, max_t: int) -> BiSeries:
     """prod_{n>=1} (1 + t q^n + t^2 q^{2n}), truncated."""
+    _check_window(max_q, max_t)
     acc = BiSeries.one(max_q, max_t)
     for n in range(1, max_q + 1):
         acc = acc.mul_sparse([(1, 1, n), (1, 2, 2 * n)])
@@ -372,11 +335,13 @@ def _infinite_product(residues, mod: int, numerator: bool, max_q: int) -> BiSeri
 
 def product_side(variant: KrVariant, max_q: int) -> BiSeries:
     """The t = 1 infinite product of the class, expanded to max_q."""
+    _check_window(max_q, 0)
     return _infinite_product(*_PRODUCTS[variant], max_q)
 
 
 def product_side_mod12(variant: KrVariant, max_q: int) -> BiSeries:
     """The kr2 product in its modulus-12 printing; other classes unchanged."""
+    _check_window(max_q, 0)
     factors = _KR2_MOD12 if variant is KrVariant.DPRIME else _PRODUCTS[variant]
     return _infinite_product(*factors, max_q)
 
@@ -436,24 +401,3 @@ def compare(a: BiSeries, b: BiSeries) -> CompareReport:
             if ra[n] != rb[n]:
                 mismatches.append((n, m, ra[n], rb[n]))
     return CompareReport(mq, mt, tuple(mismatches))
-
-
-def series_for(spec: GenFunSpec) -> BiSeries:
-    """Dispatch a pinned request to the family/form implementations."""
-    fam, form = spec.family, spec.form
-    if fam is SeriesFamily.H:
-        if form is Form.BRUTE:
-            return h_brute(spec.max_q, spec.max_t)
-        if form is Form.POSITIVE:
-            return h_positive(spec.max_q, spec.max_t)
-        if form is Form.PRODUCT:
-            return h_product(spec.max_q, spec.max_t)
-        raise ValueError("the at-most-twice class has no alternating form")
-    variant = fam.variant
-    if form is Form.BRUTE:
-        return kr_brute(variant, spec.max_q, spec.max_t)
-    if form is Form.ALTERNATING:
-        return kr_alternating(variant, spec.max_q, spec.max_t)
-    if form is Form.POSITIVE:
-        return kr_positive(variant, spec.max_q, spec.max_t)
-    return product_side(variant, spec.max_q)

@@ -57,7 +57,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .partitions import Partition, as_parts, check_at_most_twice, has_triple
+from .partitions import as_parts, check_at_most_twice, has_triple, parse_parts
 
 
 class TaggedPartition:
@@ -155,9 +155,9 @@ def parse_structure(text: str) -> TaggedPartition:
     """Parse the bracket form ``[1,2],[3,4],4,[6,6]`` (or plain parts)."""
     text = text.replace(" ", "")
     if "[" not in text:
-        return tag(Partition.parse(text).parts)
+        return tag(parse_parts(text))
     try:
-        parts = Partition.parse(text.replace("[", "").replace("]", "")).parts
+        parts = parse_parts(text.replace("[", "").replace("]", ""))
     except ValueError as exc:
         raise ValueError("cannot parse structure %r: %s" % (text, exc)) from None
     tp = tag(parts)
@@ -405,7 +405,7 @@ def make_decomposition(base, mu, theta) -> Decomposition:
     if any(theta[i] != 0 for i in range(d0.n11)):
         raise ValueError(
             "theta needs at least %d zeros for the immobile singletons: %s"
-            % (d0.n11, (theta,))
+            % (d0.n11, theta)
         )
     return Decomposition(d0.base, mu, theta)
 

@@ -1,7 +1,9 @@
-"""Partition data model, class predicates, and brute-force counting oracles.
+"""Partitions, class predicates, and brute-force counting oracles.
 
-A partition is kept as a non-decreasing tuple of positive integers (zeros are
+A partition is a plain non-decreasing tuple of positive integers (zeros are
 legal only in auxiliary objects elsewhere; the predicates here reject them).
+``as_parts`` validates any iterable of parts, and ``parse_parts`` reads the
+comma-separated text form the CLI takes, e.g. ``1,4,4,5``.
 The three restricted classes share conditions (a)-(c) and differ in one
 initial condition:
 
@@ -65,9 +67,7 @@ class KrVariant(Enum):
 
 
 def as_parts(p) -> tuple[int, ...]:
-    """Coerce a Partition or iterable of ints to a validated parts tuple."""
-    if isinstance(p, Partition):
-        return p.parts
+    """Coerce an iterable of ints to a validated parts tuple."""
     parts = tuple(map(int, p))
     if not all(map(le, parts, parts[1:])):
         raise ValueError("parts must be non-decreasing: %s" % (parts,))
@@ -76,59 +76,19 @@ def as_parts(p) -> tuple[int, ...]:
     return parts
 
 
-class Partition:
-    """Non-decreasing sequence of parts; the universal input object."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int], allow_zeros: bool = False):
-        parts = as_parts(parts)
-        if not allow_zeros and any(x == 0 for x in parts):
-            raise ValueError("zero parts are not allowed here: %s" % (parts,))
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return "Partition(%s)" % (self.parts,)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @classmethod
-    def parse(cls, text: str, allow_zeros: bool = False) -> "Partition":
-        """Parse the comma-separated text form, e.g. ``1,4,4,5``."""
-        text = text.strip()
-        if not text:
-            return cls((), allow_zeros=allow_zeros)
-        try:
-            parts = [int(tok) for tok in text.split(",")]
-        except ValueError:
-            raise ValueError("cannot parse partition %r" % text) from None
-        return cls(parts, allow_zeros=allow_zeros)
-
-    def __str__(self) -> str:
-        return format_parts(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
+def parse_parts(text: str) -> tuple[int, ...]:
+    """Parse the comma-separated form of a zero-free partition, e.g. ``1,4,4,5``."""
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        ints = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError("cannot parse partition %r" % text) from None
+    parts = as_parts(ints)
+    if parts and parts[0] == 0:
+        raise ValueError("zero parts are not allowed here: %s" % (parts,))
+    return parts
 
 
 def format_parts(parts: Iterable[int]) -> str:

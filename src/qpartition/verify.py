@@ -235,9 +235,9 @@ def suite_products(max_q: int = 60) -> SuiteResult:
 
 # ------------------------------------------------------------------- forms
 
-def suite_forms(
-    max_q: int = 30, max_t: int = 10, alt_max_q: int = 40, alt_max_t: int = 12
-) -> SuiteResult:
+def suite_forms(max_q: int = 30, alt_max_q: int = 40) -> SuiteResult:
+    max_t, alt_max_t = 10, 12  # fixed: --max-q rescales q only
+
     def check_variant(variant):
         def run():
             brute = genfun.kr_brute(variant, alt_max_q, alt_max_t)
@@ -264,7 +264,9 @@ def suite_forms(
 
 # --------------------------------------------------------------- corollary
 
-def suite_corollary(max_q: int = 40, max_t: int = 12) -> SuiteResult:
+def suite_corollary(max_q: int = 40) -> SuiteResult:
+    max_t = 12  # fixed: --max-q rescales q only
+
     def run():
         brute = genfun.h_brute(max_q, max_t)
         prod = genfun.h_product(max_q, max_t)
@@ -288,8 +290,8 @@ def suite_corollary(max_q: int = 40, max_t: int = 12) -> SuiteResult:
 
 # ------------------------------------------------------------ closed forms
 
-def suite_closed_forms(m_max: int = 6, m3_max: int = 3) -> SuiteResult:
-    ms, m3s = range(m_max + 1), range(m3_max + 1)
+def suite_closed_forms() -> SuiteResult:
+    ms, m3s = range(7), range(4)  # m1, m2 <= 6 and m3 <= 3
     # each case names the parameters a failure line shows; a case without s
     # sits at s = m1 + m2 + 4*m3 + 1, the only s where px0x and p0xx exist
     table = [

@@ -62,10 +62,15 @@ def test_criterion_2_oracle_calibration():
 
 def test_criterion_3_three_form_equality():
     """brute = alternating = positive per class; exact."""
-    result = verify.suite_forms(max_q=30, max_t=10, alt_max_q=40, alt_max_t=12)
+    result = verify.suite_forms()
+    rendered = [line.strip() for line in result.render()]
+    windows = (
+        rendered.count("alternating vs brute on q <= 40, t <= 12") == 3
+        and rendered.count("positive vs brute on q <= 30, t <= 10") == 3
+    )
     _report(
         3,
-        result.ok,
+        result.ok and windows,
         "three forms agree per class (positive to q^30 t^10, alternating to "
         "q^40 t^12)",
     )
@@ -145,24 +150,41 @@ def test_criterion_6_worked_examples():
     _report(6, result.ok, "all four worked examples reproduced")
 
 
-def test_criterion_7_closed_forms():
+def test_criterion_7_closed_forms(monkeypatch):
     """Closed formulas (with the corrected block exponent) equal the
     recursion on all in-shape parameters with m1, m2 <= 6, m3 <= 3; the
     discrepancy report for the printed exponent is emitted."""
-    result = verify.suite_closed_forms(m_max=6, m3_max=3)
+    closed_form = ppoly.closed_form
+    largest = defaultdict(int)
+
+    def recorded(kind, **args):
+        for key in ("m1", "m2", "m3"):
+            largest[key] = max(largest[key], args[key])
+        return closed_form(kind, **args)
+
+    monkeypatch.setattr(ppoly, "closed_form", recorded)
+    result = verify.suite_closed_forms()
     report = ppoly.exponent_discrepancy_report()
     emitted = any("printed" in line for line in result.render())
     _report(
         7,
-        result.ok and emitted and all(w["corrected_matches"] for w in report["witnesses"]),
+        result.ok
+        and emitted
+        and largest == {"m1": 6, "m2": 6, "m3": 3}
+        and all(w["corrected_matches"] for w in report["witnesses"]),
         "closed forms match the recursion; exponent discrepancy reported",
     )
 
 
 def test_criterion_8_corollary_identity():
     """At-most-twice: positive sum = product = brute count to q^40, t^12."""
-    result = verify.suite_corollary(max_q=40, max_t=12)
-    _report(8, result.ok, "the three at-most-twice routes agree to q^40 t^12")
+    result = verify.suite_corollary()
+    rendered = [line.strip() for line in result.render()]
+    windows = (
+        "ok   at-most-twice: brute = product = positive to q^40, t^12" in rendered
+        and rendered.count("equal on the window q <= 40, t <= 12") == 2
+    )
+    _report(8, result.ok and windows, "the three at-most-twice routes agree to q^40 t^12")
 
 
 def test_criterion_9_positivity():

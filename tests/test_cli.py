@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import pathlib
+import shlex
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartition import moves
+from qpartition import genfun, moves
 from qpartition.cli import main
+from qpartition.partitions import KrVariant
 from qpartition.series import BiSeries
 
 
@@ -96,6 +99,20 @@ def test_compose_validates_the_triple_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_compose_names_the_immobile_zeros_theta_lacks(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "compose",
+        "--base", "[1,2],[3,4],4,[6,6],[7,8],8,10,12",
+        "--mu", "3,3,6,6",
+        "--theta", "1,1,2,2",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: theta needs at least 1 zeros for the immobile singletons: (1, 1, 2, 2)\n"
+    )
+
+
 def test_seed_expand_reports_groups(capsys):
     code, out, _ = run_cli(
         capsys, "seed-expand",
@@ -129,6 +146,27 @@ def test_kr_json_round_trips_the_series(capsys):
     assert code == 0
     series = BiSeries.from_json_dict(json.loads(out))
     assert series.coeff(4, 1) == 1 and series.coeff(4, 2) == 1
+
+
+def test_kr_dispatches_to_the_routes(capsys):
+    routes = {
+        "brute": genfun.kr_brute,
+        "alternating": genfun.kr_alternating,
+        "positive": genfun.kr_positive,
+        "product": lambda variant, max_q, max_t: genfun.product_side(variant, max_q),
+    }
+    for variant in KrVariant:
+        for form, route in routes.items():
+            code, out, err = run_cli(
+                capsys, "kr", "--variant", str(variant.index), "--form", form,
+                "--max-q", "14", "--max-t", "5", "--format", "json",
+            )
+            assert (code, err) == (0, ""), (variant, form)
+            assert json.loads(out) == route(variant, 14, 5).to_json_dict(), (variant, form)
+    # the product is the t = 1 identity: --max-t, even a negative one, is ignored
+    product = ("kr", "--variant", "2", "--form", "product", "--max-q", "20")
+    negative, zero = (run_cli(capsys, *product, "--max-t", t) for t in ("-2", "0"))
+    assert negative == zero and zero[0] == 0
 
 
 def test_kr_table_rows_are_sorted(capsys):
@@ -230,22 +268,45 @@ def test_unknown_flag_exits_two():
     assert info.value.code == 2
 
 
-def test_every_readme_command_runs(capsys):
-    import pathlib
-    import shlex
+_README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
-    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-    commands = [
-        line.strip()[2:]
-        for line in readme.read_text().splitlines()
-        if line.strip().startswith("$ qpartition")
-    ]
-    assert commands, "no CLI examples found in the README"
-    for command in commands:
-        argv = shlex.split(command)[1:]
-        code = main(argv)
-        capsys.readouterr()
+
+def _readme_blocks(language):
+    """The fenced code blocks of the README in the given language, as lists of lines."""
+    blocks, block = [], None
+    for line in _README.read_text().splitlines():
+        if block is None:
+            if line.strip() == "```" + language:
+                block = []
+        elif line.strip() == "```":
+            blocks.append(block)
+            block = None
+        else:
+            block.append(line)
+    return blocks
+
+
+def test_every_readme_command_runs(capsys):
+    examples = [b for b in _readme_blocks("console") if b[0].startswith("$ qpartition")]
+    assert examples, "no CLI examples found in the README"
+    shown = 0
+    for command, *expected in examples:
+        argv = shlex.split(command[2:])[1:]
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0, command
+        if expected:  # the README shows this command's output
+            shown += 1
+            assert out.splitlines() == expected, command
+    assert shown == 6
+
+
+def test_readme_library_sketch_prints_the_documented_line(capsys):
+    (sketch,) = _readme_blocks("python")
+    printed = [line for line in sketch if line.startswith("print(")]
+    assert len(printed) == 1
+    expected = printed[0].split("# ", 1)[1]
+    exec("\n".join(sketch), {})
+    assert capsys.readouterr().out == expected + "\n"
 
 
 _TEXT = st.text(alphabet="[],-0123456789", max_size=14)

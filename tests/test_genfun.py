@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from qpartition import genfun, ppoly
 from qpartition.genfun import (
-    Form,
-    GenFunSpec,
-    SeriesFamily,
     apply_staircase,
     compare,
     h_brute,
@@ -21,7 +18,6 @@ from qpartition.genfun import (
     marginal_max_t,
     product_side,
     product_side_mod12,
-    series_for,
 )
 from qpartition.partitions import KrVariant, check_at_most_twice, check_kr, iter_partitions
 from qpartition.seeds import product_A, product_B
@@ -52,11 +48,23 @@ _ROUTES = {
     "kr_positive": functools.partial(kr_positive, D),
     "h_brute": h_brute,
     "h_positive": h_positive,
+    "h_product": h_product,
+    # the t = 1 products take no t-window, so only a negative max_q is theirs
+    "product_side": lambda max_q, max_t: product_side(D, max_q),
+    "product_side_mod12": lambda max_q, max_t: product_side_mod12(DP, max_q),
 }
+_WINDOWS = [(-1, 3), (5, -2), (-3, -4)]
 
 
-@pytest.mark.parametrize("window", [(-1, 3), (5, -2), (-3, -4)])
-@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize(
+    "route,window",
+    [
+        pytest.param(route, window, id="%s-window%d" % (route, i))
+        for route in sorted(_ROUTES)
+        for i, window in enumerate(_WINDOWS)
+        if window[0] < 0 or not route.startswith("product_side")
+    ],
+)
 def test_routes_reject_negative_windows(route, window):
     with pytest.raises(ValueError, match="max_q and max_t must be >= 0"):
         _ROUTES[route](*window)
@@ -206,17 +214,6 @@ def test_compare_reports():
     report = compare(a, b)
     assert report.mismatches == ((2, 1, 0, 3),)
     assert "mismatch at q^2 t^1" in report.lines()[0]
-
-
-def test_series_for_dispatch():
-    spec = GenFunSpec(SeriesFamily.KR1, Form.ALTERNATING, 12, 5)
-    assert series_for(spec) == kr_alternating(D, 12, 5)
-    spec = GenFunSpec(SeriesFamily.H, Form.PRODUCT, 10, 4)
-    assert series_for(spec) == h_product(10, 4)
-    with pytest.raises(ValueError):
-        GenFunSpec(SeriesFamily.KR1, Form.PRODUCT, 12, 5)
-    with pytest.raises(ValueError):
-        series_for(GenFunSpec(SeriesFamily.H, Form.ALTERNATING, 10, 4))
 
 
 def test_brute_matches_explicit_membership():

@@ -2,12 +2,13 @@ import pytest
 
 from qpartition.partitions import (
     KrVariant,
-    Partition,
     as_parts,
     brute_series,
     check_at_most_twice,
     check_kr,
+    format_parts,
     iter_partitions,
+    parse_parts,
 )
 
 D = KrVariant.D
@@ -23,15 +24,18 @@ def test_variant_labels():
 
 
 def test_partition_parsing_and_str():
-    p = Partition.parse("1,4,4,5,6,6,9,10,11,12,12,14")
-    assert p.weight == 94 and p.length == 12
-    assert str(p) == "1,4,4,5,6,6,9,10,11,12,12,14"
-    assert Partition.parse("").parts == ()
-    with pytest.raises(ValueError):
-        Partition.parse("3,2")
-    with pytest.raises(ValueError):
-        Partition((0, 1))
-    assert Partition((0, 1), allow_zeros=True).length == 2
+    p = parse_parts("1,4,4,5,6,6,9,10,11,12,12,14")
+    assert sum(p) == 94 and len(p) == 12
+    assert format_parts(p) == "1,4,4,5,6,6,9,10,11,12,12,14"
+    assert parse_parts("") == ()
+    with pytest.raises(ValueError, match=r"^parts must be non-decreasing: \(3, 2\)$"):
+        parse_parts("3,2")
+    with pytest.raises(ValueError, match=r"^zero parts are not allowed here: \(0, 1\)$"):
+        parse_parts("0,1")
+    with pytest.raises(ValueError, match=r"^parts must be >= 0: \(-1, 2\)$"):
+        parse_parts("-1,2")
+    with pytest.raises(ValueError, match=r"^cannot parse partition '1,x'$"):
+        parse_parts("1,x")
 
 
 def test_condition_c_worked_rejections():
@@ -148,7 +152,7 @@ def test_distinct_equals_odd_smoke(n):
         ((2, -1), ValueError("parts must be non-decreasing: (2, -1)")),
         (("1", "x"), ValueError("invalid literal for int() with base 10: 'x'")),
         (["0", 2, 2.0], (0, 2, 2)),
-        (Partition((1, 2, 2)), (1, 2, 2)),
+        ((1, 2, 2), (1, 2, 2)),
         ((), ()),
         (iter(()), ()),
     ],
@@ -159,7 +163,4 @@ def test_as_parts_contract(given, expected):
             as_parts(given)
         assert str(info.value) == str(expected)
         return
-    parts = as_parts(given)
-    assert parts == expected
-    if isinstance(given, Partition):
-        assert parts is given.parts
+    assert as_parts(given) == expected
