@@ -101,18 +101,23 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError("cannot parse %s %r" % (name, text)) from None
 
 
 def _cmd_compose(args) -> int:
     base = moves.parse_structure(args.base)
     # compose validates the triple; parse_structure has already checked
     # that the base is the greedy tagging of its parts
-    d = moves.Decomposition(base, _parse_int_list(args.mu), _parse_int_list(args.theta))
+    d = moves.Decomposition(
+        base, _parse_int_list(args.mu, "mu"), _parse_int_list(args.theta, "theta")
+    )
     trace = [] if args.trace else None
     parts = moves.compose(d, trace)
     out = _decomposition_dict(d, parts)

@@ -13,30 +13,49 @@ for coefficient on any shared window:
 At t = 1 the three classes also equal infinite products with moduli 6/12
 (``product_side``, which takes no t-window).  The at-most-twice class H has
 its own product prod (1 + t q^n + t^2 q^2n) (``h_product``), positive sum
-(``h_positive``) and brute count (``h_brute``).  The class routes take a
-`KrVariant`, every route rejects a negative window with ``ValueError``,
-and ``compare`` diffs any two of them.
+(``h_positive``, the series H+ below) and brute count (``h_brute``).  The
+class routes take a `KrVariant`, every route rejects a negative window with
+``ValueError``, and ``compare`` diffs any two of them.
 
 Every term of both sums is homogeneous in t, so it is built on one q-row
-and added into its t-row.  A term is a product of three kinds of factor: a
-core that depends on (m1, m2, m3, n12) only (positive sums: the sum over s
-of P, divided by (q^2;q^2)_{n12} (q^6;q^6)_{m1+m2+2m3}), Euler-type
-factors 1/(q^a;q^a)_i that grow by one division per index step, and a
-monomial q^e t^M.  Division by 1 - q^d is causal (coefficient n depends
-only on coefficients <= n), so it commutes with multiplication by q^e on a
-window truncated from above: a row divided on the first max_q + 1 - e
-coefficients and then shifted by e equals the row shifted first and
-divided on the whole window.  So each core row is built and divided once
-with shift 0, the index loops extend a parent row by one division on a
-copy (`_divided`), and `_add_shifted` adds the row at its shift.  The
-exponent grows with every index, so each loop stops at the first term
-past the window and rows shrink as it grows.  In the positive sums the
-k index of class D changes only the shift, so one (core, i, j) row serves
-every k; each such row is asserted nonnegative before it is added, and
-every k-row is a truncation of it.
+and added into its t-row.  Division by 1 - q^d is causal (coefficient n
+depends only on coefficients <= n), so it commutes with multiplication by
+q^e on a window truncated from above: a row divided on the first
+max_q + 1 - e coefficients and then shifted by e equals the row shifted
+first and divided on the whole window.  The alternating sum uses this
+directly: the index loops extend a parent row by one division on a copy
+(`_divided`), and `_add_shifted` adds the row at its shift.  The exponent
+grows with every index, so each loop stops at the first term past the
+window and rows shrink as it grows.
+
+The positive sums follow the paper's construction.  H+ is a sum over
+cores (m1, m2, m3, n12) at t-degree L = 2(m1+m2) + 5m3 + n12: the sum over
+s of P, q-shifted, over (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}.  Every P added
+is asserted nonnegative.  `_h_plus_rows` builds H+ one t-degree row at a
+time.  The denominators nest, so it sums over n12 and over
+K = m1+m2+2m3 in Horner form, one division per index step, and
+``h_positive`` is those rows at full width.  Each class series is H+ at
+q -> q^2 times Euler denominators, then the staircase t^M -> t^M q^{M^2}:
+
+* D:   H+(t;q^2) / (tq;q^2)_inf (t^2q^4;q^4)_inf (1 - t);
+* D':  H+(t;q^2) / (tq;q^2)_inf (t^2;q^4)_inf;
+* D'': D' at t -> t q^2, so its staircase is M^2 + 2M.
+
+Each 1/(x;q^b)_inf is expanded by Euler's sum_k x^k/(q^b;q^b)_k (Andrews,
+*The Theory of Partitions*, 1976, ch. 2), `_euler_sum`: row L reaches row
+L + k*deg_t(x) through k divisions on a copy.  For D these are the sums
+over the multi-sum's indices i and j, and 1/(1 - t), its k index, is one
+in-place pass over the t-rows (`series.mul_geometric_rows`).  Truncating
+each t-degree on its own is exact.  Before the staircase, row M is needed
+only on its first size_M = max_q + 1 - M^2 - extra*M coefficients (extra
+is 2 for D'' and 0 otherwise).  Every factor raises the t-degree and never
+lowers the q-degree, so row M depends only on rows L <= M, on the same
+prefix, and size_L >= size_M.  So H+'s row L is built on its first
+ceil(size_L / 2) coefficients, which q -> q^2 stretches to size_L.  Every
+row is asserted nonnegative again after the Euler sums.
 
 The alternating sums stop at t-degree max_t and at the first q-exponent
-past max_q.  The positive sums bound the t-degree M by M^2 <= max_q (a
+past max_q.  The class positive sums bound the t-degree M by M^2 <= max_q (a
 class partition with M parts weighs at least M^2) and the inner s-range by
 ``ppoly.s_range``, outside which the recursion proves P vanishes.
 
@@ -54,7 +73,7 @@ from dataclasses import dataclass
 
 from . import ppoly
 from .partitions import KrVariant, brute_series, has_triple
-from .series import BiSeries, divide_geometric
+from .series import BiSeries, divide_geometric, mul_geometric_rows
 
 
 # ----------------------------------------------------------------- brute
@@ -192,91 +211,105 @@ def kr_alternating(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
 
 # --------------------------------------------------------------- positive
 
-def _core_row(core: tuple, b: int, size: int) -> list | None:
-    """The core (m1, m2, m3, n12) of a positive sum as a q-row of ``size``
-    coefficients, or None when it is zero there:
-    sum_s P(m1,m2,m3,s; q^b) q^{b((s-1)n12 + n12^2)} divided by
-    (q^b; q^b)_{n12} (q^{3b}; q^{3b})_{m1+m2+2m3}.
-    """
+def _check_nonnegative(values, what: str, key) -> None:
+    if min(values) < 0:
+        raise AssertionError("negative coefficient in the positive-sum %s %s" % (what, key))
+
+
+def _add_numerator(dst: list, core: tuple) -> None:
+    """dst += sum_s P(m1,m2,m3,s; q) q^{(s-1)n12 + n12^2}, the numerator of
+    the core (m1, m2, m3, n12), truncated to dst's window.  Every P added is
+    checked nonnegative."""
     m1, m2, m3, n12 = core
-    row = [0] * size
     for s in ppoly.s_range(m1, m2, m3):
+        start = (s - 1) * n12 + n12 * n12
+        if start >= len(dst):
+            break
         poly = ppoly.p(m1, m2, m3, s)
-        if not poly:
-            continue
-        start = b * ((s - 1) * n12 + n12 * n12 + poly.low)
-        if start >= size:
-            continue
-        for e, c in enumerate(poly.body[: (size - 1 - start) // b + 1]):
-            row[start + b * e] += c
-    if not any(row):
-        return None
-    for d in range(b, b * n12 + 1, b):
-        divide_geometric(row, d)
-    for d in range(3 * b, 3 * b * (m1 + m2 + 2 * m3) + 1, 3 * b):
-        divide_geometric(row, d)
-    return row
+        if poly:
+            _check_nonnegative(poly.body, "cell", core)
+            _add_shifted(dst, poly.body, start + poly.low)
 
 
-def _check_nonnegative(row: list, cell: tuple) -> None:
-    if min(row) < 0:
-        raise AssertionError("negative coefficient in the positive-sum cell %s" % (cell,))
+def _h_plus_rows(sizes: list) -> list:
+    """H+'s t-degree rows, row L on its first sizes[L] >= 1 coefficients.
+
+    Row L sums the cores (m1, m2, m3, n12) with 2(m1+m2) + 5m3 + n12 = L,
+    each its numerator over (q;q)_{n12} (q^3;q^3)_K, K = m1+m2+2m3.  These
+    denominators nest, so both sums run in Horner form from the top index
+    down, one division per index step: sum_n x_n/(q;q)_n is
+    x_0 + (x_1 + (x_2 + ...)/(1 - q^2))/(1 - q).  For a given L and n12,
+    K fixes m3 = L - n12 - 2K, leaving the split of m1 + m2.
+    """
+    rows = []
+    for L, size in enumerate(sizes):
+        row = [0] * size  # sum over n12, from n12 = L down
+        for n12 in range(L, -1, -1):
+            if any(row):
+                divide_geometric(row, n12 + 1)
+            inner = [0] * size  # sum over K, from the largest K down
+            for K in range((L - n12) // 2, -1, -1):
+                if any(inner):
+                    divide_geometric(inner, 3 * (K + 1))
+                m3 = L - n12 - 2 * K
+                for m1 in range(K - 2 * m3 + 1):
+                    _add_numerator(inner, (m1, K - 2 * m3 - m1, m3, n12))
+            _add_shifted(row, inner, 0)
+        rows.append(row)
+    return rows
 
 
-def _positive_q_shift(variant: KrVariant, m1, m2, m3, n12, i, j) -> int:
-    if variant is KrVariant.D:
-        return i + 4 * j
-    if variant is KrVariant.DPRIME:
-        return i
-    return 3 * i + 4 * j + 4 * m1 + 4 * m2 + 10 * m3 + 2 * n12
+def _euler_sum(rows: list, dt: int, dq: int, b: int) -> None:
+    """rows times 1/(t^dt q^dq; q^b)_inf in place, as Euler's sum
+    sum_k t^{dt k} q^{dq k} / (q^b; q^b)_k: row L reaches row L + dt*k
+    through k divisions.  Rows are taken from the top down, so each is read
+    before anything is added into it, and each row's window bounds the
+    copies added into it."""
+    for L in range(len(rows) - 1 - dt, -1, -1):
+        term = rows[L]
+        for k in range(1, (len(rows) - 1 - L) // dt + 1):
+            dst = rows[L + dt * k]
+            size = len(dst) - dq * k
+            if size <= 0:
+                break
+            term = term[:size]
+            divide_geometric(term, b * k)
+            _add_shifted(dst, term, dq * k)
 
 
 def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
-    """The evidently positive multi-sum; every row added is checked nonnegative.
+    """The evidently positive multi-sum, from H+'s t-degree rows:
 
-    The cell (core, i, j, k) is the core row (``_core_row`` with b = 2)
-    divided by (q^2;q^2)_i (q^4;q^4)_j and shifted by cap^2 plus
-    ``_positive_q_shift``, where cap = 2(m1+m2) + 5m3 + n12 + i + 2j + k is
-    its t-degree; k (class D only) changes nothing but cap.
+        staircase( H+(t; q^2) / (t q; q^2)_inf (t^2 q^4; q^4)_inf (1 - t) )
+
+    for D, and the same with 1/(t^2; q^4)_inf in place of the last two
+    factors for D'; D'' is D' at t -> t q^2.  Before its staircase shift
+    q^{M^2 + extra*M} (extra = 2 for D'', else 0), row M is built up to
+    q^{max_q - M^2 - extra*M}; every row is checked nonnegative after the
+    Euler sums.
     """
     _check_window(max_q, max_t)
-    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
-    mcap = min(max_t, math.isqrt(max_q))
-    has_k = variant is KrVariant.D  # the free 1/(1-t) index
-    for m1 in range(mcap // 2 + 1):
-        for m2 in range((mcap - 2 * m1) // 2 + 1):
-            for m3 in range((mcap - 2 * m1 - 2 * m2) // 5 + 1):
-                for n12 in range(mcap - 2 * m1 - 2 * m2 - 5 * m3 + 1):
-                    core = (m1, m2, m3, n12)
-                    lowest = 2 * (m1 + m2) + 5 * m3 + n12
-
-                    def shift(i, j, k=0):
-                        cap = lowest + i + 2 * j + k
-                        return cap * cap + _positive_q_shift(variant, *core, i, j)
-
-                    size = max_q + 1 - shift(0, 0)
-                    row_j = _core_row(core, 2, size) if size > 0 else None
-                    if row_j is None:
-                        continue
-                    for j in range((mcap - lowest) // 2 + 1):
-                        size = max_q + 1 - shift(0, j)
-                        if size <= 0:
-                            break
-                        if j:
-                            row_j = _divided(row_j, 4 * j, size)
-                        row = row_j
-                        for i in range(mcap - lowest - 2 * j + 1):
-                            size = max_q + 1 - shift(i, j)
-                            if size <= 0:
-                                break
-                            if i:
-                                row = _divided(row, 2 * i, size)
-                            # every k row below is a truncation of this one
-                            _check_nonnegative(row, core + (i, j))
-                            cap = lowest + i + 2 * j
-                            for k in range(mcap - cap + 1 if has_k else 1):
-                                _add_shifted(rows[cap + k], row, shift(i, j, k))
-    return BiSeries._wrap(max_q, max_t, rows)
+    extra = 2 if variant is KrVariant.DPRIMEPRIME else 0  # t -> t q^2
+    sizes = [
+        max_q + 1 - m * (m + extra) for m in range(min(max_t, math.isqrt(max_q)) + 1)
+    ]
+    sizes = [size for size in sizes if size > 0]  # decreasing, so a prefix
+    rows = []
+    for size, h_row in zip(sizes, _h_plus_rows([(size + 1) // 2 for size in sizes])):
+        row = [0] * size
+        row[::2] = h_row  # q -> q^2
+        rows.append(row)
+    _euler_sum(rows, 1, 1, 2)  # 1/(t q; q^2)_inf
+    if variant is KrVariant.D:
+        _euler_sum(rows, 2, 4, 4)  # 1/(t^2 q^4; q^4)_inf
+        mul_geometric_rows(rows, 1, 0)  # 1/(1 - t)
+    else:
+        _euler_sum(rows, 2, 0, 4)  # 1/(t^2; q^4)_inf
+    out = [[0] * (max_q + 1) for _ in range(max_t + 1)]
+    for m, row in enumerate(rows):
+        _check_nonnegative(row, "t-degree row", m)
+        _add_shifted(out[m], row, m * (m + extra))
+    return BiSeries._wrap(max_q, max_t, out)
 
 
 def h_product(max_q: int, max_t: int) -> BiSeries:
@@ -289,23 +322,16 @@ def h_product(max_q: int, max_t: int) -> BiSeries:
 
 
 def h_positive(max_q: int, max_t: int) -> BiSeries:
-    """sum P(m1,m2,m3,s;q) q^{m*n12 + n12^2} t^{2m1+2m2+5m3+n12} over cells,
-    divided by (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}: one core row per cell.
+    """H+ = sum P(m1,m2,m3,s;q) q^{m*n12 + n12^2} t^{2m1+2m2+5m3+n12} over
+    cells, divided by (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}: `_h_plus_rows` at
+    full width.
 
     M parts, each at most twice, weigh at least 1+1+2+2+... = (M+1)^2 // 4,
     so t-degrees past isqrt(4*max_q + 3) - 1 are zero and are not visited."""
     _check_window(max_q, max_t)
-    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     mcap = min(max_t, math.isqrt(4 * max_q + 3) - 1)
-    for m1 in range(mcap // 2 + 1):
-        for m2 in range((mcap - 2 * m1) // 2 + 1):
-            for m3 in range((mcap - 2 * m1 - 2 * m2) // 5 + 1):
-                for n12 in range(mcap - 2 * m1 - 2 * m2 - 5 * m3 + 1):
-                    core = (m1, m2, m3, n12)
-                    row = _core_row(core, 1, max_q + 1)
-                    if row is not None:
-                        _check_nonnegative(row, core)
-                        _add_shifted(rows[2 * m1 + 2 * m2 + 5 * m3 + n12], row, 0)
+    rows = _h_plus_rows([max_q + 1] * (mcap + 1))
+    rows += [[0] * (max_q + 1) for _ in range(max_t - mcap)]
     return BiSeries._wrap(max_q, max_t, rows)
 
 

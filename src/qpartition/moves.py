@@ -154,8 +154,11 @@ def tag(p) -> TaggedPartition:
 def parse_structure(text: str) -> TaggedPartition:
     """Parse the bracket form ``[1,2],[3,4],4,[6,6]`` (or plain parts)."""
     text = text.replace(" ", "")
-    if "[" not in text:
+    brackets = "".join(ch for ch in text if ch in "[]")
+    if not brackets:
         return tag(parse_parts(text))
+    if brackets != "[]" * (len(brackets) // 2):  # each [ closed before the next
+        raise ValueError("structure %r has an unbalanced bracket" % text)
     try:
         parts = parse_parts(text.replace("[", "").replace("]", ""))
     except ValueError as exc:

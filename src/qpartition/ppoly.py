@@ -60,16 +60,16 @@ def qbinomial(n: int, k: int, base: int = 1) -> QPoly:
 
 def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     """One parity component of P; see the module docstring for the rules."""
+    key = (m1, m2, m3, s, parity)
+    hit = _pmemo.get(key)
+    if hit is not None:  # only valid keys are stored, so this skips the checks
+        return hit
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     if min(m1, m2 - parity, m3) < 0 or s not in s_range(m1, m2, m3):
         return QPOLY_ZERO
     if m1 == 0 and m2 == 0 and m3 == 0:
         return QPOLY_ONE
-    key = (m1, m2, m3, s, parity)
-    hit = _pmemo.get(key)
-    if hit is not None:
-        return hit
     m = s - 1
     if parity == 0:
         value = QPOLY_ZERO

@@ -16,15 +16,18 @@ Truncation policy: combining two series shrinks to the componentwise minimum
 of the windows, so a coefficient is never reported at a degree where one of
 the operands was unknown.
 
-The series kernel is two operations:
+The series kernel is three operations:
 
 * ``divide_geometric(row, d)`` multiplies a q-row (a list whose entry n is
   the coefficient of q^n) in place by 1/(1 - q^d);
+* ``mul_geometric_rows(rows, dt, dq)`` multiplies a list of t-rows, which
+  may be ragged, in place by 1/(1 - t^dt q^dq);
 * ``BiSeries.mul_sparse(terms)`` multiplies a series by a factor with a few
   terms, 1 + sum c t^dt q^dq, filling one copy of the rows.
 
 Every product and Pochhammer symbol the routes need is a loop over these:
-1/(q^b; q^b)_n is n calls of ``divide_geometric``, and (x; q^b)_inf is one
+1/(q^b; q^b)_n is n calls of ``divide_geometric``, 1/(x; q^b)_inf is one
+``mul_geometric_rows`` pass per factor, and (x; q^b)_inf is one
 ``mul_sparse`` per factor (1 - x q^{bn}) that meets the window.  The tests
 check these products against the Euler expansions (Andrews, *The Theory of
 Partitions*, 1976, ch. 2).
@@ -362,13 +365,7 @@ class BiSeries:
             for row in rows:
                 divide_geometric(row, dq)
         else:
-            # rows below m - dt are final before row m is touched
-            for m in range(dt, self.max_t + 1):
-                src = rows[m - dt]
-                dst = rows[m]
-                for n in range(dq, self.max_q + 1):
-                    if src[n - dq]:
-                        dst[n] += src[n - dq]
+            mul_geometric_rows(rows, dt, dq)
         return BiSeries._wrap(self.max_q, self.max_t, rows)
 
     def mul_sparse(self, terms) -> "BiSeries":
@@ -483,3 +480,20 @@ def divide_geometric(row: list, d: int) -> None:
         raise ValueError("geometric step must be >= 1, got %d" % d)
     for n in range(d, len(row)):
         row[n] += row[n - d]
+
+
+def mul_geometric_rows(rows: list, dt: int, dq: int) -> None:
+    """Multiply the t-rows ``rows`` in place by 1/(1 - t^dt q^dq), dt >= 1.
+
+    ``rows[m]`` is the q-row of t^m.  Rows may be ragged: each row's window
+    is its own length, and the result is exact on it as long as no row is
+    longer than the rows below it.  dq may be 0.  Rows are passed in
+    ascending m, so row m - dt is final before it is added into row m.
+    """
+    if dt < 1 or dq < 0:
+        raise ValueError("geometric t-step needs dt >= 1 and dq >= 0, got (%d, %d)" % (dt, dq))
+    for m in range(dt, len(rows)):
+        src, dst = rows[m - dt], rows[m]
+        stop = min(len(dst), dq + len(src))
+        if dq < stop:
+            dst[dq:stop] = map(operator.add, dst[dq:stop], src)

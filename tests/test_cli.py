@@ -215,8 +215,11 @@ def test_invalid_partition_exits_two(capsys):
     assert "error" in err
 
 
+_UNBALANCED = ("[1,2", "1,2]", "[[1,2]]")
+
+
 @pytest.mark.parametrize(
-    "base", ("[1,2],,2", "[1,2]2", "[1,2", "[a]", "[1,3]", "[2,3],1")
+    "base", ("[1,2],,2", "[1,2]2", "[a]", "[1,3]", "[2,3],1") + _UNBALANCED
 )
 def test_malformed_structure_exits_two(capsys, base):
     code, out, err = run_cli(
@@ -226,6 +229,27 @@ def test_malformed_structure_exits_two(capsys, base):
     assert err.startswith("error: ") and repr(base) in err
     assert "Traceback" not in err
     assert "substring not found" not in err and "invalid literal" not in err
+    if base in _UNBALANCED:
+        assert err == "error: structure %r has an unbalanced bracket\n" % base
+
+
+@pytest.mark.parametrize(
+    "mu,theta,err",
+    [
+        ("1", "x", "error: cannot parse theta 'x'\n"),
+        ("3,,6", "0", "error: cannot parse mu '3,,6'\n"),
+    ],
+    ids=("theta", "mu"),
+)
+def test_compose_names_an_unparsable_mu_or_theta(capsys, mu, theta, err):
+    code, out, got = run_cli(
+        capsys,
+        "compose",
+        "--base", "[2,2],[3,4],4,[6,6],[7,8],8,[10,10],11,13,15",
+        "--mu", mu,
+        "--theta", theta,
+    )
+    assert (code, out, got) == (2, "", err)
 
 
 def test_invalid_variant_exits_two(capsys):

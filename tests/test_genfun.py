@@ -39,7 +39,24 @@ def test_three_forms_agree_on_a_small_window(variant):
 
 @pytest.mark.parametrize("variant", [D, DP, DPP])
 def test_positive_equals_alternating_on_a_wide_window(variant):
-    assert kr_positive(variant, 150, 12) == kr_alternating(variant, 150, 12)
+    assert kr_positive(variant, 300, 17) == kr_alternating(variant, 300, 17)
+
+
+def test_kr_positive_divides_by_t_degree(monkeypatch):
+    # the per-cell sum divided a copy of the row for every (core, i, j):
+    # 5,388 divisions on this window.  Summing by t-degree first leaves 1,145
+    # even with one division chain per core; the Horner sums over n12 and K
+    # and the Euler sums make it 457
+    calls = []
+    real = genfun.divide_geometric
+
+    def counted(row, d):
+        calls.append(d)
+        real(row, d)
+
+    monkeypatch.setattr(genfun, "divide_geometric", counted)
+    kr_positive(D, 300, 17)
+    assert 0 < len(calls) <= 1500
 
 
 _ROUTES = {
@@ -72,7 +89,7 @@ def test_routes_reject_negative_windows(route, window):
 
 def test_positivity_guard_names_the_cell(monkeypatch):
     # a P with a negative coefficient for the one core (1, 0, 0, 0) must stop
-    # both positive sums at the first row that core contributes
+    # both positive sums at that core's row
     real_p = ppoly.p
 
     def broken_p(m1, m2, m3, s):
@@ -81,10 +98,21 @@ def test_positivity_guard_names_the_cell(monkeypatch):
         return real_p(m1, m2, m3, s)
 
     monkeypatch.setattr(ppoly, "p", broken_p)
-    with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0, 0, 0\)$"):
+    with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0\)$"):
         kr_positive(D, 40, 8)
     with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0\)$"):
         h_positive(20, 8)
+
+
+def test_positivity_guard_checks_the_rows_after_the_euler_sums(monkeypatch):
+    # a denominator that subtracts breaks positivity only after every P is in
+    def subtracting_sum(rows, dt, dq, b):
+        for row in rows[dt:]:
+            row[:] = [c - 1 for c in row]
+
+    monkeypatch.setattr(genfun, "_euler_sum", subtracting_sum)
+    with pytest.raises(AssertionError, match=r"t-degree row 1$"):
+        kr_positive(DP, 20, 4)
 
 
 def test_alternating_low_coefficients():
@@ -329,6 +357,14 @@ def _add_into(dst, src):
         dst[n] += c
 
 
+def _positive_q_shift(variant, m1, m2, m3, n12, i, j):
+    if variant is D:
+        return i + 4 * j
+    if variant is DP:
+        return i
+    return 3 * i + 4 * j + 4 * m1 + 4 * m2 + 10 * m3 + 2 * n12
+
+
 def _naive_kr_positive(variant, max_q, max_t):
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     mcap = min(max_t, math.isqrt(max_q))
@@ -342,7 +378,7 @@ def _naive_kr_positive(variant, max_q, max_t):
                             kmax = room - n12 - i - 2 * j if variant is D else 0
                             for k in range(kmax + 1):
                                 cap = 2 * (m1 + m2) + 5 * m3 + n12 + i + 2 * j + k
-                                shift = cap * cap + genfun._positive_q_shift(
+                                shift = cap * cap + _positive_q_shift(
                                     variant, m1, m2, m3, n12, i, j
                                 )
                                 steps = [*range(2, 2 * i + 1, 2), *range(4, 4 * j + 1, 4)]

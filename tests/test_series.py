@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpartition.partitions import iter_partitions
-from qpartition.series import BiSeries, QPoly, divide_geometric
+from qpartition.series import BiSeries, QPoly, divide_geometric, mul_geometric_rows
 
 
 def inv_product(x_dt, x_dq, base, max_q, max_t):
@@ -300,6 +300,46 @@ def test_sparse_kernel_matches_dense_product(case, d):
     for row in rows:
         divide_geometric(row, d)
     assert BiSeries(s.max_q, s.max_t, rows).mul_sparse([(-1, 0, d)]) == s
+
+
+def _naive_geometric_t_pass(rows, dt, dq):
+    """rows times 1/(1 - t^dt q^dq), dt >= 1, one cell at a time: the loop
+    ``BiSeries.mul_geometric_inverse`` ran before ``mul_geometric_rows``."""
+    for m in range(dt, len(rows)):
+        src, dst = rows[m - dt], rows[m]
+        for n in range(dq, len(dst)):
+            if src[n - dq]:
+                dst[n] += src[n - dq]
+
+
+@st.composite
+def _ragged_rows(draw):
+    # t-rows whose windows never grow with the t-degree, as in kr_positive
+    widths = sorted(draw(st.lists(st.integers(0, 9), min_size=1, max_size=6)), reverse=True)
+    return [[draw(_coeff) for _ in range(w)] for w in widths]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ragged_rows(), st.integers(1, 4), st.integers(0, 10))
+def test_geometric_t_pass_matches_the_naive_loop(rows, dt, dq):
+    expected = [row[:] for row in rows]
+    _naive_geometric_t_pass(expected, dt, dq)
+    got = [row[:] for row in rows]
+    mul_geometric_rows(got, dt, dq)
+    assert got == expected
+    width = len(rows[0])
+    if width and all(len(row) == width for row in rows):
+        s = BiSeries(width - 1, len(rows) - 1, rows)
+        assert s.mul_geometric_inverse(dt, dq)._rows == expected
+        # and multiplying by 1 - t^dt q^dq undoes it
+        assert s.mul_geometric_inverse(dt, dq).mul_sparse([(-1, dt, dq)]) == s
+
+
+def test_geometric_t_pass_rejects_a_constant_t_step():
+    with pytest.raises(ValueError, match="dt >= 1"):
+        mul_geometric_rows([[1], [0]], 0, 1)
+    with pytest.raises(ValueError, match="dq >= 0"):
+        mul_geometric_rows([[1], [0]], 1, -1)
 
 
 # QPoly against a plain dense list: entry e is the coefficient of q^e.
