@@ -1,6 +1,6 @@
 """The generating-function routes and their cross-verification.
 
-Each partition class has three series routes that must agree coefficient
+Each partition class has four series routes that must agree coefficient
 for coefficient on any shared window:
 
 * ``kr_brute``       -- count partitions directly (`partitions.brute_series`,
@@ -8,7 +8,8 @@ for coefficient on any shared window:
 * ``kr_alternating`` -- the triple sum over (i, j, k) with a (-1)^k sign;
 * ``kr_positive``    -- the evidently positive multi-sum built from the base
                         polynomials P(m1,m2,m3,s;q^2); every term is
-                        nonnegative, which is asserted during accumulation.
+                        nonnegative, which is asserted during accumulation;
+* ``kr_marker``      -- the marker product of the seed construction.
 
 At t = 1 the three classes also equal infinite products with moduli 6/12
 (``product_side``, which takes no t-window).  The at-most-twice class H has
@@ -34,12 +35,18 @@ s of P, q-shifted, over (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}.  Every P added
 is asserted nonnegative.  `_h_plus_rows` builds H+ one t-degree row at a
 time.  The denominators nest, so it sums over n12 and over
 K = m1+m2+2m3 in Horner form, one division per index step, and
-``h_positive`` is those rows at full width.  Each class series is H+ at
-q -> q^2 times Euler denominators, then the staircase t^M -> t^M q^{M^2}:
+``h_positive`` is those rows at full width.
 
-* D:   H+(t;q^2) / (tq;q^2)_inf (t^2q^4;q^4)_inf (1 - t);
-* D':  H+(t;q^2) / (tq;q^2)_inf (t^2;q^4)_inf;
+Each class series is a numerator N(t;q) over Euler denominators, then the
+staircase t^M -> t^M q^{M^2} (`_class_series`):
+
+* D:   N / (tq;q^2)_inf (t^2q^4;q^4)_inf (1 - t);
+* D':  N / (tq;q^2)_inf (t^2;q^4)_inf;
 * D'': D' at t -> t q^2, so its staircase is M^2 + 2M.
+
+``kr_positive`` takes N = H+(t;q^2) and ``kr_marker`` the marker numerator
+prod (1 + t q^{2n} + (a-1) t^2 q^{4n}), built in place by `_pair_product`
+like ``h_product``; at a = 2 it is H(t;q^2).
 
 Each 1/(x;q^b)_inf is expanded by Euler's sum_k x^k/(q^b;q^b)_k (Andrews,
 *The Theory of Partitions*, 1976, ch. 2), `_euler_sum`: row L reaches row
@@ -50,19 +57,15 @@ each t-degree on its own is exact.  Before the staircase, row M is needed
 only on its first size_M = max_q + 1 - M^2 - extra*M coefficients (extra
 is 2 for D'' and 0 otherwise).  Every factor raises the t-degree and never
 lowers the q-degree, so row M depends only on rows L <= M, on the same
-prefix, and size_L >= size_M.  So H+'s row L is built on its first
-ceil(size_L / 2) coefficients, which q -> q^2 stretches to size_L.  Every
-row is asserted nonnegative again after the Euler sums.
+prefix, and size_L >= size_M.  So the numerator's row L is built on its
+first size_L coefficients (H+'s on ceil(size_L / 2), which q -> q^2
+stretches to size_L).  ``kr_positive`` asserts every row nonnegative again
+after the Euler sums.
 
 The alternating sums stop at t-degree max_t and at the first q-exponent
-past max_q.  The class positive sums bound the t-degree M by M^2 <= max_q (a
+past max_q.  The class series bound the t-degree M by M^2 <= max_q (a
 class partition with M parts weighs at least M^2) and the inner s-range by
 ``ppoly.s_range``, outside which the recursion proves P vanishes.
-
-The staircase step all class series share (multiply the t^M slice by
-q^{M^2}) is `apply_staircase`; composing it with the marker products
-A(t;q;2) / B(t;q;2) must reproduce the kr1/kr2 series, which is one of the
-cross-checks in the test suite.
 """
 
 from __future__ import annotations
@@ -154,12 +157,45 @@ def _divided(row: list, d: int, size: int) -> list:
     return out
 
 
-def _add_shifted(dst: list, src: list, shift: int, sign: int = 1) -> None:
-    """dst += sign * q^shift * src, truncated to dst's window."""
+def _add_shifted(dst: list, src: list, shift: int, coeff: int = 1, low: int = 0) -> None:
+    """dst += coeff * q^shift * src, truncated to dst's window; src is known
+    to be zero below index ``low``, which is skipped."""
+    start = shift + low
     stop = min(len(dst), shift + len(src))
-    if shift < stop:
-        op = operator.add if sign > 0 else operator.sub
-        dst[shift:stop] = map(op, dst[shift:stop], src)
+    if start < stop:
+        if low:
+            src = src[low : stop - shift]
+        if coeff == 1:
+            dst[start:stop] = map(operator.add, dst[start:stop], src)
+        elif coeff == -1:
+            dst[start:stop] = map(operator.sub, dst[start:stop], src)
+        else:
+            dst[start:stop] = [d + coeff * c for d, c in zip(dst[start:stop], src)]
+
+
+def _pair_product(sizes: list, c2: int, b: int) -> list:
+    """The t-rows of prod_{n>=1} (1 + t q^{bn} + c2 t^2 q^{2bn}), row m on its
+    first sizes[m] coefficients (non-increasing).  Each factor is added in
+    from the top row down, so rows m - 1 and m - 2 are read before they
+    change.  Row m - 1 holds parts b, 2b, ..., each at most twice, so it is
+    zero below b * (m^2 // 4), and the adds start there.  Once the t term of
+    factor n starts past row m's window, the rest of the product does too:
+    the t^2 term starts no lower (row m - 2 is zero before factor n unless
+    m <= 2n), and later factors start higher.  So rows drop off the top."""
+    rows = [[0] * size for size in sizes]
+    rows[0][0] = 1
+    top = len(rows) - 1
+    n = 1
+    while top:
+        shift = b * n
+        while top and shift + b * (top * top // 4) >= sizes[top]:
+            top -= 1
+        for m in range(top, 0, -1):
+            _add_shifted(rows[m], rows[m - 1], shift, 1, b * (m * m // 4))
+            if m > 1 and c2:
+                _add_shifted(rows[m], rows[m - 2], 2 * shift, c2, b * ((m - 1) ** 2 // 4))
+        n += 1
+    return rows
 
 
 # ----------------------------------------------------------- alternating
@@ -218,17 +254,18 @@ def _check_nonnegative(values, what: str, key) -> None:
 
 def _add_numerator(dst: list, core: tuple) -> None:
     """dst += sum_s P(m1,m2,m3,s; q) q^{(s-1)n12 + n12^2}, the numerator of
-    the core (m1, m2, m3, n12), truncated to dst's window.  Every P added is
-    checked nonnegative."""
+    the core (m1, m2, m3, n12), truncated to dst's window.  P = P0 + P1 is
+    added one parity at a time, and each is checked nonnegative."""
     m1, m2, m3, n12 = core
     for s in ppoly.s_range(m1, m2, m3):
         start = (s - 1) * n12 + n12 * n12
         if start >= len(dst):
             break
-        poly = ppoly.p(m1, m2, m3, s)
-        if poly:
-            _check_nonnegative(poly.body, "cell", core)
-            _add_shifted(dst, poly.body, start + poly.low)
+        for parity in (0, 1):
+            poly = ppoly.p_parity(m1, m2, m3, s, parity)
+            if poly:
+                _check_nonnegative(poly.body, "cell", core)
+                _add_shifted(dst, poly.body, start + poly.low)
 
 
 def _h_plus_rows(sizes: list) -> list:
@@ -277,28 +314,18 @@ def _euler_sum(rows: list, dt: int, dq: int, b: int) -> None:
             _add_shifted(dst, term, dq * k)
 
 
-def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
-    """The evidently positive multi-sum, from H+'s t-degree rows:
+def _class_series(variant: KrVariant, max_q: int, max_t: int, numerator) -> BiSeries:
+    """The class series of the numerator N (see the module docstring).
 
-        staircase( H+(t; q^2) / (t q; q^2)_inf (t^2 q^4; q^4)_inf (1 - t) )
-
-    for D, and the same with 1/(t^2; q^4)_inf in place of the last two
-    factors for D'; D'' is D' at t -> t q^2.  Before its staircase shift
-    q^{M^2 + extra*M} (extra = 2 for D'', else 0), row M is built up to
-    q^{max_q - M^2 - extra*M}; every row is checked nonnegative after the
-    Euler sums.
-    """
+    ``numerator(sizes)`` returns N's t-rows, row M on its first sizes[M]
+    coefficients: before its staircase shift q^{M^2 + extra*M} (extra = 2
+    for D'', else 0), row M is needed only up to q^{max_q - M^2 - extra*M}."""
     _check_window(max_q, max_t)
     extra = 2 if variant is KrVariant.DPRIMEPRIME else 0  # t -> t q^2
     sizes = [
         max_q + 1 - m * (m + extra) for m in range(min(max_t, math.isqrt(max_q)) + 1)
     ]
-    sizes = [size for size in sizes if size > 0]  # decreasing, so a prefix
-    rows = []
-    for size, h_row in zip(sizes, _h_plus_rows([(size + 1) // 2 for size in sizes])):
-        row = [0] * size
-        row[::2] = h_row  # q -> q^2
-        rows.append(row)
+    rows = numerator([size for size in sizes if size > 0])  # decreasing, so a prefix
     _euler_sum(rows, 1, 1, 2)  # 1/(t q; q^2)_inf
     if variant is KrVariant.D:
         _euler_sum(rows, 2, 4, 4)  # 1/(t^2 q^4; q^4)_inf
@@ -307,32 +334,57 @@ def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
         _euler_sum(rows, 2, 0, 4)  # 1/(t^2; q^4)_inf
     out = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     for m, row in enumerate(rows):
-        _check_nonnegative(row, "t-degree row", m)
         _add_shifted(out[m], row, m * (m + extra))
     return BiSeries._wrap(max_q, max_t, out)
 
 
+def _h_plus_stretched(sizes: list) -> list:
+    """H+(t; q^2)'s t-rows, row L on its first sizes[L] coefficients."""
+    rows = []
+    for size, h_row in zip(sizes, _h_plus_rows([(size + 1) // 2 for size in sizes])):
+        row = [0] * size
+        row[::2] = h_row  # q -> q^2
+        rows.append(row)
+    return rows
+
+
+def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
+    """The evidently positive multi-sum: `_class_series` of H+(t; q^2), with
+    every P and every t-degree row after the Euler sums checked nonnegative."""
+    series = _class_series(variant, max_q, max_t, _h_plus_stretched)
+    for m, row in enumerate(series._rows):
+        _check_nonnegative(row, "t-degree row", m)
+    return series
+
+
+def kr_marker(variant: KrVariant, a: int, max_q: int, max_t: int) -> BiSeries:
+    """`_class_series` of prod_{n>=1} (1 + t q^{2n} + (a-1) t^2 q^{4n}): the
+    marker product A(t;q;a) (D) or B(t;q;a) (D', and D'' at t -> t q^2) on
+    the staircase.  It counts each seed a^{#toggle groups} (`seeds`), so at
+    a = 2 it is the class series."""
+    return _class_series(variant, max_q, max_t, lambda sizes: _pair_product(sizes, a - 1, 2))
+
+
+def _h_series(max_q: int, max_t: int, build) -> BiSeries:
+    """An at-most-twice series from its full-width t-rows ``build(sizes)``.
+    M parts, each at most twice, weigh at least 1+1+2+2+... = (M+1)^2 // 4,
+    so t-degrees past isqrt(4*max_q + 3) - 1 are zero and are not built."""
+    _check_window(max_q, max_t)
+    mcap = min(max_t, math.isqrt(4 * max_q + 3) - 1)
+    rows = build([max_q + 1] * (mcap + 1))
+    rows += [[0] * (max_q + 1) for _ in range(max_t - mcap)]
+    return BiSeries._wrap(max_q, max_t, rows)
+
+
 def h_product(max_q: int, max_t: int) -> BiSeries:
     """prod_{n>=1} (1 + t q^n + t^2 q^{2n}), truncated."""
-    _check_window(max_q, max_t)
-    acc = BiSeries.one(max_q, max_t)
-    for n in range(1, max_q + 1):
-        acc = acc.mul_sparse([(1, 1, n), (1, 2, 2 * n)])
-    return acc
+    return _h_series(max_q, max_t, lambda sizes: _pair_product(sizes, 1, 1))
 
 
 def h_positive(max_q: int, max_t: int) -> BiSeries:
     """H+ = sum P(m1,m2,m3,s;q) q^{m*n12 + n12^2} t^{2m1+2m2+5m3+n12} over
-    cells, divided by (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}: `_h_plus_rows` at
-    full width.
-
-    M parts, each at most twice, weigh at least 1+1+2+2+... = (M+1)^2 // 4,
-    so t-degrees past isqrt(4*max_q + 3) - 1 are zero and are not visited."""
-    _check_window(max_q, max_t)
-    mcap = min(max_t, math.isqrt(4 * max_q + 3) - 1)
-    rows = _h_plus_rows([max_q + 1] * (mcap + 1))
-    rows += [[0] * (max_q + 1) for _ in range(max_t - mcap)]
-    return BiSeries._wrap(max_q, max_t, rows)
+    cells, divided by (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}: `_h_plus_rows`."""
+    return _h_series(max_q, max_t, _h_plus_rows)
 
 
 # ---------------------------------------------------------------- product
@@ -348,15 +400,16 @@ _KR2_MOD12 = ((2, 3, 4, 8, 9, 10), 12, True)
 
 
 def _infinite_product(residues, mod: int, numerator: bool, max_q: int) -> BiSeries:
-    """[(q^6; q^12)_inf] / prod_a (q^a; q^mod)_inf, expanded to max_q."""
-    acc = BiSeries.one(max_q, 0)
+    """[(q^6; q^12)_inf] / prod_a (q^a; q^mod)_inf, expanded to max_q on one
+    q-row in place."""
+    row = [1] + [0] * max_q
     if numerator:
         for d in range(6, max_q + 1, 12):
-            acc = acc.mul_sparse([(-1, 0, d)])
+            row[d:] = map(operator.sub, row[d:], row[:-d])  # times 1 - q^d
     for a in residues:
         for d in range(a, max_q + 1, mod):
-            acc = acc.mul_geometric_inverse(0, d)
-    return acc
+            divide_geometric(row, d)
+    return BiSeries._wrap(max_q, 0, [row])
 
 
 def product_side(variant: KrVariant, max_q: int) -> BiSeries:
@@ -376,18 +429,6 @@ def marginal_max_t(max_q: int) -> int:
     """Smallest t-window that is exhaustive for a t = 1 evaluation:
     a class partition with m parts weighs at least m^2."""
     return math.isqrt(max_q)
-
-
-def apply_staircase(series: BiSeries) -> BiSeries:
-    """Multiply the t^m slice by q^{m^2} for every m (the base-weight step)."""
-    rows = [[0] * (series.max_q + 1) for _ in range(series.max_t + 1)]
-    for m, row in enumerate(series._rows):
-        shift = m * m
-        dst = rows[m]
-        for n, c in enumerate(row):
-            if c and n + shift <= series.max_q:
-                dst[n + shift] = c
-    return BiSeries._wrap(series.max_q, series.max_t, rows)
 
 
 # ---------------------------------------------------------------- compare

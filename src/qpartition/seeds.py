@@ -1,4 +1,4 @@
-"""Seed-partition transforms and the marker products behind them.
+"""Seed-partition transforms.
 
 Every class partition is reached from a unique *seed*: rewrite each adjacent
 pair of equal even parts (2k)+(2k) as the consecutive odd parts
@@ -19,10 +19,9 @@ Variant quirks at the bottom end:
   run is the leading mu-value-2 run (seed starting 3,5,...), rewritten the
   same way; higher even-valued groups stay optional.
 
-``product_A`` and ``product_B`` are the bookkeeping products: coefficient of
-a^e t^m q^w counts partitions of w into m parts >= 0 (zeros unrestricted for
-A, zeros in pairs for B) with e distinct non-zero even values of even
-multiplicity.
+The seeds of a class, each counted a^e for its e toggle groups, have the
+generating function `genfun.kr_marker`; at a = 2 each seed counts its 2^e
+partitions, so this is the class series.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import KrVariant, as_parts, check_kr
-from .series import BiSeries
 
 
 def staircase(m: int) -> tuple[int, ...]:
@@ -169,24 +167,3 @@ def expand_seed(seed, variant: KrVariant) -> list[tuple[int, ...]]:
     if len(set(outputs)) != len(outputs):
         raise ValueError("ill-formed seed %s: duplicate expansions" % (dec.seed,))
     return sorted(outputs)
-
-
-def _marker_product(a: int, max_q: int, max_t: int, zeros_dt: int) -> BiSeries:
-    acc = BiSeries.one(max_q, max_t)
-    n = 1
-    while 2 * n - 1 <= max_q:
-        acc = acc.mul_sparse([(1, 1, 2 * n), (a - 1, 2, 4 * n)])
-        acc = acc.mul_geometric_inverse(1, 2 * n - 1)
-        acc = acc.mul_geometric_inverse(2, 4 * n)
-        n += 1
-    return acc.mul_geometric_inverse(zeros_dt, 0)
-
-
-def product_A(a: int, max_q: int, max_t: int) -> BiSeries:
-    """Marker product with free zeros: trailing factor 1/(1-t)."""
-    return _marker_product(a, max_q, max_t, zeros_dt=1)
-
-
-def product_B(a: int, max_q: int, max_t: int) -> BiSeries:
-    """Marker product with zeros in pairs: trailing factor 1/(1-t^2)."""
-    return _marker_product(a, max_q, max_t, zeros_dt=2)

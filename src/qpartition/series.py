@@ -16,21 +16,20 @@ Truncation policy: combining two series shrinks to the componentwise minimum
 of the windows, so a coefficient is never reported at a degree where one of
 the operands was unknown.
 
-The series kernel is three operations:
+The series kernel is two in-place operations on lists of coefficients:
 
 * ``divide_geometric(row, d)`` multiplies a q-row (a list whose entry n is
-  the coefficient of q^n) in place by 1/(1 - q^d);
+  the coefficient of q^n) by 1/(1 - q^d);
 * ``mul_geometric_rows(rows, dt, dq)`` multiplies a list of t-rows, which
-  may be ragged, in place by 1/(1 - t^dt q^dq);
-* ``BiSeries.mul_sparse(terms)`` multiplies a series by a factor with a few
-  terms, 1 + sum c t^dt q^dq, filling one copy of the rows.
+  may be ragged, by 1/(1 - t^dt q^dq).
 
-Every product and Pochhammer symbol the routes need is a loop over these:
-1/(q^b; q^b)_n is n calls of ``divide_geometric``, 1/(x; q^b)_inf is one
-``mul_geometric_rows`` pass per factor, and (x; q^b)_inf is one
-``mul_sparse`` per factor (1 - x q^{bn}) that meets the window.  The tests
-check these products against the Euler expansions (Andrews, *The Theory of
-Partitions*, 1976, ch. 2).
+The routes in ``genfun`` build every product and Pochhammer symbol they
+need on rows with these and shifted adds: 1/(q^b; q^b)_n is n calls of
+``divide_geometric``, 1/(x; q^b)_inf is Euler's sum of such quotients, and
+a finite factor such as 1 - q^d or 1 + t q^n + t^2 q^2n is one shifted add
+per term.  ``BiSeries`` wraps the finished rows; its arithmetic is the
+dense reference the tests check those routes against (Andrews, *The Theory
+of Partitions*, 1976, ch. 2).
 """
 
 from __future__ import annotations
@@ -368,50 +367,6 @@ class BiSeries:
             mul_geometric_rows(rows, dt, dq)
         return BiSeries._wrap(self.max_q, self.max_t, rows)
 
-    def mul_sparse(self, terms) -> "BiSeries":
-        """Multiply by 1 + sum of c * t^dt q^dq over the (c, dt, dq) in ``terms``.
-
-        Every (dt, dq) must be nonnegative and not (0, 0): the constant term
-        of the factor is the leading 1.  Terms past the window drop.  Each
-        cell of the product reads the unmodified source, so several terms may
-        share a t-row.
-        """
-        rows = [row[:] for row in self._rows]
-        for c, dt, dq in terms:
-            if dt < 0 or dq < 0 or (dt, dq) == (0, 0):
-                raise ValueError(
-                    "sparse factor term needs (dt, dq) != (0, 0), both >= 0"
-                )
-            for m in range(dt, self.max_t + 1):
-                src = self._rows[m - dt]
-                dst = rows[m]
-                for n in range(dq, self.max_q + 1):
-                    v = src[n - dq]
-                    if v:
-                        dst[n] += c * v
-        return BiSeries._wrap(self.max_q, self.max_t, rows)
-
-    def substitute_scale(self, t_qshift: int, q_stretch: int) -> "BiSeries":
-        """Apply t -> t*q^t_qshift, then q -> q^q_stretch.
-
-        t^m q^n maps to t^m q^{q_stretch*(n + m*t_qshift)}; terms pushed past
-        max_q are dropped (truncation loss), everything kept is exact.
-        """
-        if q_stretch < 1:
-            raise ValueError("q_stretch must be >= 1")
-        if t_qshift < 0:
-            raise ValueError("t_qshift must be >= 0")
-        rows = [[0] * (self.max_q + 1) for _ in range(self.max_t + 1)]
-        for m, src in enumerate(self._rows):
-            dst = rows[m]
-            base = m * t_qshift
-            for n, c in enumerate(src):
-                if c:
-                    e = q_stretch * (n + base)
-                    if e <= self.max_q:
-                        dst[e] += c
-        return BiSeries._wrap(self.max_q, self.max_t, rows)
-
     def t_marginal(self) -> "BiSeries":
         """Evaluate at t = 1 by summing over t-degrees; result has max_t = 0."""
         out = [0] * (self.max_q + 1)
@@ -443,19 +398,26 @@ class BiSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BiSeries":
-        """Inverse of ``to_json_dict``; a malformed or out-of-window term is a
-        ValueError."""
-        s = cls(int(d["max_q"]), int(d["max_t"]))
+        """Inverse of ``to_json_dict``; a missing field, a malformed or
+        out-of-window term is a ValueError that names it."""
+        if not isinstance(d, dict):
+            raise ValueError("series must be a JSON object, got %s" % type(d).__name__)
+        for field in ("max_q", "max_t", "terms"):
+            if field not in d:
+                raise ValueError("series field %s is missing" % field)
+        s = cls(_json_int(d["max_q"], "max_q"), _json_int(d["max_t"], "max_t"))
+        if not isinstance(d["terms"], list):
+            raise ValueError("series field terms is not a list: %r" % (d["terms"],))
         for term in d["terms"]:
-            if len(term) != 3:
+            if not isinstance(term, (list, tuple)) or len(term) != 3:
                 raise ValueError("series term %r is not [dt, dq, coeff]" % (term,))
-            m, n = int(term[0]), int(term[1])
+            m, n = _json_int(term[0], "term dt"), _json_int(term[1], "term dq")
             if not (0 <= n <= s.max_q and 0 <= m <= s.max_t):
                 raise ValueError(
                     "series term (dq=%d, dt=%d) outside window (max_q=%d, max_t=%d)"
                     % (n, m, s.max_q, s.max_t)
                 )
-            s._rows[m][n] = int(term[2])
+            s._rows[m][n] = _json_int(term[2], "term coeff")
         return s
 
     def __repr__(self) -> str:
@@ -467,6 +429,16 @@ class BiSeries:
                 break
         body = " + ".join(head) if head else "0"
         return "BiSeries(max_q=%d, max_t=%d: %s)" % (self.max_q, self.max_t, body)
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer or decimal string; a float or bool would truncate."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError("series %s is not an integer: %r" % (field, value))
 
 
 def divide_geometric(row: list, d: int) -> None:

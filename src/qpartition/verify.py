@@ -241,22 +241,24 @@ def suite_forms(max_q: int = 30, alt_max_q: int = 40) -> SuiteResult:
     def check_variant(variant):
         def run():
             brute = genfun.kr_brute(variant, alt_max_q, alt_max_t)
-            alt = genfun.kr_alternating(variant, alt_max_q, alt_max_t)
-            pos = genfun.kr_positive(variant, max_q, max_t)
-            r1 = genfun.compare(brute, alt)
-            r2 = genfun.compare(brute, pos)
-            lines = [
-                "alternating vs brute on q <= %d, t <= %d" % (alt_max_q, alt_max_t)
-            ] + r1.lines("brute", "alternating")
-            lines += [
-                "positive vs brute on q <= %d, t <= %d" % (max_q, max_t)
-            ] + r2.lines("brute", "positive")
-            return r1.equal and r2.equal, lines
+            ok, lines = True, []
+            for label, series, window in (
+                ("alternating", genfun.kr_alternating(variant, alt_max_q, alt_max_t),
+                 (alt_max_q, alt_max_t)),
+                ("positive", genfun.kr_positive(variant, max_q, max_t), (max_q, max_t)),
+                ("marker", genfun.kr_marker(variant, 2, max_q, max_t), (max_q, max_t)),
+            ):
+                report = genfun.compare(brute, series)
+                lines += ["%s vs brute on q <= %d, t <= %d" % (label, *window)]
+                lines += report.lines("brute", label)
+                ok = ok and report.equal
+            return ok, lines
 
         return run
 
     checks = [
-        ("class %d: brute = alternating = positive" % variant.index, check_variant(variant))
+        ("class %d: brute = alternating = positive = marker" % variant.index,
+         check_variant(variant))
         for variant in KrVariant
     ]
     return _run("forms", checks)

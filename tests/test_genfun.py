@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 
 from qpartition import genfun, ppoly
 from qpartition.genfun import (
-    apply_staircase,
     compare,
     h_brute,
     h_positive,
     h_product,
     kr_alternating,
     kr_brute,
+    kr_marker,
     kr_positive,
     marginal_max_t,
     product_side,
     product_side_mod12,
 )
 from qpartition.partitions import KrVariant, check_at_most_twice, check_kr, iter_partitions
-from qpartition.seeds import product_A, product_B
 from qpartition.series import BiSeries, QPoly, divide_geometric
 
 D = KrVariant.D
@@ -63,6 +62,7 @@ _ROUTES = {
     "kr_brute": functools.partial(kr_brute, D),
     "kr_alternating": functools.partial(kr_alternating, D),
     "kr_positive": functools.partial(kr_positive, D),
+    "kr_marker": functools.partial(kr_marker, D, 2),
     "h_brute": h_brute,
     "h_positive": h_positive,
     "h_product": h_product,
@@ -88,16 +88,16 @@ def test_routes_reject_negative_windows(route, window):
 
 
 def test_positivity_guard_names_the_cell(monkeypatch):
-    # a P with a negative coefficient for the one core (1, 0, 0, 0) must stop
-    # both positive sums at that core's row
-    real_p = ppoly.p
+    # a P0 with a negative coefficient for the one core (1, 0, 0, 0) must
+    # stop both positive sums at that core's row
+    real_p_parity = ppoly.p_parity
 
-    def broken_p(m1, m2, m3, s):
-        if (m1, m2, m3, s) == (1, 0, 0, 2):
+    def broken_p_parity(m1, m2, m3, s, parity):
+        if (m1, m2, m3, s, parity) == (1, 0, 0, 2, 0):
             return QPoly((-1,))
-        return real_p(m1, m2, m3, s)
+        return real_p_parity(m1, m2, m3, s, parity)
 
-    monkeypatch.setattr(ppoly, "p", broken_p)
+    monkeypatch.setattr(ppoly, "p_parity", broken_p_parity)
     with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0\)$"):
         kr_positive(D, 40, 8)
     with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0\)$"):
@@ -142,19 +142,16 @@ def test_listed_partitions_have_the_right_counts():
 
 
 def test_staircase_assembles_the_marker_products():
-    for max_q, max_t in ((18, 8),):
-        assert apply_staircase(product_A(2, max_q, max_t)) == kr_alternating(
-            D, max_q, max_t
-        )
-        assert apply_staircase(product_B(2, max_q, max_t)) == kr_alternating(
-            DP, max_q, max_t
-        )
+    # at a = 2 the marker numerator is H(t; q^2), so the class series
+    for variant in (D, DP, DPP):
+        assert kr_marker(variant, 2, 200, 14) == kr_alternating(variant, 200, 14)
 
 
 def test_class3_is_class2_shifted():
+    # t -> t q^2: the t^m row of class 2 moves up by 2m
     kr2 = kr_brute(DP, 24, 8)
-    kr3 = kr_brute(DPP, 24, 8)
-    assert compare(kr2.substitute_scale(2, 1), kr3).equal
+    rows = [[0] * (2 * m) + row[: 25 - 2 * m] for m, row in enumerate(kr2._rows)]
+    assert compare(BiSeries(24, 8, rows), kr_brute(DPP, 24, 8)).equal
 
 
 def test_h_identities_small():
@@ -166,17 +163,44 @@ def test_h_identities_small():
     assert brute.coeff(1, 1) == 1
 
 
+def _dense_pair_product(c2, b, max_q, max_t):
+    one = acc = BiSeries.one(max_q, max_t)
+    for n in range(1, max_q // b + 1):
+        factor = one + BiSeries.monomial(1, b * n, 1, max_q, max_t) if max_t else one
+        if max_t >= 2 and 2 * b * n <= max_q:
+            factor = factor + BiSeries.monomial(c2, 2 * b * n, 2, max_q, max_t)
+        acc = acc * factor
+    return acc
+
+
 def test_h_doubled_is_the_marker_numerator():
-    # substituting q -> q^2 in the at-most-twice product gives the
-    # prod (1 + t q^{2n} + t^2 q^{4n}) numerator
-    h = h_product(20, 6)
-    direct = BiSeries.one(20, 6)
-    for n in range(1, 11):
-        factor = BiSeries.one(20, 6) + BiSeries.monomial(1, 2 * n, 1, 20, 6)
-        if 4 * n <= 20:
-            factor = factor + BiSeries.monomial(1, 4 * n, 2, 20, 6)
-        direct = direct * factor
-    assert h.substitute_scale(0, 2) == direct
+    # the at-most-twice product at q -> q^2 is the prod (1 + t q^{2n} +
+    # t^2 q^{4n}) numerator of the marker products
+    rows = genfun._pair_product([21] * 7, 1, 2)
+    assert BiSeries(20, 6, rows) == _dense_pair_product(1, 2, 20, 6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(1, 14), min_size=1, max_size=6),
+    st.integers(-3, 4),
+    st.integers(1, 3),
+)
+def test_pair_product_matches_the_dense_product(widths, c2, b):
+    # ragged rows, as the class series cut them, agree with the dense
+    # product on each row's own window
+    sizes = sorted(widths, reverse=True)
+    rows = genfun._pair_product(sizes, c2, b)
+    dense = _dense_pair_product(c2, b, sizes[0] - 1, len(sizes) - 1)
+    assert rows == [row[:size] for row, size in zip(dense._rows, sizes)]
+
+
+def test_product_routes_on_a_wide_window():
+    assert h_product(200, 40) == h_positive(200, 40)
+    for variant in (D, DP, DPP):
+        marg = kr_alternating(variant, 400, marginal_max_t(400)).t_marginal()
+        assert product_side(variant, 400) == marg
+    assert product_side_mod12(DP, 400) == product_side(DP, 400)
 
 
 def test_empty_structure_slice_counts_gap_two_partitions():

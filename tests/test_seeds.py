@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartition.partitions import KrVariant, check_kr, iter_partitions
+from qpartition import genfun
+from qpartition.partitions import KrVariant, brute_series, check_kr, iter_partitions
 from qpartition.seeds import (
     expand_seed,
-    product_A,
-    product_B,
     seed_decomposition,
     staircase,
     to_seed,
@@ -194,33 +193,61 @@ def _weighted_zero_count(a, n, m, even_zeros):
     return total
 
 
+def _marker_product(variant, a, max_q, max_t):
+    """The marker product A (D) or B (D') on its window, read off
+    ``kr_marker`` by undoing the staircase t^m -> t^m q^{m^2}."""
+    s = genfun.kr_marker(variant, a, max_q + max_t * max_t, max_t)
+    return lambda n, m: s.coeff(n + m * m, m)
+
+
 @pytest.mark.parametrize("a", [0, 1, 2])
 def test_product_A_matches_weighted_enumeration(a):
     max_q, max_t = 20, 8
-    s = product_A(a, max_q, max_t)
+    s = _marker_product(D, a, max_q, max_t)
     for n in range(max_q + 1):
         for m in range(max_t + 1):
-            assert s.coeff(n, m) == _weighted_zero_count(a, n, m, False), (a, n, m)
+            assert s(n, m) == _weighted_zero_count(a, n, m, False), (a, n, m)
 
 
 @pytest.mark.parametrize("a", [0, 2])
 def test_product_B_matches_weighted_enumeration(a):
     max_q, max_t = 20, 8
-    s = product_B(a, max_q, max_t)
+    s = _marker_product(DP, a, max_q, max_t)
     for n in range(max_q + 1):
         for m in range(max_t + 1):
-            assert s.coeff(n, m) == _weighted_zero_count(a, n, m, True), (a, n, m)
+            assert s(n, m) == _weighted_zero_count(a, n, m, True), (a, n, m)
 
 
 def test_product_B_zero_multiplicity_is_even():
-    s = product_B(2, 10, 4)
-    assert s.coeff(0, 2) == 1  # two zeros
-    assert s.coeff(0, 1) == 0  # a single zero is barred
-    assert s.coeff(0, 4) == 1
+    s = _marker_product(DP, 2, 10, 4)
+    assert s(0, 2) == 1  # two zeros
+    assert s(0, 1) == 0  # a single zero is barred
+    assert s(0, 4) == 1
 
 
 def test_product_A_at_one_counts_padded_partitions():
-    s = product_A(1, 10, 6)
+    s = _marker_product(D, 1, 10, 6)
     # coefficient of t^m q^n counts partitions of n into at most m parts
-    assert s.coeff(4, 4) == 5
-    assert s.coeff(4, 2) == 3  # 4, 1+3, 2+2
+    assert s(4, 4) == 5
+    assert s(4, 2) == 3  # 4, 1+3, 2+2
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("variant", [D, DP, DPP])
+def test_marker_product_counts_seeds_by_toggle_groups(variant, a):
+    # every class partition of the window, from the pruned brute walk, is
+    # mapped to its seed; each distinct seed counts a^{#toggle groups}
+    max_q, max_t = 30, 8
+    member = genfun._kr_member(variant)
+    found = set()
+
+    def record(parts):
+        if member(parts):
+            found.add(to_seed(parts, variant))
+        return False
+
+    brute_series(record, max_q, max_t, extends=genfun._kr_extends(variant))
+    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
+    for seed in found:
+        rows[len(seed)][sum(seed)] += a ** len(seed_decomposition(seed, variant).groups)
+    assert genfun.kr_marker(variant, a, max_q, max_t)._rows == rows

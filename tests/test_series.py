@@ -15,15 +15,8 @@ def inv_product(x_dt, x_dq, base, max_q, max_t):
 
 
 def product(x_dt, x_dq, base, max_q, max_t):
-    """(x; q^base)_inf, one sparse factor (1 - x q^{base n}) per n."""
-    s = BiSeries.one(max_q, max_t)
-    for dq in range(x_dq, max_q + 1, base):
-        s = s.mul_sparse([(-1, x_dt, dq)])
-    return s
-
-
-def dense_product(x_dt, x_dq, base, max_q, max_t):
-    """(x; q^base)_inf through the dense Cauchy product, as the reference."""
+    """(x; q^base)_inf through the dense Cauchy product, one factor
+    (1 - x q^{base n}) per n."""
     one = s = BiSeries.one(max_q, max_t)
     for dq in range(x_dq, max_q + 1, base):
         if x_dt <= max_t:
@@ -145,10 +138,6 @@ def test_pochhammer_rejects_nonterminating():
     with pytest.raises(ValueError):
         one.mul_geometric_inverse(0, 0)
     with pytest.raises(ValueError):
-        one.mul_sparse([(-1, 0, 0)])
-    with pytest.raises(ValueError):
-        one.mul_sparse([(1, 1, 1), (-1, -1, 2)])
-    with pytest.raises(ValueError):
         divide_geometric([1, 0, 0], 0)
 
 
@@ -161,7 +150,6 @@ def test_euler_sums_match_products(x_dt, x_dq, base):
     args = (x_dt, x_dq, base, max_q, max_t)
     assert euler_sum(*args, alternating=False) == inv_product(*args)
     assert euler_sum(*args, alternating=True) == product(*args)
-    assert product(*args) == dense_product(*args)
 
 
 @pytest.mark.parametrize(
@@ -185,35 +173,21 @@ def test_alternating_pentagonal_signs():
 
 def test_alternating_beyond_window_is_one():
     one = BiSeries.one(8, 2)
-    assert one.mul_sparse([(-1, 0, 9), (5, 3, 1)]) == one
     assert product(0, 9, 2, 8, 2) == one
+    assert product(3, 1, 1, 8, 2) == one
 
 
 def test_finite_pochhammer_conventions():
     one = BiSeries.one(8, 0)
-    assert one.mul_sparse([]) == one
     # (q; q)_2 = (1-q)(1-q^2)
-    s = one.mul_sparse([(-1, 0, 1)]).mul_sparse([(-1, 0, 2)])
+    s = (one + BiSeries.monomial(-1, 1, 0, 8, 0)) * (one + BiSeries.monomial(-1, 2, 0, 8, 0))
     assert [s.coeff(n, 0) for n in range(4)] == [1, -1, -1, 1]
-    # a factor with two terms on one row is not two factors: 1 - q - q^2
-    s = one.mul_sparse([(-1, 0, 1), (-1, 0, 2)])
-    assert [s.coeff(n, 0) for n in range(4)] == [1, -1, -1, 0]
     # denominator usage: 1/(q; q)_1 is the geometric series
     geom = one.mul_geometric_inverse(0, 1)
-    assert one.mul_sparse([(-1, 0, 1)]) * geom == one
+    assert (one + BiSeries.monomial(-1, 1, 0, 8, 0)) * geom == one
     row = [1] + [0] * 8
     divide_geometric(row, 1)
     assert row == [1] * 9
-
-
-def test_substitute_scale():
-    s = BiSeries.monomial(3, 2, 2, 20, 4)
-    assert s.substitute_scale(0, 1) == s
-    # t -> t q^2 first, then q -> q^3: t^2 q^2 becomes t^2 q^{18}
-    out = BiSeries.monomial(3, 2, 2, 20, 4).substitute_scale(2, 3)
-    assert out.coeff(18, 2) == 3
-    # overflowing terms drop
-    assert BiSeries.monomial(1, 15, 0, 20, 0).substitute_scale(0, 2).is_zero()
 
 
 def test_algebra_properties():
@@ -243,11 +217,41 @@ def test_json_round_trip_with_big_coefficients():
 
 
 @pytest.mark.parametrize(
-    "terms", [[[-1, -1, "5"]], [[0, 9, "5"]], [[2, 0, "5"]], [[0, 0]], [[0, 0, "1", 7]]]
+    "terms",
+    [
+        [[-1, -1, "5"]],
+        [[0, 9, "5"]],
+        [[2, 0, "5"]],
+        [[0, 0]],
+        [[0, 0, "1", 7]],
+        [5],
+        [[0, 0, None]],
+        [[0, "x", "1"]],
+        5,
+        [[0, 1, 1.9]],
+        [[1.5, 0, "3"]],
+    ],
 )
 def test_json_rejects_terms_outside_the_window(terms):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="series (term|field terms)"):
         BiSeries.from_json_dict({"max_q": 3, "max_t": 1, "terms": terms})
+
+
+@pytest.mark.parametrize(
+    "d,field",
+    [
+        ({"max_q": 3, "terms": []}, "field max_t is missing"),
+        ({"max_q": 3, "max_t": 1}, "field terms is missing"),
+        ({"max_q": None, "max_t": 1, "terms": []}, "max_q is not an integer"),
+        ({"max_q": 3, "max_t": "one", "terms": []}, "max_t is not an integer"),
+        ({"max_q": 2.7, "max_t": 1, "terms": []}, "max_q is not an integer"),
+        ({"max_q": 3, "max_t": True, "terms": []}, "max_t is not an integer"),
+        ([[0, 0, "1"]], "must be a JSON object"),
+    ],
+)
+def test_json_rejects_a_malformed_series(d, field):
+    with pytest.raises(ValueError, match=field):
+        BiSeries.from_json_dict(d)
 
 
 def test_recomputation_is_bit_identical():
@@ -270,36 +274,6 @@ def test_qpoly_basics():
 
 
 _coeff = st.integers(-5, 5)
-
-
-@st.composite
-def _series_and_factor(draw):
-    max_q, max_t = draw(st.integers(0, 6)), draw(st.integers(0, 3))
-    rows = [[draw(_coeff) for _ in range(max_q + 1)] for _ in range(max_t + 1)]
-    degree = st.tuples(st.integers(0, max_t + 1), st.integers(0, max_q + 1)).filter(
-        lambda d: d != (0, 0)
-    )
-    terms = [(draw(_coeff), *draw(degree)) for _ in range(draw(st.integers(1, 3)))]
-    if draw(st.booleans()):  # two terms on one t-row
-        dt = terms[0][1]
-        dq = draw(st.integers(1 if dt == 0 else 0, max_q + 1))
-        terms.append((draw(_coeff), dt, dq))
-    return BiSeries(max_q, max_t, rows), terms
-
-
-@settings(max_examples=150, deadline=None)
-@given(_series_and_factor(), st.integers(1, 8))
-def test_sparse_kernel_matches_dense_product(case, d):
-    s, terms = case
-    factor = BiSeries.one(s.max_q, s.max_t)
-    for c, dt, dq in terms:
-        if dt <= s.max_t and dq <= s.max_q:
-            factor = factor + BiSeries.monomial(c, dq, dt, s.max_q, s.max_t)
-    assert s.mul_sparse(terms) == s * factor
-    rows = [list(row) for row in s._rows]
-    for row in rows:
-        divide_geometric(row, d)
-    assert BiSeries(s.max_q, s.max_t, rows).mul_sparse([(-1, 0, d)]) == s
 
 
 def _naive_geometric_t_pass(rows, dt, dq):
@@ -332,7 +306,10 @@ def test_geometric_t_pass_matches_the_naive_loop(rows, dt, dq):
         s = BiSeries(width - 1, len(rows) - 1, rows)
         assert s.mul_geometric_inverse(dt, dq)._rows == expected
         # and multiplying by 1 - t^dt q^dq undoes it
-        assert s.mul_geometric_inverse(dt, dq).mul_sparse([(-1, dt, dq)]) == s
+        factor = BiSeries.one(s.max_q, s.max_t)
+        if dt <= s.max_t and dq <= s.max_q:
+            factor = factor + BiSeries.monomial(-1, dq, dt, s.max_q, s.max_t)
+        assert s.mul_geometric_inverse(dt, dq) * factor == s
 
 
 def test_geometric_t_pass_rejects_a_constant_t_step():
