@@ -187,18 +187,9 @@ def _cmd_bases(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    factory = verify.SUITES[args.suite]
-    if args.max_q is not None:
-        if args.max_q < 0:
-            raise ValueError("--max-q must be >= 0")
-        if args.suite in ("products", "corollary"):
-            result = factory(max_q=args.max_q)
-        elif args.suite == "forms":
-            result = factory(max_q=args.max_q, alt_max_q=args.max_q)
-        else:
-            raise ValueError("--max-q does not apply to the %s suite" % args.suite)
-    else:
-        result = factory()
+    if args.max_q is not None and args.max_q < 0:
+        raise ValueError("--max-q must be >= 0")
+    result = verify.SUITES[args.suite](args.max_q)
     for line in result.render():
         _print(line)
     return 0 if result.ok else 1

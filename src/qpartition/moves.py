@@ -144,8 +144,6 @@ def _greedy_starts(parts: tuple, i: int, starts: list) -> tuple[int, ...]:
 def tag(p) -> TaggedPartition:
     """Greedy leftmost tagging of an at-most-twice partition."""
     parts = as_parts(p)
-    if parts and parts[0] < 1:
-        raise ValueError("parts must be >= 1")
     if has_triple(parts):
         raise ValueError("some part appears more than twice: %s" % (parts,))
     return TaggedPartition(parts)
@@ -372,12 +370,6 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
     if base.starts != tp.starts:
         raise AssertionError("stowing singletons disturbed the structure: %s" % base)
     return Decomposition(base, tuple(mu), tuple(theta))
-
-
-def is_base(p) -> bool:
-    """No pair can move backward and every moveable singleton sits in its slot."""
-    d = decompose(p)
-    return all(x == 0 for x in d.mu) and all(x == 0 for x in d.theta)
 
 
 def make_decomposition(base, mu, theta) -> Decomposition:

@@ -1,9 +1,9 @@
 """Partitions, class predicates, and brute-force counting oracles.
 
-A partition is a plain non-decreasing tuple of positive integers (zeros are
-legal only in auxiliary objects elsewhere; the predicates here reject them).
-``as_parts`` validates any iterable of parts, and ``parse_parts`` reads the
-comma-separated text form the CLI takes, e.g. ``1,4,4,5``.
+A partition is a plain non-decreasing tuple of positive integers.
+``as_parts`` validates any iterable of parts and is the one check of parts
+from outside; ``parse_parts`` reads the comma-separated text form the CLI
+takes, e.g. ``1,4,4,5``.
 The three restricted classes share conditions (a)-(c) and differ in one
 initial condition:
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from operator import le
 from typing import Callable, Iterable, Iterator, Optional
 
 from .series import BiSeries
@@ -67,17 +66,24 @@ class KrVariant(Enum):
 
 
 def as_parts(p) -> tuple[int, ...]:
-    """Coerce an iterable of ints to a validated parts tuple."""
-    parts = tuple(map(int, p))
-    if not all(map(le, parts, parts[1:])):
-        raise ValueError("parts must be non-decreasing: %s" % (parts,))
-    if parts and parts[0] < 0:
-        raise ValueError("parts must be >= 0: %s" % (parts,))
+    """The parts of an iterable as a tuple, checked in one pass: each part is
+    an ``int`` (not a ``bool``) and at least 1, and the parts never decrease.
+    """
+    parts = tuple(p)
+    prev = 1
+    for x in parts:
+        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+            raise ValueError("part %r is not an integer" % (x,))
+        if x < prev:
+            if x < 1:
+                raise ValueError("part %d must be >= 1: %s" % (x, parts))
+            raise ValueError("parts must be non-decreasing: %s" % (parts,))
+        prev = x
     return parts
 
 
 def parse_parts(text: str) -> tuple[int, ...]:
-    """Parse the comma-separated form of a zero-free partition, e.g. ``1,4,4,5``."""
+    """Parse the comma-separated form of a partition, e.g. ``1,4,4,5``."""
     text = text.strip()
     if not text:
         return ()
@@ -85,25 +91,16 @@ def parse_parts(text: str) -> tuple[int, ...]:
         ints = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError("cannot parse partition %r" % text) from None
-    parts = as_parts(ints)
-    if parts and parts[0] == 0:
-        raise ValueError("zero parts are not allowed here: %s" % (parts,))
-    return parts
+    return as_parts(ints)
 
 
 def format_parts(parts: Iterable[int]) -> str:
     return ",".join(str(x) for x in parts)
 
 
-def _reject_zeros(parts: tuple[int, ...]) -> None:
-    if parts and parts[0] == 0:
-        raise ValueError("predicate is defined for zero-free partitions only")
-
-
 def check_kr(p, variant: KrVariant) -> bool:
     """True iff the partition lies in the class named by ``variant``."""
     parts = as_parts(p)
-    _reject_zeros(parts)
     for i in range(len(parts) - 1):
         if parts[i + 1] - parts[i] == 1:
             return False  # (a)
@@ -125,7 +122,6 @@ def check_kr(p, variant: KrVariant) -> bool:
 def check_at_most_twice(p) -> bool:
     """True iff every value has multiplicity <= 2."""
     parts = as_parts(p)
-    _reject_zeros(parts)
     return not has_triple(parts)
 
 

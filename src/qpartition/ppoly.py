@@ -161,44 +161,11 @@ P0XX = "p0xx"
 CLOSED_FORM_KINDS = (PX00, P0X0, P00X, PX0X, P0XX)
 
 # The two-parameter forms carry an m3 contribution of 10*m3^2 + 3*m3 in the
-# exponent.  The tabulated small cases pin it down: P(0,0,1,5) = q^13 and
-# P(0,0,2,9) = q^46, which 10*m3^2 + 23*m3 (q^33, q^86) contradicts.
-M3_EXPONENT_CORRECTED = (10, 3)
-M3_EXPONENT_PRINTED = (10, 23)
-
-
+# exponent.  The printed formulas have 10*m3^2 + 23*m3, which the tabulated
+# small cases refute: P(0,0,1,5) = q^13 and P(0,0,2,9) = q^46, where the
+# printed exponent gives q^33 and q^86.
 def _m3_exponent(m3: int) -> int:
-    a, b = M3_EXPONENT_CORRECTED
-    return a * m3 * m3 + b * m3
-
-
-def exponent_discrepancy_report() -> dict:
-    """Machine-readable record of the corrected m3 exponent.
-
-    Compares both exponent candidates against the recursion on the two
-    smallest pure-block cases; the printed variant fails both.
-    """
-    witnesses = []
-    for m3, s in ((1, 5), (2, 9)):
-        truth = p(0, 0, m3, s)
-        printed = QPoly.monomial(1, 10 * m3 * m3 + 23 * m3)
-        corrected = QPoly.monomial(1, _m3_exponent(m3))
-        witnesses.append(
-            {
-                "m3": m3,
-                "s": s,
-                "recursion": truth.format_q(),
-                "corrected_exponent": corrected.format_q(),
-                "printed_exponent": printed.format_q(),
-                "corrected_matches": corrected == truth,
-                "printed_matches": printed == truth,
-            }
-        )
-    return {
-        "corrected": "10*m3^2 + 3*m3",
-        "printed": "10*m3^2 + 23*m3",
-        "witnesses": witnesses,
-    }
+    return 10 * m3 * m3 + 3 * m3
 
 
 def closed_form(kind: str, m1: int = 0, m2: int = 0, m3: int = 0, s: int = 0) -> QPoly:

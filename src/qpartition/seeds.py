@@ -96,8 +96,6 @@ def seed_decomposition(seed, variant: KrVariant) -> SeedDecomposition:
     the class (negative mu, ill-shaped runs, odd mandatory runs, ...).
     """
     parts = as_parts(seed)
-    if any(x < 1 for x in parts):
-        raise ValueError("seed parts must be >= 1")
     if not _is_seed_shape(parts):
         raise ValueError("not a seed: %s" % (parts,))
     base = staircase(len(parts))

@@ -100,11 +100,6 @@ class QPoly:
         """Degree, or None for the zero polynomial."""
         return self.low + len(self.body) - 1 if self.body else None
 
-    @property
-    def min_degree(self):
-        """Smallest exponent with a nonzero coefficient, or None if zero."""
-        return self.low if self.body else None
-
     def __bool__(self) -> bool:
         return bool(self.body)
 
@@ -131,24 +126,6 @@ class QPoly:
         top = min(len(a), off + len(b))  # the overlap is a[off:top]
         body = a[:off] + tuple(map(operator.add, a[off:top], b)) + a[top:] + b[top - off :]
         return QPoly._trimmed(first.low, body)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly._wrap(self.low, tuple(-c for c in self.body))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if not self.body or not other.body:
-            return QPOLY_ZERO
-        out = [0] * (len(self.body) + len(other.body) - 1)
-        for i, a in enumerate(self.body):
-            if a:
-                for j, b in enumerate(other.body):
-                    if b:
-                        out[i + j] += a * b
-        # the end coefficients are products of nonzero ends, so nonzero
-        return QPoly._wrap(self.low + other.low, tuple(out))
 
     def shifted(self, dq: int) -> "QPoly":
         """Multiply by q^dq (dq >= 0)."""
@@ -243,10 +220,6 @@ class BiSeries:
         return obj
 
     @classmethod
-    def zero(cls, max_q: int, max_t: int) -> "BiSeries":
-        return cls(max_q, max_t)
-
-    @classmethod
     def one(cls, max_q: int, max_t: int) -> "BiSeries":
         return cls.monomial(1, 0, 0, max_q, max_t)
 
@@ -307,13 +280,6 @@ class BiSeries:
         return BiSeries._wrap(mq, mt, rows)
 
     __add__ = add
-
-    def __neg__(self) -> "BiSeries":
-        rows = [[-c for c in row] for row in self._rows]
-        return BiSeries._wrap(self.max_q, self.max_t, rows)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self.add(-other)
 
     def mul(self, other: "BiSeries") -> "BiSeries":
         """Cauchy product, truncated to the common window."""

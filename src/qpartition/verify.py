@@ -1,17 +1,25 @@
 """Verification suites: golden tables, worked examples, and series identities.
 
-Each suite is a list of independent named checks returning (ok, lines),
-run in order and reported in that order.
+Each suite runs its named checks in order and returns them, with their
+report lines, as a ``SuiteResult``.  Every suite takes ``max_q=None``:
+
+* ``products``, ``forms`` and ``corollary`` compare series on a window, and
+  a given ``max_q`` replaces the window's q bound (60 for products, 40 for
+  corollary; for forms both its windows, brute and alternating on q <= 40
+  and positive and marker on q <= 30).  Their t bounds stay fixed.
+* ``appendix``, ``examples`` and ``closed-forms`` check fixed tables and
+  examples, and raise ``ValueError`` for any ``max_q``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from . import genfun, moves, ppoly, seeds
 from .appendix_data import TABLE_ERRATA, golden_entries
 from .partitions import KrVariant, format_parts
+from .series import QPoly
 
 
 @dataclass(frozen=True)
@@ -41,56 +49,49 @@ class SuiteResult:
         return out
 
 
-def _run(suite: str, checks: list[tuple[str, Callable[[], tuple[bool, list[str]]]]]) -> SuiteResult:
-    outcomes = [fn() for _, fn in checks]
-    results = tuple(
-        CheckResult(name, ok, tuple(lines))
-        for (name, _), (ok, lines) in zip(checks, outcomes)
-    )
-    return SuiteResult(suite, results)
+def _no_window(suite: str, max_q: Optional[int]) -> None:
+    if max_q is not None:
+        raise ValueError("--max-q does not apply to the %s suite" % suite)
 
 
 # ---------------------------------------------------------------- appendix
 
-def suite_appendix() -> SuiteResult:
-    def check_tables():
-        bad = []
-        count = 0
-        for m1, m2, m3, s, expected in golden_entries():
-            count += 1
-            got = ppoly.p(m1, m2, m3, s)
-            if got != expected:
-                bad.append(
-                    "P(%d,%d,%d,%d): table %s, recursion %s"
-                    % (m1, m2, m3, s, expected.format_q(), got.format_q())
-                )
-        lines = ["%d tabulated values recomputed" % count] + bad
-        return not bad, lines
-
-    def check_errata():
-        lines = []
-        ok = True
-        for erratum in TABLE_ERRATA:
-            key = erratum["key"]
-            lines.append(
-                "known table erratum at P(%d,%d,%d,%d): printed %s; stored %s (%s)"
-                % (*key, erratum["printed"], erratum["stored"], erratum["reason"])
+def suite_appendix(max_q: Optional[int] = None) -> SuiteResult:
+    _no_window("appendix", max_q)
+    bad = []
+    count = 0
+    for m1, m2, m3, s, expected in golden_entries():
+        count += 1
+        got = ppoly.p(m1, m2, m3, s)
+        if got != expected:
+            bad.append(
+                "P(%d,%d,%d,%d): table %s, recursion %s"
+                % (m1, m2, m3, s, expected.format_q(), got.format_q())
             )
-            oracle = ppoly.p_oracle(*key, 0) + ppoly.p_oracle(*key, 1)
-            if oracle != ppoly.p(*key):
-                ok = False
-                lines.append(
-                    "  oracle DISAGREES with the stored value: %s" % oracle.format_q()
-                )
-        return ok, lines
-
-    return _run(
-        "appendix",
-        [
-            ("recursion reproduces the tabulated polynomials", check_tables),
-            ("table errata are pinned to the enumeration oracle", check_errata),
-        ],
+    tables = CheckResult(
+        "recursion reproduces the tabulated polynomials",
+        not bad,
+        ("%d tabulated values recomputed" % count, *bad),
     )
+
+    lines = []
+    ok = True
+    for erratum in TABLE_ERRATA:
+        key = erratum["key"]
+        lines.append(
+            "known table erratum at P(%d,%d,%d,%d): printed %s; stored %s (%s)"
+            % (*key, erratum["printed"], erratum["stored"], erratum["reason"])
+        )
+        oracle = ppoly.p_oracle(*key, 0) + ppoly.p_oracle(*key, 1)
+        if oracle != ppoly.p(*key):
+            ok = False
+            lines.append(
+                "  oracle DISAGREES with the stored value: %s" % oracle.format_q()
+            )
+    errata = CheckResult(
+        "table errata are pinned to the enumeration oracle", ok, tuple(lines)
+    )
+    return SuiteResult("appendix", (tables, errata))
 
 
 # ---------------------------------------------------------------- examples
@@ -138,161 +139,117 @@ _COMPOSE_EXAMPLE = {
 }
 
 
-def suite_examples() -> SuiteResult:
-    def check_expansion(spec, variant):
-        def run():
-            lines = []
-            seed = seeds.to_seed(spec["source"], variant)
-            if seed != spec["seed"]:
-                return False, ["seed transform gave %s" % (seed,)]
+def suite_examples(max_q: Optional[int] = None) -> SuiteResult:
+    _no_window("examples", max_q)
+    checks = []
+    for name, spec, variant in (
+        ("seed expansion generates the eight listed partitions",
+         _SEED_EXPANSION_D, KrVariant.D),
+        ("almost-seed expansion generates the four listed partitions",
+         _SEED_EXPANSION_DPRIME, KrVariant.DPRIME),
+    ):
+        seed = seeds.to_seed(spec["source"], variant)
+        if seed != spec["seed"]:
+            ok, lines = False, ["seed transform gave %s" % (seed,)]
+        else:
             got = seeds.expand_seed(spec["seed"], variant)
-            want = sorted(spec["expected"])
-            if got != want:
-                lines.append("expansion gave %d partitions:" % len(got))
+            ok = got == sorted(spec["expected"])
+            if ok:
+                lines = ["%d partitions, all as listed" % len(got)]
+            else:
+                lines = ["expansion gave %d partitions:" % len(got)]
                 lines.extend("  " + format_parts(p) for p in got)
-                return False, lines
-            return True, ["%d partitions, all as listed" % len(got)]
+        checks.append(CheckResult(name, ok, tuple(lines)))
 
-        return run
-
-    def check_decompose():
-        ex = _DECOMPOSE_EXAMPLE
-        d = moves.decompose(ex["partition"])
-        lines = ["base %s, mu %s, theta %s" % (d.base, d.mu, d.theta)]
-        ok = (
-            str(d.base) == ex["base"]
-            and d.mu == ex["mu"]
-            and d.theta == ex["theta"]
-            and (d.total_weight, d.base_weight, d.mu_weight, d.theta_weight)
-            == ex["weights"]
-            and moves.compose(d) == ex["partition"]
-        )
-        return ok, lines
-
-    def check_compose():
-        ex = _COMPOSE_EXAMPLE
-        base = moves.parse_structure(ex["base"])
-        d = moves.make_decomposition(base, ex["mu"], ex["theta"])
-        out = moves.compose(d)
-        lines = ["composed %s" % format_parts(out)]
-        ok = (
-            out == ex["partition"]
-            and (d.total_weight, d.base_weight, d.mu_weight, d.theta_weight)
-            == ex["weights"]
-            and str(moves.decompose(out).base) == ex["base"]
-        )
-        return ok, lines
-
-    return _run(
-        "examples",
-        [
-            (
-                "seed expansion generates the eight listed partitions",
-                check_expansion(_SEED_EXPANSION_D, KrVariant.D),
-            ),
-            (
-                "almost-seed expansion generates the four listed partitions",
-                check_expansion(_SEED_EXPANSION_DPRIME, KrVariant.DPRIME),
-            ),
-            ("backward moves split 94 as 71 + 18 + 5", check_decompose),
-            ("forward moves rebuild the weight-140 partition", check_compose),
-        ],
+    ex = _DECOMPOSE_EXAMPLE
+    d = moves.decompose(ex["partition"])
+    ok = (
+        str(d.base) == ex["base"]
+        and d.mu == ex["mu"]
+        and d.theta == ex["theta"]
+        and (d.total_weight, d.base_weight, d.mu_weight, d.theta_weight)
+        == ex["weights"]
+        and moves.compose(d) == ex["partition"]
     )
+    lines = ("base %s, mu %s, theta %s" % (d.base, d.mu, d.theta),)
+    checks.append(CheckResult("backward moves split 94 as 71 + 18 + 5", ok, lines))
+
+    ex = _COMPOSE_EXAMPLE
+    base = moves.parse_structure(ex["base"])
+    d = moves.make_decomposition(base, ex["mu"], ex["theta"])
+    out = moves.compose(d)
+    ok = (
+        out == ex["partition"]
+        and (d.total_weight, d.base_weight, d.mu_weight, d.theta_weight)
+        == ex["weights"]
+        and str(moves.decompose(out).base) == ex["base"]
+    )
+    lines = ("composed %s" % format_parts(out),)
+    checks.append(CheckResult("forward moves rebuild the weight-140 partition", ok, lines))
+    return SuiteResult("examples", tuple(checks))
 
 
 # ---------------------------------------------------------------- products
 
-def suite_products(max_q: int = 60) -> SuiteResult:
-    def check_variant(variant):
-        def run():
-            marg = genfun.kr_alternating(
-                variant, max_q, genfun.marginal_max_t(max_q)
-            ).t_marginal()
-            prod = genfun.product_side(variant, max_q)
-            report = genfun.compare(marg, prod)
-            return report.equal, report.lines("series", "product")
-
-        return run
-
-    def check_two_printings():
-        report = genfun.compare(
-            genfun.product_side(KrVariant.DPRIME, max_q),
-            genfun.product_side_mod12(KrVariant.DPRIME, max_q),
-        )
-        return report.equal, report.lines("mod 6", "mod 12")
-
-    checks = [
-        (
-            "class %d series at t = 1 equals its product to q^%d"
-            % (variant.index, max_q),
-            check_variant(variant),
-        )
-        for variant in KrVariant
-    ]
-    checks.append(("the two printings of the class 2 product agree", check_two_printings))
-    return _run("products", checks)
+def suite_products(max_q: Optional[int] = None) -> SuiteResult:
+    max_q = 60 if max_q is None else max_q
+    checks = []
+    for variant in KrVariant:
+        series = genfun.kr_alternating(variant, max_q, genfun.marginal_max_t(max_q))
+        report = genfun.compare(series.t_marginal(), genfun.product_side(variant, max_q))
+        name = "class %d series at t = 1 equals its product to q^%d" % (variant.index, max_q)
+        checks.append(CheckResult(name, report.equal, tuple(report.lines("series", "product"))))
+    report = genfun.compare(
+        genfun.product_side(KrVariant.DPRIME, max_q),
+        genfun.product_side_mod12(KrVariant.DPRIME, max_q),
+    )
+    name = "the two printings of the class 2 product agree"
+    checks.append(CheckResult(name, report.equal, tuple(report.lines("mod 6", "mod 12"))))
+    return SuiteResult("products", tuple(checks))
 
 
 # ------------------------------------------------------------------- forms
 
-def suite_forms(max_q: int = 30, alt_max_q: int = 40) -> SuiteResult:
-    max_t, alt_max_t = 10, 12  # fixed: --max-q rescales q only
-
-    def check_variant(variant):
-        def run():
-            brute = genfun.kr_brute(variant, alt_max_q, alt_max_t)
-            ok, lines = True, []
-            for label, series, window in (
-                ("alternating", genfun.kr_alternating(variant, alt_max_q, alt_max_t),
-                 (alt_max_q, alt_max_t)),
-                ("positive", genfun.kr_positive(variant, max_q, max_t), (max_q, max_t)),
-                ("marker", genfun.kr_marker(variant, 2, max_q, max_t), (max_q, max_t)),
-            ):
-                report = genfun.compare(brute, series)
-                lines += ["%s vs brute on q <= %d, t <= %d" % (label, *window)]
-                lines += report.lines("brute", label)
-                ok = ok and report.equal
-            return ok, lines
-
-        return run
-
-    checks = [
-        ("class %d: brute = alternating = positive = marker" % variant.index,
-         check_variant(variant))
-        for variant in KrVariant
-    ]
-    return _run("forms", checks)
+def suite_forms(max_q: Optional[int] = None) -> SuiteResult:
+    brute_window = (40 if max_q is None else max_q, 12)
+    sum_window = (30 if max_q is None else max_q, 10)
+    checks = []
+    for variant in KrVariant:
+        brute = genfun.kr_brute(variant, *brute_window)
+        ok, lines = True, []
+        for label, series, window in (
+            ("alternating", genfun.kr_alternating(variant, *brute_window), brute_window),
+            ("positive", genfun.kr_positive(variant, *sum_window), sum_window),
+            ("marker", genfun.kr_marker(variant, 2, *sum_window), sum_window),
+        ):
+            report = genfun.compare(brute, series)
+            lines += ["%s vs brute on q <= %d, t <= %d" % (label, *window)]
+            lines += report.lines("brute", label)
+            ok = ok and report.equal
+        name = "class %d: brute = alternating = positive = marker" % variant.index
+        checks.append(CheckResult(name, ok, tuple(lines)))
+    return SuiteResult("forms", tuple(checks))
 
 
 # --------------------------------------------------------------- corollary
 
-def suite_corollary(max_q: int = 40) -> SuiteResult:
-    max_t = 12  # fixed: --max-q rescales q only
-
-    def run():
-        brute = genfun.h_brute(max_q, max_t)
-        prod = genfun.h_product(max_q, max_t)
-        pos = genfun.h_positive(max_q, max_t)
-        r1 = genfun.compare(brute, prod)
-        r2 = genfun.compare(brute, pos)
-        lines = r1.lines("brute", "product") + r2.lines("brute", "positive")
-        return r1.equal and r2.equal, lines
-
-    return _run(
-        "corollary",
-        [
-            (
-                "at-most-twice: brute = product = positive to q^%d, t^%d"
-                % (max_q, max_t),
-                run,
-            )
-        ],
+def suite_corollary(max_q: Optional[int] = None) -> SuiteResult:
+    max_q, max_t = 40 if max_q is None else max_q, 12
+    brute = genfun.h_brute(max_q, max_t)
+    r1 = genfun.compare(brute, genfun.h_product(max_q, max_t))
+    r2 = genfun.compare(brute, genfun.h_positive(max_q, max_t))
+    check = CheckResult(
+        "at-most-twice: brute = product = positive to q^%d, t^%d" % (max_q, max_t),
+        r1.equal and r2.equal,
+        tuple(r1.lines("brute", "product") + r2.lines("brute", "positive")),
     )
+    return SuiteResult("corollary", (check,))
 
 
 # ------------------------------------------------------------ closed forms
 
-def suite_closed_forms() -> SuiteResult:
+def suite_closed_forms(max_q: Optional[int] = None) -> SuiteResult:
+    _no_window("closed-forms", max_q)
     ms, m3s = range(7), range(4)  # m1, m2 <= 6 and m3 <= 3
     # each case names the parameters a failure line shows; a case without s
     # sits at s = m1 + m2 + 4*m3 + 1, the only s where px0x and p0xx exist
@@ -306,54 +263,38 @@ def suite_closed_forms() -> SuiteResult:
         (ppoly.PX0X, [{"m1": m, "m3": m3} for m in ms for m3 in m3s], "repeating+blocks"),
         (ppoly.P0XX, [{"m2": m, "m3": m3} for m in ms for m3 in m3s], "consecutive+blocks"),
     ]
+    checks = []
+    for kind, cases, label in table:
+        bad = []
+        for case in cases:
+            args = {"m1": 0, "m2": 0, "m3": 0, **case}
+            args.setdefault("s", args["m1"] + args["m2"] + 4 * args["m3"] + 1)
+            if ppoly.closed_form(kind, **args) != ppoly.p(**args):
+                shown = ", ".join("%s=%d" % item for item in case.items())
+                bad.append("%s at %s" % (kind, shown))
+        checks.append(
+            CheckResult("%s form matches the recursion" % label, not bad, tuple(bad))
+        )
 
-    def check_form(kind, cases):
-        def run():
-            bad = []
-            for case in cases:
-                args = {"m1": 0, "m2": 0, "m3": 0, **case}
-                args.setdefault("s", args["m1"] + args["m2"] + 4 * args["m3"] + 1)
-                if ppoly.closed_form(kind, **args) != ppoly.p(**args):
-                    shown = ", ".join("%s=%d" % item for item in case.items())
-                    bad.append("%s at %s" % (kind, shown))
-            return not bad, bad
-
-        return run
-
-    def check_report():
-        report = ppoly.exponent_discrepancy_report()
-        lines = [
-            "the block-count exponent is %s, not the printed %s"
-            % (report["corrected"], report["printed"])
-        ]
-        ok = True
-        for w in report["witnesses"]:
-            lines.append(
-                "m3=%d, s=%d: recursion %s; corrected %s (match=%s); printed %s (match=%s)"
-                % (
-                    w["m3"],
-                    w["s"],
-                    w["recursion"],
-                    w["corrected_exponent"],
-                    w["corrected_matches"],
-                    w["printed_exponent"],
-                    w["printed_matches"],
-                )
-            )
-            ok = ok and w["corrected_matches"] and not w["printed_matches"]
-        return ok, lines
-
-    return _run(
-        "closed-forms",
-        [
-            ("%s form matches the recursion" % label, check_form(kind, cases))
-            for kind, cases, label in table
-        ]
-        + [("exponent discrepancy report", check_report)],
-    )
+    # the printed block exponent 10*m3^2 + 23*m3 against the recursion on
+    # the two smallest pure-block cases, where the closed form must match
+    lines = ["the block-count exponent is 10*m3^2 + 3*m3, not the printed 10*m3^2 + 23*m3"]
+    ok = True
+    for m3, s in ((1, 5), (2, 9)):
+        truth = ppoly.p(0, 0, m3, s)
+        corrected = ppoly.closed_form(ppoly.P00X, m1=0, m2=0, m3=m3, s=s)
+        printed = QPoly.monomial(1, 10 * m3 * m3 + 23 * m3)
+        lines.append(
+            "m3=%d, s=%d: recursion %s; corrected %s (match=%s); printed %s (match=%s)"
+            % (m3, s, truth.format_q(), corrected.format_q(), corrected == truth,
+               printed.format_q(), printed == truth)
+        )
+        ok = ok and corrected == truth and printed != truth
+    checks.append(CheckResult("exponent discrepancy report", ok, tuple(lines)))
+    return SuiteResult("closed-forms", tuple(checks))
 
 
-SUITES: dict[str, Callable[..., SuiteResult]] = {
+SUITES: dict[str, Callable[[Optional[int]], SuiteResult]] = {
     "appendix": suite_appendix,
     "examples": suite_examples,
     "products": suite_products,

@@ -164,14 +164,16 @@ def test_criterion_7_closed_forms(monkeypatch):
 
     monkeypatch.setattr(ppoly, "closed_form", recorded)
     result = verify.suite_closed_forms()
-    report = ppoly.exponent_discrepancy_report()
-    emitted = any("printed" in line for line in result.render())
+    report = result.checks[-1]
+    witnesses = [line for line in report.lines if line.startswith("m3=")]
     _report(
         7,
         result.ok
-        and emitted
-        and largest == {"m1": 6, "m2": 6, "m3": 3}
-        and all(w["corrected_matches"] for w in report["witnesses"]),
+        and report.name == "exponent discrepancy report"
+        and "printed 10*m3^2 + 23*m3" in report.lines[0]
+        and len(witnesses) == 2
+        and all("corrected" in w and "(match=True); printed" in w for w in witnesses)
+        and largest == {"m1": 6, "m2": 6, "m3": 3},
         "closed forms match the recursion; exponent discrepancy reported",
     )
 

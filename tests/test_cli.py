@@ -274,6 +274,13 @@ def test_negative_verify_window_exits_two(capsys, suite):
     assert (code, out, err) == (2, "", "error: --max-q must be >= 0\n")
 
 
+@pytest.mark.parametrize("suite", ("appendix", "examples", "closed-forms"))
+def test_fixed_window_suite_refuses_max_q(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-q", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-q does not apply to the %s suite\n" % suite
+
+
 def test_recursion_too_deep_exits_two(capsys, monkeypatch):
     from qpartition import ppoly
 

@@ -208,7 +208,7 @@ def test_empty_structure_slice_counts_gap_two_partitions():
     # q^{n12^2} t^{n12} / (q; q)_{n12}: partitions whose adjacent parts
     # differ by at least 2 (the pair-free at-most-twice partitions)
     max_q, max_t = 14, 6
-    slice_sum = BiSeries.zero(max_q, max_t)
+    slice_sum = BiSeries(max_q, max_t)
     for n12 in range(max_t + 1):
         if n12 * n12 > max_q:
             break

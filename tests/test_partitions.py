@@ -30,9 +30,9 @@ def test_partition_parsing_and_str():
     assert parse_parts("") == ()
     with pytest.raises(ValueError, match=r"^parts must be non-decreasing: \(3, 2\)$"):
         parse_parts("3,2")
-    with pytest.raises(ValueError, match=r"^zero parts are not allowed here: \(0, 1\)$"):
+    with pytest.raises(ValueError, match=r"^part 0 must be >= 1: \(0, 1\)$"):
         parse_parts("0,1")
-    with pytest.raises(ValueError, match=r"^parts must be >= 0: \(-1, 2\)$"):
+    with pytest.raises(ValueError, match=r"^part -1 must be >= 1: \(-1, 2\)$"):
         parse_parts("-1,2")
     with pytest.raises(ValueError, match=r"^cannot parse partition '1,x'$"):
         parse_parts("1,x")
@@ -61,6 +61,21 @@ def test_check_kr_rejects_zero_parts():
         check_kr((0, 2), D)
     with pytest.raises(ValueError):
         check_at_most_twice((0, 1))
+
+
+def test_non_integer_parts_are_refused_not_truncated():
+    from qpartition import moves, seeds
+
+    with pytest.raises(ValueError, match=r"^part 2.7 is not an integer$"):
+        check_kr((2.7, 5.2), D)
+    with pytest.raises(ValueError, match=r"^part True is not an integer$"):
+        check_at_most_twice([True, True, 1.0])
+    with pytest.raises(ValueError, match=r"^part 1.5 is not an integer$"):
+        moves.decompose((1.5, 4.9, 4))
+    with pytest.raises(ValueError, match=r"^part 0 must be >= 1: \(0, 1\)$"):
+        moves.tag((0, 1))
+    with pytest.raises(ValueError, match=r"^part 0 must be >= 1: \(0, 3\)$"):
+        seeds.seed_decomposition((0, 3), DP)
 
 
 def test_at_most_twice_examples():
@@ -148,13 +163,19 @@ def test_distinct_equals_odd_smoke(n):
     "given,expected",
     [
         ((3, 1), ValueError("parts must be non-decreasing: (3, 1)")),
-        ((-1, 2), ValueError("parts must be >= 0: (-1, 2)")),
-        ((2, -1), ValueError("parts must be non-decreasing: (2, -1)")),
-        (("1", "x"), ValueError("invalid literal for int() with base 10: 'x'")),
-        (["0", 2, 2.0], (0, 2, 2)),
+        ((-1, 2), ValueError("part -1 must be >= 1: (-1, 2)")),
+        ((2, -1), ValueError("part -1 must be >= 1: (2, -1)")),
+        (("1", "x"), ValueError("part '1' is not an integer")),
+        ([1, 2, 2.0], ValueError("part 2.0 is not an integer")),
         ((1, 2, 2), (1, 2, 2)),
         ((), ()),
         (iter(()), ()),
+        ((1.5, 4.9, 4), ValueError("part 1.5 is not an integer")),
+        ((True, 2), ValueError("part True is not an integer")),
+        ((1, False), ValueError("part False is not an integer")),
+        ((0, 2, 2), ValueError("part 0 must be >= 1: (0, 2, 2)")),
+        ((2, 0), ValueError("part 0 must be >= 1: (2, 0)")),
+        ([1, 4, 4], (1, 4, 4)),
     ],
 )
 def test_as_parts_contract(given, expected):

@@ -8,7 +8,6 @@ from qpartition.ppoly import (
     PX00,
     PX0X,
     closed_form,
-    exponent_discrepancy_report,
     p,
     p_oracle,
     p_parity,
@@ -118,7 +117,7 @@ def test_memo_stores_only_the_nonzero_span(monkeypatch):
     assert ppoly._pmemo
     for value in ppoly._pmemo.values():
         assert value.body[0] != 0 and value.body[-1] != 0
-        assert value.low == value.min_degree > 0
+        assert value.low == value.terms()[0][0] > 0
 
 
 def test_closed_forms_match_recursion_past_the_oracle():
@@ -172,11 +171,17 @@ def test_closed_forms_match_recursion():
 
 
 def test_exponent_discrepancy_report():
-    report = exponent_discrepancy_report()
-    assert report["corrected"] == "10*m3^2 + 3*m3"
-    for witness in report["witnesses"]:
-        assert witness["corrected_matches"]
-        assert not witness["printed_matches"]
+    # the closed-forms suite checks the printed block exponent 10*m3^2 + 23*m3
+    # against the recursion and the corrected closed form
+    from qpartition import verify
+
+    check = verify.suite_closed_forms().checks[-1]
+    assert check.name == "exponent discrepancy report" and check.ok
+    assert check.lines == (
+        "the block-count exponent is 10*m3^2 + 3*m3, not the printed 10*m3^2 + 23*m3",
+        "m3=1, s=5: recursion q^13; corrected q^13 (match=True); printed q^33 (match=False)",
+        "m3=2, s=9: recursion q^46; corrected q^46 (match=True); printed q^86 (match=False)",
+    )
 
 
 def test_parse_qpoly():

@@ -62,18 +62,19 @@ def test_monomial_out_of_window_rejected():
 
 def test_add_identity_and_inverse():
     one = BiSeries.one(8, 3)
-    zero = BiSeries.zero(8, 3)
+    zero = BiSeries(8, 3)
     tq = BiSeries.monomial(1, 1, 1, 8, 3)
     assert one + zero == one
     assert (tq + tq).coeff(1, 1) == 2
-    assert ((one + tq) + (-(one + tq))).is_zero()
+    minus = BiSeries.monomial(-1, 0, 0, 8, 3) + BiSeries.monomial(-1, 1, 1, 8, 3)
+    assert ((one + tq) + minus).is_zero()
 
 
 def test_mul_square_and_annihilator():
     one_plus_tq = BiSeries.one(8, 3) + BiSeries.monomial(1, 1, 1, 8, 3)
     sq = one_plus_tq * one_plus_tq
     assert sq.coeff(0, 0) == 1 and sq.coeff(1, 1) == 2 and sq.coeff(2, 2) == 1
-    assert (one_plus_tq * BiSeries.zero(8, 3)).is_zero()
+    assert (one_plus_tq * BiSeries(8, 3)).is_zero()
 
 
 def test_mul_telescoping():
@@ -206,7 +207,7 @@ def test_coeff_out_of_window_rejected():
         s.coeff(6, 0)
     with pytest.raises(ValueError):
         s.coeff(0, 3)
-    assert BiSeries.zero(5, 2).coeff(5, 2) == 0
+    assert BiSeries(5, 2).coeff(5, 2) == 0
 
 
 def test_json_round_trip_with_big_coefficients():
@@ -267,9 +268,8 @@ def test_qpoly_basics():
     assert QPoly((0, 0)).degree is None
     q7 = QPoly.monomial(1, 7)
     assert q7.format_q() == "q^7"
-    assert (QPoly((0, 1)) * QPoly((0, 1))).format_q() == "q^2"
     assert QPoly((1, 2)).stretched(3).coeffs == (1, 0, 0, 2)
-    assert (QPoly((1, 1)) - QPoly((1, 1))).coeffs == ()
+    assert (QPoly((1, 1)) + QPoly((-1, -1))).coeffs == ()
     assert QPoly((2, 0, 1)).format_q() == "q^2 + 2"
 
 
@@ -336,14 +336,6 @@ def _ref_add(a, b):
     return _ref_trim(out)
 
 
-def _ref_mul(a, b):
-    out = [0] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ref_trim(out)
-
-
 def _ref_format(dense):
     out = []
     for e in reversed(range(len(dense))):
@@ -388,7 +380,6 @@ def _assert_matches(poly, dense):
         assert (poly.low, dense) == (0, ())
     assert poly.coeffs == dense
     assert poly.degree == (len(dense) - 1 if dense else None)
-    assert poly.min_degree == (nonzero[0] if nonzero else None)
     assert poly.terms() == [(e, dense[e]) for e in nonzero]
     assert [poly[e] for e in range(-2, len(dense) + 3)] == [0, 0, *dense, 0, 0, 0]
     assert poly.format_q() == _ref_format(dense)
@@ -403,9 +394,6 @@ def test_qpoly_matches_dense_reference(pair, dq, k):
     pa, pb = QPoly(a), QPoly(b)
     _assert_matches(pa, a)
     _assert_matches(pa + pb, _ref_add(a, b))
-    _assert_matches(pa - pb, _ref_add(a, [-c for c in b]))
-    _assert_matches(-pa, [-c for c in a])
-    _assert_matches(pa * pb, _ref_mul(a, b))
     _assert_matches(pa.shifted(dq), [0] * dq + a)
     stretched = [0] * (len(a) * k)
     stretched[::k] = a
@@ -413,4 +401,5 @@ def test_qpoly_matches_dense_reference(pair, dq, k):
     assert (pa == pb) == (_ref_trim(a) == _ref_trim(b))
     if pa == pb:
         assert hash(pa) == hash(pb)
-    assert pa + pb - pb == pa and hash(pa + pb - pb) == hash(pa)
+    back = pa + pb + QPoly([-c for c in b])
+    assert back == pa and hash(back) == hash(pa)
