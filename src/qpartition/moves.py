@@ -18,9 +18,13 @@ singleton within 1 (the regroup below), so the part after it is a singleton
 at least 2 higher or a pair it must not pass.  Greedy tagging of a prefix
 depends on that prefix alone, and the scan is free just past every pair, so
 the new tagging keeps the pairs below the moving one and rescans from just
-past the pair beneath.  Multiplicities are counted by bisection.  Every move
-still checks that put lies between its neighbours, that the pair count is
-unchanged and that the pairs below are untouched.
+past the pair beneath.  One step function per direction (`_backward_step`,
+`_forward_step`) maps plain ``(parts, starts)`` tuples to the next pair, or
+None when a backward move is blocked; `decompose` and `compose` loop over
+them and wrap a `TaggedPartition` once at the end, and `backward_move` and
+`forward_move` are the single-move wrappers.  Every step still checks that
+put lies between its neighbours, that the pair count is unchanged and that
+the pairs below are untouched.
 
 Backward moves.  A pair rewrites [k,k+1] -> [k-1,k-1] or [k,k] -> [k-2,k-1],
 dropping the weight by exactly 3.  The move is legal iff
@@ -48,12 +52,13 @@ contribute forced zeros).  Composition inverts everything:
 theta is added back largest-to-largest, then pairs move forward
 ([k-1,k-1] -> [k,k+1], [k-2,k-1] -> [k,k]) largest-first, where a pair with
 a singleton right behind its top regroups (a,[b,s] for [a,b],s) before
-moving.
+moving.  A triple's base is checked in one pass: every pair's first
+backward move is blocked, in order, and the trailing singletons sit on
+their staircase slots.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,29 +77,6 @@ class TaggedPartition:
         parts = tuple(parts)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "starts", _greedy_starts(parts, 0, []))
-
-    @classmethod
-    def _retagged(
-        cls, old: "TaggedPartition", j: int, put: tuple[int, int], pair_index: int
-    ) -> "TaggedPartition":
-        """The tagging after writing ``put`` over old.parts[j:j+2], where j
-        lies at or above the pair ``pair_index``.  The parts below that pair's
-        start are untouched, so their pairs are kept and the greedy scan
-        resumes just past the pair beneath (module docstring)."""
-        parts = old.parts
-        if (j and put[0] < parts[j - 1]) or (
-            j + 2 < len(parts) and put[1] > parts[j + 2]
-        ):
-            raise AssertionError(
-                "move put %s out of order at index %d of %s" % (put, j, old)
-            )
-        parts = parts[:j] + put + parts[j + 2 :]
-        kept = old.starts[:pair_index]
-        resume = kept[-1] + 2 if kept else 0
-        new = object.__new__(cls)
-        object.__setattr__(new, "parts", parts)
-        object.__setattr__(new, "starts", _greedy_starts(parts, resume, list(kept)))
-        return new
 
     def __setattr__(self, name, value):
         raise AttributeError("TaggedPartition is immutable")
@@ -167,41 +149,6 @@ def parse_structure(text: str) -> TaggedPartition:
     return tp
 
 
-def _count(parts: tuple, x: int) -> int:
-    """Multiplicity of x in the sorted ``parts``."""
-    return bisect_right(parts, x) - bisect_left(parts, x)
-
-
-def _overfills(parts: tuple, put: tuple[int, int]) -> bool:
-    """Whether writing ``put`` over a pair of the sorted ``parts`` leaves some
-    value three times.  ``parts`` holds no triple and put's values differ from
-    the pair's (a move writes them all below or all above it), so only put's
-    own values can reach 3."""
-    lo, hi = put
-    if lo == hi:
-        return _count(parts, lo) > 0
-    return _count(parts, lo) > 1 or _count(parts, hi) > 1
-
-
-def _check_stability(old: TaggedPartition, new: TaggedPartition, pair_index: int) -> None:
-    if len(old.starts) != len(new.starts):
-        raise AssertionError(
-            "move changed the pair count: %s -> %s" % (old, new)
-        )
-    kept = old.starts[:pair_index]
-    resume = kept[-1] + 2 if kept else 0
-    if new.starts[:pair_index] != kept or new.parts[:resume] != old.parts[:resume]:
-        raise AssertionError(
-            "move disturbed a finalized pair: %s -> %s" % (old, new)
-        )
-
-
-def _pair_start(tp: TaggedPartition, pair_index: int) -> int:
-    if not (0 <= pair_index < len(tp.starts)):
-        raise ValueError("no pair with index %d in %s" % (pair_index, tp))
-    return tp.starts[pair_index]
-
-
 def _backward_put(parts: tuple, j: int, below: int) -> Optional[tuple[int, int]]:
     """The parts a backward move writes over the pair at parts[j:j+2], or
     None when rules (i)-(iii) block it.  ``below`` is the top part of the
@@ -211,7 +158,105 @@ def _backward_put(parts: tuple, j: int, below: int) -> Optional[tuple[int, int]]
     put = (lo - 2, lo - 1) if lo == parts[j + 1] else (lo - 1, lo - 1)
     if put[0] < max(below, 1):  # (i), and (iii): pairs do not move through pairs
         return None
-    return None if _overfills(parts, put) else put  # (ii)
+    # (ii): put's values differ from the pair's, so only they can reach 3
+    if parts.count(put[0]) + (put[0] == put[1]) > 1 or parts.count(put[1]) > 1:
+        return None
+    return put
+
+
+def _splice(parts: tuple, starts: tuple, i: int, j: int, put: tuple[int, int]):
+    """The (parts, starts) after the move of pair i writes ``put`` over
+    parts[j:j+2], where j lies at or above that pair's start.  The parts
+    below it are untouched, so the pairs below i are kept and the greedy
+    scan resumes just past the pair beneath (module docstring)."""
+    if (j and put[0] < parts[j - 1]) or (j + 2 < len(parts) and put[1] > parts[j + 2]):
+        raise AssertionError(
+            "move put %s out of order at index %d of %s" % (put, j, TaggedPartition(parts))
+        )
+    new = parts[:j] + put + parts[j + 2 :]
+    resume = starts[i - 1] + 2 if i else 0
+    new_starts = _greedy_starts(new, resume, list(starts[:i]))
+    if j < resume or len(new_starts) != len(starts):
+        what = "disturbed a finalized pair" if j < resume else "changed the pair count"
+        raise AssertionError(
+            "move %s: %s -> %s" % (what, TaggedPartition(parts), TaggedPartition(new))
+        )
+    return new, new_starts
+
+
+def _backward_step(parts: tuple, starts: tuple, i: int) -> Optional[tuple[tuple, tuple]]:
+    """The weight-3 backward move of pair i: the new (parts, starts), or None
+    when the move is blocked."""
+    j = starts[i]
+    put = _backward_put(parts, j, parts[starts[i - 1] + 1] if i else 0)
+    return None if put is None else _splice(parts, starts, i, j, put)
+
+
+def _forward_step(parts: tuple, starts: tuple, i: int) -> tuple[tuple, tuple]:
+    """The weight+3 forward move of pair i: the new (parts, starts).  It
+    regroups first when a singleton trails the pair within distance 1, and
+    raises ValueError when the move would push some value past multiplicity
+    2 or carry the pair past the pair above it (either signals a malformed
+    decomposition triple)."""
+    j = starts[i]
+    # a,[b,s] regrouping when a singleton s trails [a,b]: a stays behind
+    if j + 2 < len(parts) and parts[j + 2] - parts[j + 1] <= 1 and (
+        j + 2 not in starts[i + 1 : i + 2]
+    ):
+        j += 1
+    a, b = parts[j], parts[j + 1]
+    put = (a + 1, a + 2) if a == b else (b + 1, b + 1)
+    # put's values differ from the pair's, so only they can reach 3
+    if parts.count(put[0]) + (put[0] == put[1]) > 1 or parts.count(put[1]) > 1:
+        raise ValueError(
+            "forward move on [%d,%d] of %s would repeat a part more than twice"
+            % (a, b, TaggedPartition(parts))
+        )
+    if j + 2 < len(parts) and put[1] > parts[j + 2]:
+        raise ValueError(
+            "forward move on [%d,%d] of %s would pass the pair above"
+            % (a, b, TaggedPartition(parts))
+        )
+    return _splice(parts, starts, i, j, put)
+
+
+def _backward_event(parts: tuple, starts: tuple, i: int, new: tuple, new_starts: tuple) -> dict:
+    """The trace event of pair i's backward move from parts to new, which
+    holds put where the pair was; a regroup tags it with a part below."""
+    j, k = starts[i], new_starts[i]
+    return {
+        "op": "backward",
+        "pair": [parts[j], parts[j + 1]],
+        "result": [new[j], new[j + 1]],
+        "regroup": new[k : k + 2] != new[j : j + 2],
+    }
+
+
+def _forward_event(parts: tuple, starts: tuple, i: int, new: tuple, new_starts: tuple) -> dict:
+    """The trace event of pair i's forward move from parts to new.  Put lies
+    above the moving parts, so the pair's low part is unchanged exactly when
+    the move regrouped and left it behind."""
+    j = starts[i]
+    regroup = new[j] == parts[j]
+    if regroup:
+        j += 1
+    return {
+        "op": "forward",
+        "pair": [parts[j], parts[j + 1]],
+        "result": [new[j], new[j + 1]],
+        "regroup": regroup,
+    }
+
+
+def _move(step, event, tp: TaggedPartition, pair_index: int, trace: Optional[list]):
+    if not (0 <= pair_index < len(tp.starts)):
+        raise ValueError("no pair with index %d in %s" % (pair_index, tp))
+    new = step(tp.parts, tp.starts, pair_index)
+    if new is None:
+        return None
+    if trace is not None:
+        trace.append(event(tp.parts, tp.starts, pair_index, *new))
+    return TaggedPartition(new[0])
 
 
 def backward_move(
@@ -221,73 +266,15 @@ def backward_move(
 
     Returns the re-tagged partition, or None when the move is blocked.
     """
-    j = _pair_start(tp, pair_index)
-    below = tp.parts[tp.starts[pair_index - 1] + 1] if pair_index else 0
-    put = _backward_put(tp.parts, j, below)
-    if put is None:
-        return None
-    new_tp = TaggedPartition._retagged(tp, j, put, pair_index)
-    _check_stability(tp, new_tp, pair_index)
-    if trace is not None:
-        start = new_tp.starts[pair_index]
-        trace.append(
-            {
-                "op": "backward",
-                "pair": [tp.parts[j], tp.parts[j + 1]],
-                "result": [put[0], put[1]],
-                "regroup": new_tp.parts[start : start + 2] != put,
-            }
-        )
-    return new_tp
+    return _move(_backward_step, _backward_event, tp, pair_index, trace)
 
 
 def forward_move(
     tp: TaggedPartition, pair_index: int, trace: Optional[list] = None
 ) -> TaggedPartition:
-    """One weight+3 forward move on the pair with the given ordinal.
-
-    Regroups first when a singleton trails the pair within distance 1.
-    Raises ValueError when the move would push some value past multiplicity
-    2 or carry the pair past the pair above it (either signals a malformed
-    decomposition triple).
-    """
-    j = _pair_start(tp, pair_index)
-    parts, starts = tp.parts, tp.starts
-    # a,[b,s] regrouping when a singleton s trails [a,b]: a stays behind
-    regrouped = (
-        j + 2 < len(parts)
-        and (pair_index + 1 == len(starts) or starts[pair_index + 1] != j + 2)
-        and parts[j + 2] - parts[j + 1] <= 1
-    )
-    if regrouped:
-        j += 1
-    moving = (parts[j], parts[j + 1])
-    if moving[0] == moving[1]:
-        put = (moving[0] + 1, moving[0] + 2)
-    else:
-        put = (moving[1] + 1, moving[1] + 1)
-    if _overfills(parts, put):
-        raise ValueError(
-            "forward move on [%d,%d] of %s would repeat a part more than twice"
-            % (moving[0], moving[1], tp)
-        )
-    if j + 2 < len(parts) and put[1] > parts[j + 2]:
-        raise ValueError(
-            "forward move on [%d,%d] of %s would pass the pair above"
-            % (moving[0], moving[1], tp)
-        )
-    new_tp = TaggedPartition._retagged(tp, j, put, pair_index)
-    _check_stability(tp, new_tp, pair_index)
-    if trace is not None:
-        trace.append(
-            {
-                "op": "forward",
-                "pair": [moving[0], moving[1]],
-                "result": [put[0], put[1]],
-                "regroup": regrouped,
-            }
-        )
-    return new_tp
+    """One weight+3 forward move on the pair with the given ordinal; see
+    `_forward_step` for the regroup and the ValueErrors."""
+    return _move(_forward_step, _forward_event, tp, pair_index, trace)
 
 
 @dataclass(frozen=True)
@@ -306,7 +293,7 @@ class Decomposition:
     @property
     def n12(self) -> int:
         """Number of moveable singletons: those after the last pair."""
-        return len(self.base.parts) - _past_last_pair(self.base)
+        return len(self.base.parts) - _past_last_pair(self.base.starts)
 
     @property
     def n11(self) -> int:
@@ -330,35 +317,34 @@ class Decomposition:
         return self.base_weight + self.mu_weight + self.theta_weight
 
 
-def _past_last_pair(tp: TaggedPartition) -> int:
+def _past_last_pair(starts: tuple) -> int:
     """Index of the part just past the last pair (0 without pairs): the
     singletons before it are immobile, the ones from it on moveable."""
-    return tp.starts[-1] + 2 if tp.starts else 0
+    return starts[-1] + 2 if starts else 0
 
 
-def _largest_pair_lo(tp: TaggedPartition) -> int:
-    return tp.parts[tp.starts[-1]] if tp.starts else 0
+def _largest_pair_lo(parts: tuple, starts: tuple) -> int:
+    return parts[starts[-1]] if starts else 0
 
 
 def decompose(p, trace: Optional[list] = None) -> Decomposition:
     """Drive every pair to its blocked position, then stow the singletons."""
     tp = tag(p)
+    parts, starts = tp.parts, tp.starts
     mu = []
-    for i in range(len(tp.starts)):
+    for i in range(len(starts)):
         count = 0
-        while True:
-            nxt = backward_move(tp, i, trace)
-            if nxt is None:
-                break
-            tp = nxt
+        while (new := _backward_step(parts, starts, i)) is not None:
+            if trace is not None:
+                trace.append(_backward_event(parts, starts, i, *new))
+            parts, starts = new
             count += 1
         mu.append(3 * count)
 
-    end = _past_last_pair(tp)
-    k = _largest_pair_lo(tp)
-    base_parts = list(tp.parts[:end])
+    end, k = _past_last_pair(starts), _largest_pair_lo(parts, starts)
+    base_parts = list(parts[:end])
     theta = [0] * (end - 2 * len(mu))  # forced zeros for the immobile singletons
-    for rank, s in enumerate(tp.parts[end:], start=1):
+    for rank, s in enumerate(parts[end:], start=1):
         target = k + 2 * rank - 1
         if s < target:
             raise AssertionError("moveable singleton %d below its slot %d" % (s, target))
@@ -366,8 +352,8 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
         if trace is not None and s != target:
             trace.append({"op": "backward", "singleton": s, "result": target})
         base_parts.append(target)
-    base = tag(base_parts)
-    if base.starts != tp.starts:
+    base = TaggedPartition(base_parts)
+    if base.starts != starts:
         raise AssertionError("stowing singletons disturbed the structure: %s" % base)
     return Decomposition(base, tuple(mu), tuple(theta))
 
@@ -375,34 +361,45 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
 def make_decomposition(base, mu, theta) -> Decomposition:
     """Validate and assemble a (base, mu, theta) triple.
 
-    ``base`` may be parts or a TaggedPartition; mu/theta are sequences.
-    Raises ValueError on any broken invariant.
+    ``base`` may be parts or a TaggedPartition; mu/theta are sequences of
+    ints.  Raises ValueError on any broken invariant.
     """
-    base_parts = as_parts(base.parts if isinstance(base, TaggedPartition) else base)
-    d0 = decompose(base_parts)
-    if any(x != 0 for x in d0.mu) or any(x != 0 for x in d0.theta):
-        raise ValueError("not a base partition: %s" % (base_parts,))
-    mu = tuple(int(x) for x in mu)
-    theta = tuple(int(x) for x in theta)
-    if len(mu) != d0.n2:
-        raise ValueError("mu must have %d parts, got %d" % (d0.n2, len(mu)))
+    base = tag(base.parts if isinstance(base, TaggedPartition) else base)
+    parts, starts = base.parts, base.starts
+    # a base is its own decomposition: every pair's first backward move is
+    # blocked, and the moveable singletons sit on the staircase
+    end, k = _past_last_pair(starts), _largest_pair_lo(parts, starts)
+    belows = (0,) + tuple(parts[j + 1] for j in starts[:-1])
+    if any(_backward_put(parts, j, b) is not None for j, b in zip(starts, belows)) or (
+        parts[end:] != tuple(range(k + 1, k + 2 * (len(parts) - end), 2))
+    ):
+        raise ValueError("not a base partition: %s" % (parts,))
+    mu, theta = tuple(mu), tuple(theta)
+    for name, xs in (("mu", mu), ("theta", theta)):
+        for x in xs:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError("%s part %r is not an integer" % (name, x))
+    n2 = len(starts)
+    if len(mu) != n2:
+        raise ValueError("mu must have %d parts, got %d" % (n2, len(mu)))
     if any(x < 0 or x % 3 for x in mu):
         raise ValueError("mu parts must be non-negative multiples of 3: %s" % (mu,))
     if any(mu[i] > mu[i + 1] for i in range(len(mu) - 1)):
         raise ValueError("mu must be non-decreasing: %s" % (mu,))
-    n1 = len(d0.theta)
+    n1 = len(parts) - 2 * n2
     if len(theta) != n1:
         raise ValueError("theta must have %d parts, got %d" % (n1, len(theta)))
     if any(x < 0 for x in theta):
         raise ValueError("theta parts must be >= 0: %s" % (theta,))
     if any(theta[i] > theta[i + 1] for i in range(len(theta) - 1)):
         raise ValueError("theta must be non-decreasing: %s" % (theta,))
-    if any(theta[i] != 0 for i in range(d0.n11)):
+    n11 = end - 2 * n2
+    if any(theta[i] != 0 for i in range(n11)):
         raise ValueError(
             "theta needs at least %d zeros for the immobile singletons: %s"
-            % (d0.n11, theta)
+            % (n11, theta)
         )
-    return Decomposition(d0.base, mu, theta)
+    return Decomposition(base, mu, theta)
 
 
 def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
@@ -412,27 +409,30 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
     # forward moves on moveable singletons: i-th largest theta part onto the
     # i-th largest singleton (the trailing ones; the rest of theta is zero)
     parts = list(d.base.parts)
-    moveable_pos = range(len(parts) - 1, _past_last_pair(d.base) - 1, -1)
+    moveable_pos = range(len(parts) - 1, _past_last_pair(d.base.starts) - 1, -1)
     for pos, t in zip(moveable_pos, reversed(d.theta)):
         s = parts[pos]
         if t:
             if trace is not None:
                 trace.append({"op": "forward", "singleton": s, "result": s + t})
             parts[pos] = s + t
-    tp = tag(sorted(parts))
-    if len(tp.starts) != d.n2:
+    parts = tuple(sorted(parts))
+    starts = _greedy_starts(parts, 0, [])
+    if len(starts) != d.n2:
         raise ValueError("theta placement broke the pair structure")
 
     # forward moves on pairs, largest pair first with the largest mu part
-    for idx in reversed(range(d.n2)):
-        for _ in range(d.mu[idx] // 3):
-            tp = forward_move(tp, idx, trace)
-    out = tp.parts
-    if not check_at_most_twice(out):
-        raise AssertionError("composition left the at-most-twice class: %s" % (out,))
-    if sum(out) != d.total_weight:
-        raise AssertionError("composition lost weight: %s" % (out,))
-    return out
+    for i in reversed(range(d.n2)):
+        for _ in range(d.mu[i] // 3):
+            new = _forward_step(parts, starts, i)
+            if trace is not None:
+                trace.append(_forward_event(parts, starts, i, *new))
+            parts, starts = new
+    if not check_at_most_twice(parts):
+        raise AssertionError("composition left the at-most-twice class: %s" % (parts,))
+    if sum(parts) != d.total_weight:
+        raise AssertionError("composition lost weight: %s" % (parts,))
+    return parts
 
 
 @dataclass(frozen=True)
@@ -448,7 +448,7 @@ class BaseRecord:
     @property
     def largest_pair_index(self) -> int:
         """The m of the largest pair [m,m] / [m,m+1]; 0 for the empty base."""
-        return _largest_pair_lo(self.structure)
+        return _largest_pair_lo(self.structure.parts, self.structure.starts)
 
     @property
     def parity(self) -> int:

@@ -105,7 +105,12 @@ def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
 
 
 def p(m1: int, m2: int, m3: int, s: int) -> QPoly:
-    """P = P0 + P1."""
+    """P = P0 + P1.  The arguments must be ints, checked before the memo,
+    which would answer p(True, 0, 0, 2) as p(1, 0, 0, 2)."""
+    if not (type(m1) is int and type(m2) is int and type(m3) is int and type(s) is int):
+        for name, x in (("m1", m1), ("m2", m2), ("m3", m3), ("s", s)):
+            if type(x) is not int:
+                raise ValueError("%s=%r is not an integer" % (name, x))
     return p_parity(m1, m2, m3, s, 0) + p_parity(m1, m2, m3, s, 1)
 
 

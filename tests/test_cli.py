@@ -81,14 +81,20 @@ def test_compose_round_trips_the_worked_example(capsys):
 
 
 def test_compose_validates_the_triple_once(capsys, monkeypatch):
+    # one pass of make_decomposition, which no longer decomposes the base
     calls = []
-    decompose = moves.decompose
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return decompose(*args, **kwargs)
+    def counted(name):
+        fn = getattr(moves, name)
 
-    monkeypatch.setattr(moves, "decompose", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("decompose", "make_decomposition"):
+        monkeypatch.setattr(moves, name, counted(name))
     code, _, _ = run_cli(
         capsys,
         "compose",
@@ -96,7 +102,7 @@ def test_compose_validates_the_triple_once(capsys, monkeypatch):
         "--mu", "3,3,3,6,6",
         "--theta", "0,0,2,3,5",
     )
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and calls == ["make_decomposition"]
 
 
 def test_compose_names_the_immobile_zeros_theta_lacks(capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from qpartition import moves
 from qpartition.moves import (
     TaggedPartition,
-    _check_stability,
+    _backward_step,
+    _forward_step,
     backward_move,
     compose,
     decompose,
@@ -179,7 +180,7 @@ def test_forward_inverts_backward_everywhere():
 
 def test_forward_move_rejects_multiplicity_violation():
     # [5,6] moving onto an existing pair of 7s
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="repeat a part more than twice"):
         forward_move(tag((5, 6, 7, 7)), 0)
 
 
@@ -331,6 +332,14 @@ def test_make_decomposition_validation():
         make_decomposition((1, 4, 4), (3,), (0,))  # not a base
     with pytest.raises(ValueError):
         make_decomposition((2, 13), (), (0, 5))  # moveables off the staircase
+    for mu, theta, bad in (
+        ((3, 3, 6, 6.0), (0, 1, 2, 2), "mu part 6.0"),  # 6.0 == 6, yet refused
+        ((3, 3, 6, 6), (0, 1, 2, 2.7), "theta part 2.7"),  # int() would truncate
+        ((3, 3, 6, 6), (False, 1, 2, 2), "theta part False"),  # bools do not count
+        (("3", 3, 6, 6), (0, 1, 2, 2), "mu part '3'"),
+    ):
+        with pytest.raises(ValueError, match="%s is not an integer" % bad):
+            make_decomposition(base, mu, theta)
 
 
 def _is_base(parts) -> bool:
@@ -343,6 +352,38 @@ def test_is_base():
     assert _is_base((1, 2, 3, 3))
     assert _is_base(())
     assert not _is_base((1, 4, 4))
+
+
+def _passes_base_check(parts) -> bool:
+    """make_decomposition's one-pass check: the zero triple on ``parts`` is
+    accepted unless the parts are not a base."""
+    tp = tag(parts)
+    n2 = len(tp.starts)
+    try:
+        make_decomposition(tp, (0,) * n2, (0,) * (len(parts) - 2 * n2))
+    except ValueError as exc:
+        assert "not a base partition" in str(exc)
+        return False
+    return True
+
+
+def test_one_pass_base_check_agrees_with_decompose_to_weight_25():
+    seen = {True: 0, False: 0}
+    for n in range(26):
+        for parts in iter_partitions(n):
+            if check_at_most_twice(parts):
+                verdict = _is_base(parts)
+                assert _passes_base_check(parts) == verdict, parts
+                seen[verdict] += 1
+    assert min(seen.values()) > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(_at_most_twice().filter(lambda parts: sum(parts) >= 40))
+def test_one_pass_base_check_agrees_with_decompose_property(parts):
+    # a random partition is rarely a base, so its own base is checked too
+    for cand in (parts, decompose(parts).base.parts):
+        assert _passes_base_check(cand) == _is_base(cand), cand
 
 
 def test_enumerate_bases_examples():
@@ -421,12 +462,34 @@ def test_bijection_is_pinned():
     assert digest == BIJECTION_SHA256
 
 
+def _compose_dump():
+    """Canonical JSON of compose(decompose(p)) and its trace (the singleton
+    slides and the forward moves) for every at-most-twice partition of
+    weight <= 16."""
+    out = []
+    for n in range(17):
+        for parts in iter_partitions(n):
+            if check_at_most_twice(parts):
+                trace = []
+                back = compose(decompose(parts), trace)
+                out.append([list(parts), list(back), trace])
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+COMPOSE_SHA256 = "16cb928a3dc3d7eca011d4126b8d970a4b95d283cce73cfe7ea0a4616342f163"
+
+
+def test_compose_traces_are_pinned():
+    digest = hashlib.sha256(_compose_dump().encode()).hexdigest()
+    assert digest == COMPOSE_SHA256
+
+
 # ---------------------------------------------------------------- naive moves
 #
 # Reference moves from scratch: write put's values, sort the whole part
-# tuple, re-tag it from index 0 and compare every pair list.  backward_move
-# and forward_move splice put in place and re-tag from the pair below; they
-# must give the same parts and starts.
+# tuple, re-tag it from index 0 and compare every pair list.  The step
+# functions that decompose and compose call splice put in place and re-tag
+# from the pair below; they must give the same parts and starts.
 
 
 def _naive_rebuilt(tp, j, put, pair_index):
@@ -464,21 +527,21 @@ def _naive_forward(tp, pair_index):
 
 
 def _moves_of_round_trips(partitions):
-    """Every (kind, before, pair_index, after) that decompose and compose
-    make on the given partitions, through the module's move functions."""
+    """Every (kind, parts, starts, pair_index, out) step that decompose and
+    compose make on the given partitions, through the module's step functions."""
     made = []
 
-    def spy(move, kind):
-        def recorded(tp, pair_index, trace=None):
-            out = move(tp, pair_index, trace)
-            made.append((kind, tp, pair_index, out))
+    def spy(step, kind):
+        def recorded(parts, starts, pair_index):
+            out = step(parts, starts, pair_index)
+            made.append((kind, parts, starts, pair_index, out))
             return out
 
         return recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moves, "backward_move", spy(backward_move, "backward"))
-        mp.setattr(moves, "forward_move", spy(forward_move, "forward"))
+        mp.setattr(moves, "_backward_step", spy(_backward_step, "backward"))
+        mp.setattr(moves, "_forward_step", spy(_forward_step, "forward"))
         for parts in partitions:
             assert compose(decompose(parts)) == parts
     return made
@@ -486,19 +549,21 @@ def _moves_of_round_trips(partitions):
 
 def _assert_moves_match_the_naive_reference(made):
     naive = {"backward": _naive_backward, "forward": _naive_forward}
-    for kind, tp, pair_index, out in made:
+    for kind, parts, starts, pair_index, out in made:
+        tp = TaggedPartition(parts)
+        assert tp.starts == starts, (kind, parts)  # the running tagging is exact
         ref = naive[kind](tp, pair_index)
         if ref is None:
             assert out is None, (kind, tp, pair_index)
         else:
-            assert (out.parts, out.starts) == (ref.parts, ref.starts), (kind, tp, pair_index)
+            assert out == (ref.parts, ref.starts), (kind, tp, pair_index)
 
 
 def test_every_round_trip_move_to_weight_30_matches_the_naive_reference():
     made = _moves_of_round_trips(
         parts for n in range(31) for parts in iter_partitions(n) if check_at_most_twice(parts)
     )
-    kinds = {kind for kind, _, _, out in made if out is not None}
+    kinds = {kind for kind, *_, out in made if out is not None}
     assert kinds == {"backward", "forward"}
     _assert_moves_match_the_naive_reference(made)
 
@@ -513,19 +578,22 @@ def test_out_of_order_put_trips_the_sortedness_assertion(monkeypatch):
     # [2,2] has 6 above it; a put past 6 would need the re-sort it no longer gets
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (7, 8))
     with pytest.raises(AssertionError, match="out of order"):
-        backward_move(tag((2, 2, 6)), 0)
+        _backward_step((2, 2, 6), (0,), 0)
     # and below: 1 sits under [4,4]
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (0, 0))
     with pytest.raises(AssertionError, match="out of order"):
-        backward_move(tag((1, 4, 4)), 0)
+        _backward_step((1, 4, 4), (1,), 0)
 
 
-def test_stability_check_fires():
-    old = tag((1, 2, 4, 5))  # [1,2],[4,5]
+def test_stability_check_fires(monkeypatch):
+    # [1,2],[4,5] with pair 1 rewritten to 4,7: the rescan finds no pair there
+    monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (4, 7))
     with pytest.raises(AssertionError, match="changed the pair count"):
-        _check_stability(old, TaggedPartition((1, 2, 4, 7)), 1)  # [1,2],4,7
+        _backward_step((1, 2, 4, 5), (0, 2), 1)
+    # a pair 1 said to start inside pair 0 would write below the rescan point
+    monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (2, 2))
     with pytest.raises(AssertionError, match="disturbed a finalized pair"):
-        _check_stability(old, TaggedPartition((2, 3, 4, 5)), 1)  # [2,3],[4,5]
+        _backward_step((1, 2, 3, 5), (0, 1), 1)
 
 
 def test_forward_move_rejects_passing_the_pair_above():

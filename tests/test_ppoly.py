@@ -25,6 +25,18 @@ def test_initial_values():
     assert p(-1, 0, 0, 1) == QPoly()
 
 
+def test_p_refuses_non_integer_arguments():
+    # p(1, 0, 0, 2) is q^2 and memoized; True == 1 and 2.0 == 2 must not hit it
+    assert p(1, 0, 0, 2).format_q() == "q^2"
+    for args, bad in (
+        ((1.0, 0, 0, 2), "m1=1.0"),
+        ((True, 0, 0, 2), "m1=True"),
+        ((1, 0, 0, 2.0), "s=2.0"),
+    ):
+        with pytest.raises(ValueError, match="%s is not an integer" % bad):
+            p(*args)
+
+
 def test_small_tabulated_values():
     assert p_parity(0, 0, 1, 5, 0).format_q() == "q^13"
     assert p(1, 1, 0, 3).format_q() == "q^7"
