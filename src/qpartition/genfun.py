@@ -255,7 +255,10 @@ def _check_nonnegative(values, what: str, key) -> None:
 def _add_numerator(dst: list, core: tuple) -> None:
     """dst += sum_s P(m1,m2,m3,s; q) q^{(s-1)n12 + n12^2}, the numerator of
     the core (m1, m2, m3, n12), truncated to dst's window.  P = P0 + P1 is
-    added one parity at a time, and each is checked nonnegative."""
+    added one parity at a time, and each is checked nonnegative.  A
+    component's body lies on its exponent lattice, every ``step``-th
+    coefficient of dst from its lowest term, so it goes in as one
+    extended-slice add."""
     m1, m2, m3, n12 = core
     for s in ppoly.s_range(m1, m2, m3):
         start = (s - 1) * n12 + n12 * n12
@@ -265,7 +268,10 @@ def _add_numerator(dst: list, core: tuple) -> None:
             poly = ppoly.p_parity(m1, m2, m3, s, parity)
             if poly:
                 _check_nonnegative(poly.body, "cell", core)
-                _add_shifted(dst, poly.body, start + poly.low)
+                i, k = start + poly.low, poly.step or 1
+                stop = min(len(dst), i + k * len(poly.body))
+                if i < stop:
+                    dst[i:stop:k] = map(operator.add, dst[i:stop:k], poly.body)
 
 
 def _h_plus_rows(sizes: list) -> list:

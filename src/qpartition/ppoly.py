@@ -22,9 +22,13 @@ is calibrated against ``p_oracle``, an independent brute-force enumeration
 of the bases themselves.
 
 The memo tables are the only shared state: module-level and append-only,
-each entry a pure function of its key.  A ``QPoly`` stores only the span
-from its lowest to its highest term, so the shifts of the recursion copy
-nothing and its sums touch only the nonzero spans.
+each entry a pure function of its key.  A ``QPoly`` stores only the
+lattice its terms live on, from its lowest term to its highest, so the
+shifts of the recursion copy nothing and its sums touch only that lattice.
+A repeating pair [k,k] weighs 2k and a consecutive pair [k,k+1] weighs
+2k+1, so P(m1, m2, 0, s) is q^c times a polynomial in q^2 and is stored as
+every second coefficient of its span; the q^3 binomials of the block shapes
+(``qbinomial(n, k, 3)``) as every third.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 Two value types cover every series-like object in the package:
 
-* ``QPoly`` -- a univariate polynomial in q, stored as its lowest exponent
-  and the coefficients from there to its degree, so shifting is free and
-  sums touch only the nonzero spans.
+* ``QPoly`` -- a univariate polynomial in q, stored on its exponent
+  lattice: its lowest exponent, the lattice step, and the coefficients on
+  the lattice from there to its degree.  Shifting and substituting q -> q^k
+  are free, and a sum touches only the common lattice of its operands, the
+  coarsest that holds the terms of both.
 * ``BiSeries`` -- a bivariate formal power series in q and t, truncated to a
   rectangular window 0 <= deg_q <= max_q, 0 <= deg_t <= max_t.
 
@@ -34,52 +36,60 @@ of Partitions*, 1976, ch. 2).
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterator
 
 
 class QPoly:
-    """Polynomial in q with exact integer coefficients, stored from its
-    lowest term.
+    """Polynomial in q with exact integer coefficients, stored on its
+    exponent lattice.
 
-    ``body[i]`` is the coefficient of q^(low + i).  ``body`` starts and ends
-    with a nonzero coefficient, so ``low`` is the lowest exponent with a
-    nonzero coefficient; the zero polynomial has ``low`` 0, an empty body and
-    degree ``None``.  The constructor takes dense coefficients from q^0 and
-    trims both ends; ``coeffs`` is that dense form again, built on request.
+    ``body[i]`` is the coefficient of q^(low + step*i).  ``body`` starts and
+    ends with a nonzero coefficient, so ``low`` is the lowest exponent with a
+    nonzero coefficient.  A body of two or more terms has ``step`` >= 1; a
+    monomial sits on every lattice and has ``step`` 0, as does the zero
+    polynomial, which has ``low`` 0, an empty body and degree ``None``.  The
+    constructor takes dense coefficients from q^0, trims both ends and keeps
+    ``step`` 1; ``coeffs`` is that dense form again, built on request.  Sums
+    and stretches keep the lattice their terms live on, so equal polynomials
+    may be stored on different lattices: ``==`` and ``hash`` read the terms.
     """
 
-    __slots__ = ("low", "body")
+    __slots__ = ("low", "step", "body")
 
     def __init__(self, coeffs=()):
-        poly = QPoly._trimmed(0, tuple(coeffs))
+        poly = QPoly._trimmed(0, 1, tuple(coeffs))
         object.__setattr__(self, "low", poly.low)
+        object.__setattr__(self, "step", poly.step)
         object.__setattr__(self, "body", poly.body)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
     @classmethod
-    def _wrap(cls, low: int, body: tuple) -> "QPoly":
-        # Internal constructor: ``body`` is already trimmed at both ends.
+    def _wrap(cls, low: int, step: int, body: tuple) -> "QPoly":
+        # Internal constructor: ``body`` is already trimmed at both ends, and
+        # ``step`` is 0 exactly when it has at most one term.
         obj = object.__new__(cls)
         object.__setattr__(obj, "low", low)
+        object.__setattr__(obj, "step", step)
         object.__setattr__(obj, "body", body)
         return obj
 
     @classmethod
-    def _trimmed(cls, low: int, body: tuple) -> "QPoly":
-        """The polynomial sum body[i] q^(low + i); zeros at either end go."""
+    def _trimmed(cls, low: int, step: int, body: tuple) -> "QPoly":
+        """The polynomial sum body[i] q^(low + step*i); zeros at either end go."""
         if body and body[0] and body[-1]:
-            return cls._wrap(low, body)
+            return cls._wrap(low, step if len(body) > 1 else 0, body)
         start, stop = 0, len(body)
         while stop and not body[stop - 1]:
             stop -= 1
         if not stop:
-            return cls._wrap(0, ())
+            return cls._wrap(0, 0, ())
         while not body[start]:
             start += 1
-        return cls._wrap(low + start, body[start:stop])
+        return cls._wrap(low + start * step, step if stop - start > 1 else 0, body[start:stop])
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "QPoly":
@@ -87,31 +97,40 @@ class QPoly:
             raise ValueError("monomial exponent must be >= 0, got %d" % exp)
         if coeff == 0:
             return QPOLY_ZERO
-        return cls._wrap(exp, (coeff,))
+        return cls._wrap(exp, 0, (coeff,))
 
     @property
     def coeffs(self) -> tuple:
         """Dense coefficients from q^0: ``coeffs[e]`` is the coefficient of
         q^e, with no trailing zeros.  Built on every access."""
-        return (0,) * self.low + self.body if self.body else ()
+        if not self.body:
+            return ()
+        out = [0] * (self.degree + 1)
+        out[self.low :: self.step or 1] = self.body
+        return tuple(out)
 
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return self.low + len(self.body) - 1 if self.body else None
+        return self.low + (len(self.body) - 1) * self.step if self.body else None
 
     def __bool__(self) -> bool:
         return bool(self.body)
 
     def __getitem__(self, exp: int) -> int:
-        i = exp - self.low
-        if 0 <= i < len(self.body):
+        if exp == self.low and self.body:  # the only term a monomial has
+            return self.body[0]
+        if not self.step:
+            return 0
+        i, off = divmod(exp - self.low, self.step)
+        if not off and 0 <= i < len(self.body):
             return self.body[i]
         return 0
 
     def terms(self):
         """Nonzero (exponent, coefficient) pairs, ascending exponent."""
-        return [(e, c) for e, c in enumerate(self.body, self.low) if c]
+        low, step = self.low, self.step
+        return [(low + step * i, c) for i, c in enumerate(self.body) if c]
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not other.body:
@@ -120,12 +139,20 @@ class QPoly:
             return other
         first, second = (self, other) if self.low <= other.low else (other, self)
         a, b = first.body, second.body
-        off = second.low - first.low
+        # the common lattice: the coarsest that holds the terms of both
+        step = math.gcd(first.step, second.step, second.low - first.low)
+        if not step:  # two monomials on one exponent
+            return QPoly._trimmed(first.low, 0, (a[0] + b[0],))
+        if first.step != step and len(a) > 1:
+            a = _spread(a, first.step // step)
+        if second.step != step and len(b) > 1:
+            b = _spread(b, second.step // step)
+        off = (second.low - first.low) // step
         if off >= len(a):  # disjoint spans: zeros fill the gap
-            return QPoly._wrap(first.low, a + (0,) * (off - len(a)) + b)
+            return QPoly._wrap(first.low, step, a + (0,) * (off - len(a)) + b)
         top = min(len(a), off + len(b))  # the overlap is a[off:top]
         body = a[:off] + tuple(map(operator.add, a[off:top], b)) + a[top:] + b[top - off :]
-        return QPoly._trimmed(first.low, body)
+        return QPoly._trimmed(first.low, step, body)
 
     def shifted(self, dq: int) -> "QPoly":
         """Multiply by q^dq (dq >= 0)."""
@@ -133,7 +160,7 @@ class QPoly:
             raise ValueError("negative shift %d" % dq)
         if not dq or not self.body:
             return self
-        return QPoly._wrap(self.low + dq, self.body)
+        return QPoly._wrap(self.low + dq, self.step, self.body)
 
     def stretched(self, k: int) -> "QPoly":
         """Substitute q -> q^k (k >= 1)."""
@@ -141,22 +168,20 @@ class QPoly:
             raise ValueError("stretch factor must be >= 1, got %d" % k)
         if k == 1 or not self.body:
             return self
-        out = [0] * ((len(self.body) - 1) * k + 1)
-        out[::k] = self.body
-        return QPoly._wrap(self.low * k, tuple(out))
+        return QPoly._wrap(self.low * k, self.step * k, self.body)
 
     def is_nonnegative(self) -> bool:
         return not self.body or min(self.body) >= 0
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QPoly)
-            and self.low == other.low
-            and self.body == other.body
-        )
+        if not isinstance(other, QPoly):
+            return False
+        if self.step == other.step:
+            return self.low == other.low and self.body == other.body
+        return self.terms() == other.terms()
 
     def __hash__(self) -> int:
-        return hash((self.low, self.body))
+        return hash(tuple(self.terms()))
 
     def format_q(self) -> str:
         """Human form, descending exponents: ``q^30 + 2q^28 + ... + 3``."""
@@ -179,6 +204,13 @@ class QPoly:
 
     def __repr__(self) -> str:
         return "QPoly(%s)" % self.format_q()
+
+
+def _spread(body: tuple, k: int) -> tuple:
+    """``body`` moved onto a k times finer lattice: k - 1 zeros between terms."""
+    out = [0] * ((len(body) - 1) * k + 1)
+    out[::k] = body
+    return tuple(out)
 
 
 QPOLY_ZERO = QPoly()

@@ -358,14 +358,10 @@ def _naive_cell(cell, b, shift, steps, max_q):
     m1, m2, m3, n12 = cell[:4]
     row = [0] * (max_q + 1)
     for s in ppoly.s_range(m1, m2, m3):
-        poly = ppoly.p(m1, m2, m3, s)
-        if not poly:
-            continue
-        start = b * ((s - 1) * n12 + n12 * n12 + poly.low) + shift
-        if start > max_q:
-            continue
-        for e, c in enumerate(poly.body[: (max_q - start) // b + 1]):
-            row[start + b * e] += c
+        for e, c in ppoly.p(m1, m2, m3, s).terms():
+            n = b * ((s - 1) * n12 + n12 * n12 + e) + shift
+            if n <= max_q:
+                row[n] += c
     for d in range(b, b * n12 + 1, b):
         divide_geometric(row, d)
     for d in range(3 * b, 3 * b * (m1 + m2 + 2 * m3) + 1, 3 * b):

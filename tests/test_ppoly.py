@@ -132,6 +132,45 @@ def test_memo_stores_only_the_nonzero_span(monkeypatch):
         assert value.low == value.terms()[0][0] > 0
 
 
+def test_memo_stores_the_pair_families_on_the_even_lattice(monkeypatch):
+    # a repeating pair [k,k] weighs 2k and a consecutive pair [k,k+1] weighs
+    # 2k+1, so P(m1, m2, 0, s) is q^c times a polynomial in q^2: the memo
+    # holds every second coefficient of the dense span
+    from qpartition import ppoly
+
+    monkeypatch.setattr(ppoly, "_pmemo", {})
+    for m in range(31):
+        for s in s_range(m, 0, 0):
+            p(m, 0, 0, s)
+        for s in s_range(0, m, 0):
+            p(0, m, 0, s)
+    values = ppoly._pmemo.values()
+    assert all(value.step == 2 for value in values if len(value.body) > 1)
+    assert sum(len(value.body) for value in values) == 68385
+    assert sum(value.degree - value.low + 1 for value in values if value) == 135810
+
+
+@pytest.mark.parametrize("planted", [QPoly((0, 0, -1)), QPoly((1, -1)).stretched(2)])
+def test_negative_coefficient_guard_fires_on_any_lattice(monkeypatch, planted):
+    # a negative child, planted in the memo, reaches its parent's bracket
+    from qpartition import ppoly
+
+    monkeypatch.setattr(ppoly, "_pmemo", {(1, 0, 0, 2, 0): planted})
+    with pytest.raises(AssertionError, match=r"negative coefficient in P at \(2, 0, 0, 3, 0\)"):
+        p_parity(2, 0, 0, 3, 0)
+
+
+def test_negative_block_exponent_guard_fires(monkeypatch):
+    # s_range rules out a block below s = 2; widened, the empty base at
+    # s = -2 reaches P0(0, 0, 1, 2), whose block exponent would be -2
+    from qpartition import ppoly
+
+    monkeypatch.setattr(ppoly, "_pmemo", {})
+    monkeypatch.setattr(ppoly, "s_range", lambda m1, m2, m3: range(-10, 100))
+    with pytest.raises(AssertionError, match="negative block exponent"):
+        p_parity(0, 0, 1, 2, 0)
+
+
 def test_closed_forms_match_recursion_past_the_oracle():
     # m = 60 is far beyond what enumerate_bases can list; the closed forms
     # are the independent check there

@@ -370,6 +370,13 @@ def _dense_pair(draw):
     return a, b
 
 
+def _ref_lattice(dense, k, d):
+    """``dense`` under q -> q^k, times q^d."""
+    out = [0] * (d + len(dense) * k)
+    out[d::k] = dense
+    return out
+
+
 def _assert_matches(poly, dense):
     dense = _ref_trim(dense)
     nonzero = [e for e, c in enumerate(dense) if c]
@@ -378,6 +385,7 @@ def _assert_matches(poly, dense):
         assert poly.low == nonzero[0]
     else:
         assert (poly.low, dense) == (0, ())
+    assert (poly.step == 0) == (len(poly.body) <= 1)  # a monomial has no lattice
     assert poly.coeffs == dense
     assert poly.degree == (len(dense) - 1 if dense else None)
     assert poly.terms() == [(e, dense[e]) for e in nonzero]
@@ -395,11 +403,47 @@ def test_qpoly_matches_dense_reference(pair, dq, k):
     _assert_matches(pa, a)
     _assert_matches(pa + pb, _ref_add(a, b))
     _assert_matches(pa.shifted(dq), [0] * dq + a)
-    stretched = [0] * (len(a) * k)
-    stretched[::k] = a
-    _assert_matches(pa.stretched(k), stretched)
+    _assert_matches(pa.stretched(k), _ref_lattice(a, k, 0))
     assert (pa == pb) == (_ref_trim(a) == _ref_trim(b))
     if pa == pb:
         assert hash(pa) == hash(pb)
     back = pa + pb + QPoly([-c for c in b])
     assert back == pa and hash(back) == hash(pa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _dense_pair(), _dense,
+    st.integers(1, 4), st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
+)
+def test_qpoly_on_different_lattices_matches_dense_reference(pair, c, k1, k2, d1, d2):
+    a, b = pair
+    da, db = _ref_lattice(a, k1, d1), _ref_lattice(b, k2, d2)
+    pa, pb, pc = QPoly(a).stretched(k1).shifted(d1), QPoly(b).stretched(k2).shifted(d2), QPoly(c)
+    _assert_matches(pa, da)
+    _assert_matches(pa + pb, _ref_add(da, db))
+    _assert_matches(pb + pa + pc, _ref_add(_ref_add(da, db), c))
+    assert (pa == pb) == (_ref_trim(da) == _ref_trim(db))
+    assert (pa == pc) == (_ref_trim(da) == _ref_trim(c))
+    dense = QPoly(da)  # the same polynomial on the dense lattice
+    assert pa == dense and dense == pa and hash(pa) == hash(dense)
+    back = pa + pb + QPoly([-x for x in db])
+    assert back == pa and hash(back) == hash(pa)
+    # sums that cancel down to one term and to zero, across lattices
+    _assert_matches(pa + QPoly([-x for x in da]), ())
+    _assert_matches(pa + QPoly([-x for x in a]).stretched(k1).shifted(d1), ())
+    if pa:
+        e, coeff = pa.terms()[-1]
+        rest = [-x for x in da]
+        rest[e] = 0
+        one = [0] * e + [coeff]
+        _assert_matches(pa + QPoly(rest), one)
+        _assert_matches(QPoly(rest) + pa + pb.stretched(2), _ref_add(one, _ref_lattice(db, 2, 0)))
+
+
+def test_qpoly_equality_reads_terms_across_lattices():
+    dense, strided = QPoly((1, 0, 1)), QPoly((1, 1)).stretched(2)
+    assert (strided.step, strided.body) == (2, (1, 1))
+    assert dense == strided and hash(dense) == hash(strided)
+    assert QPoly((1, 0, 2)) != strided
+    assert QPoly.monomial(3, 4) == QPoly((0, 0, 0, 0, 3)) == QPoly((3,)).stretched(2).shifted(4)
