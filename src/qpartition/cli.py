@@ -1,6 +1,9 @@
 """Command-line front door.
 
 Subcommands: kr, ppoly, decompose, compose, seed-expand, bases, verify.
+Each handler but verify's returns its JSON object and its table lines, and
+``main`` prints the one ``--format`` asks for; verify's returns its suite
+result, whose report ``main`` prints and whose outcome sets the exit code.
 Output is deterministic for fixed arguments; JSON is UTF-8 with a stable key
 order and a trailing newline.  Exit codes: 0 success, 1 verification
 mismatch, 2 invalid input (including input too deep for the recursion).
@@ -14,21 +17,6 @@ import sys
 
 from . import genfun, moves, ppoly, seeds, verify
 from .partitions import KrVariant, format_parts, parse_parts
-from .series import BiSeries
-
-
-def _print(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
-def _emit_json(obj) -> None:
-    _print(json.dumps(obj, ensure_ascii=False))
-
-
-def _series_table(series: BiSeries) -> list[str]:
-    rows = [(n, m, c) for m, n, c in series.items()]
-    rows.sort()
-    return ["%d\t%d\t%d" % row for row in rows]
 
 
 # the kr routes by --form, in the order --help lists them; the product is
@@ -41,27 +29,18 @@ _KR_FORMS = {
 }
 
 
-def _cmd_kr(args) -> int:
-    variant = KrVariant.from_label(args.variant)
-    series = _KR_FORMS[args.form](variant, args.max_q, args.max_t)
-    if args.format == "json":
-        _emit_json(series.to_json_dict())
-    else:
-        for line in _series_table(series):
-            _print(line)
-    return 0
+def _cmd_kr(args):
+    series = _KR_FORMS[args.form](KrVariant.from_label(args.variant), args.max_q, args.max_t)
+    rows = sorted((n, m, c) for m, n, c in series.items())
+    return series.to_json_dict(), ["%d\t%d\t%d" % row for row in rows]
 
 
-def _cmd_ppoly(args) -> int:
+def _cmd_ppoly(args):
     if args.parity is None:
         poly = ppoly.p(args.m1, args.m2, args.m3, args.s)
     else:
         poly = ppoly.p_parity(args.m1, args.m2, args.m3, args.s, args.parity)
-    if args.format == "json":
-        _emit_json([[e, c] for e, c in reversed(poly.terms())])
-    else:
-        _print(poly.format_q())
-    return 0
+    return [[e, c] for e, c in reversed(poly.terms())], [poly.format_q()]
 
 
 def _decomposition_dict(d: moves.Decomposition, partition) -> dict:
@@ -82,23 +61,19 @@ def _decomposition_dict(d: moves.Decomposition, partition) -> dict:
     }
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     parts = parse_parts(args.partition)
     trace = [] if args.trace else None
     d = moves.decompose(parts, trace)
     out = _decomposition_dict(d, parts)
     if args.trace:
         out["trace"] = trace
-    if args.format == "json":
-        _emit_json(out)
-    else:
-        for key in ("partition", "base", "mu", "theta"):
-            _print("%s\t%s" % (key, out[key]))
-        _print(
-            "weights\t%d = %d + %d + %d"
-            % (d.total_weight, d.base_weight, d.mu_weight, d.theta_weight)
-        )
-    return 0
+    lines = ["%s\t%s" % (key, out[key]) for key in ("partition", "base", "mu", "theta")]
+    lines.append(
+        "weights\t%d = %d + %d + %d"
+        % (d.total_weight, d.base_weight, d.mu_weight, d.theta_weight)
+    )
+    return out, lines
 
 
 def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
@@ -111,7 +86,7 @@ def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
         raise ValueError("cannot parse %s %r" % (name, text)) from None
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args):
     base = moves.parse_structure(args.base)
     # compose validates the triple; parse_structure has already checked
     # that the base is the greedy tagging of its parts
@@ -123,14 +98,10 @@ def _cmd_compose(args) -> int:
     out = _decomposition_dict(d, parts)
     if args.trace:
         out["trace"] = trace
-    if args.format == "json":
-        _emit_json(out)
-    else:
-        _print(format_parts(parts))
-    return 0
+    return out, [format_parts(parts)]
 
 
-def _cmd_seed_expand(args) -> int:
+def _cmd_seed_expand(args):
     variant = KrVariant.from_label(args.variant)
     parts = parse_parts(args.partition)
     try:
@@ -138,7 +109,7 @@ def _cmd_seed_expand(args) -> int:
     except ValueError:
         seed = parts  # accept a seed (or almost-seed) directly
     dec = seeds.seed_decomposition(seed, variant)
-    expansion = seeds.expand_seed(seed, variant)
+    expansion = [format_parts(p) for p in seeds.expand_seed(seed, variant)]
     out = {
         "partition": format_parts(parts),
         "variant": str(variant.index),
@@ -148,23 +119,13 @@ def _cmd_seed_expand(args) -> int:
         "groups": [
             {"start": g.start, "stop": g.stop, "value": g.value} for g in dec.groups
         ],
-        "partitions": [format_parts(p) for p in expansion],
+        "partitions": expansion,
     }
-    if args.format == "json":
-        _emit_json(out)
-    else:
-        for p in out["partitions"]:
-            _print(p)
-    return 0
+    return out, expansion
 
 
-def _cmd_bases(args) -> int:
-    if args.max_weight is not None:
-        cap = args.max_weight
-    else:
-        top = ppoly.s_range(args.m1, args.m2, args.m3)[-1]
-        cap = ppoly.max_structure_weight(args.m1, args.m2, args.m3, top)
-    records = moves.enumerate_bases(args.m1, args.m2, args.m3, cap)
+def _cmd_bases(args):
+    records = moves.enumerate_bases(args.m1, args.m2, args.m3)
     rows = [
         {
             "parts": format_parts(rec.structure.parts),
@@ -175,24 +136,18 @@ def _cmd_bases(args) -> int:
         }
         for rec in records
     ]
-    if args.format == "json":
-        _emit_json(rows)
-    else:
-        for row in rows:
-            _print(
-                "%s\t%d\t%d\t%d"
-                % (row["structure"], row["weight"], row["largest_pair_index"], row["parity"])
-            )
-    return 0
+    lines = [
+        "%s\t%d\t%d\t%d"
+        % (row["structure"], row["weight"], row["largest_pair_index"], row["parity"])
+        for row in rows
+    ]
+    return rows, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.max_q is not None and args.max_q < 0:
         raise ValueError("--max-q must be >= 0")
-    result = verify.SUITES[args.suite](args.max_q)
-    for line in result.render():
-        _print(line)
-    return 0 if result.ok else 1
+    return verify.SUITES[args.suite](args.max_q)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--m1", type=int, required=True)
     ba.add_argument("--m2", type=int, required=True)
     ba.add_argument("--m3", type=int, required=True)
-    ba.add_argument("--max-weight", type=int, default=None)
     ba.add_argument("--format", choices=("table", "json"), default="table")
     ba.set_defaults(fn=_cmd_bases)
 
@@ -262,16 +216,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        out = args.fn(args)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except RecursionError:
         sys.stderr.write("error: input too deep for the recursion\n")
         return 2
+    if args.command == "verify":
+        lines, code = out.render(), 0 if out.ok else 1
+    else:
+        obj, lines = out
+        if args.format == "json":
+            lines = [json.dumps(obj, ensure_ascii=False)]
+        code = 0
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 
 
 if __name__ == "__main__":

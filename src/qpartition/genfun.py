@@ -64,8 +64,9 @@ after the Euler sums.
 
 The alternating sums stop at t-degree max_t and at the first q-exponent
 past max_q.  The class series bound the t-degree M by M^2 <= max_q (a
-class partition with M parts weighs at least M^2) and the inner s-range by
-``ppoly.s_range``, outside which the recursion proves P vanishes.
+class partition with M parts weighs at least M^2), and the inner sum over s
+runs, one parity at a time, over ``ppoly.support``, exactly the s where
+that component of P is nonzero.
 """
 
 from __future__ import annotations
@@ -255,23 +256,22 @@ def _check_nonnegative(values, what: str, key) -> None:
 def _add_numerator(dst: list, core: tuple) -> None:
     """dst += sum_s P(m1,m2,m3,s; q) q^{(s-1)n12 + n12^2}, the numerator of
     the core (m1, m2, m3, n12), truncated to dst's window.  P = P0 + P1 is
-    added one parity at a time, and each is checked nonnegative.  A
-    component's body lies on its exponent lattice, every ``step``-th
-    coefficient of dst from its lowest term, so it goes in as one
-    extended-slice add."""
+    added one parity at a time over that parity's support, and each
+    component is checked nonnegative.  A component's body lies on its
+    exponent lattice, every ``step``-th coefficient of dst from its lowest
+    term, so it goes in as one extended-slice add."""
     m1, m2, m3, n12 = core
-    for s in ppoly.s_range(m1, m2, m3):
-        start = (s - 1) * n12 + n12 * n12
-        if start >= len(dst):
-            break
-        for parity in (0, 1):
+    for parity in (0, 1):
+        for s in ppoly.support(m1, m2, m3, parity):
+            start = (s - 1) * n12 + n12 * n12
+            if start >= len(dst):
+                break
             poly = ppoly.p_parity(m1, m2, m3, s, parity)
-            if poly:
-                _check_nonnegative(poly.body, "cell", core)
-                i, k = start + poly.low, poly.step or 1
-                stop = min(len(dst), i + k * len(poly.body))
-                if i < stop:
-                    dst[i:stop:k] = map(operator.add, dst[i:stop:k], poly.body)
+            _check_nonnegative(poly.body, "cell", core)
+            i, k = start + poly.low, poly.step or 1
+            stop = min(len(dst), i + k * len(poly.body))
+            if i < stop:
+                dst[i:stop:k] = map(operator.add, dst[i:stop:k], poly.body)
 
 
 def _h_plus_rows(sizes: list) -> list:

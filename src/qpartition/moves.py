@@ -59,6 +59,7 @@ their staircase slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -462,8 +463,11 @@ class BaseRecord:
 _SHAPES = (((0, 0), (0,)), ((0, 1), (0,)), ((-1, 0, 0, 2, 2), (0, 3)))
 
 
-def enumerate_bases(m1: int, m2: int, m3: int, max_weight: int) -> list[BaseRecord]:
-    """All bases with m1 repeating pairs, m2 consecutive pairs, m3 blocks.
+def enumerate_bases(m1: int, m2: int, m3: int, max_weight: float = math.inf) -> list[BaseRecord]:
+    """All bases with m1 repeating pairs, m2 consecutive pairs, m3 blocks,
+    of weight at most max_weight.  Without a cap the walk is still finite:
+    it places m1+m2+m3 shapes, each at one of five offsets from the last
+    part.
 
     A block is the locked five-part shape [k-1,k], k, [k+2,k+2].  Structures
     carry no moveable singletons; every pair must admit no backward move.

@@ -15,11 +15,11 @@ singletons are excluded.  The two components satisfy
 with base cases: 0 whenever some count is negative; P1 = 0 whenever m2 = 0
 (a parity-1 component ends in a consecutive pair); P0(0,0,0,1) = 1 (the
 empty base).  Every recursive call strictly decreases m1+m2+m3, so the
-descent is acyclic; results are memoized.  Both components vanish for s
-outside ``s_range(m1, m2, m3)``, which the step sizes of the recursion
-prove, so the descent never enters (or stores) such states.  The recursion
-is calibrated against ``p_oracle``, an independent brute-force enumeration
-of the bases themselves.
+descent is acyclic; results are memoized.  Each component is nonzero
+exactly for s in ``support(m1, m2, m3, parity)``, proved there from the
+recursion, so the descent returns 0 outside it at once and never stores a
+zero.  The recursion is calibrated against ``p_oracle``, an independent
+brute-force enumeration of the bases themselves.
 
 The memo tables are the only shared state: module-level and append-only,
 each entry a pure function of its key.  A ``QPoly`` stores only the
@@ -38,7 +38,7 @@ from .series import QPOLY_ONE, QPOLY_ZERO, QPoly
 
 _pmemo: dict[tuple[int, int, int, int, int], QPoly] = {}
 _qbin_memo: dict[tuple[int, int, int], QPoly] = {}
-_oracle_memo: dict[tuple[int, int, int], tuple[int, dict]] = {}
+_oracle_memo: dict[tuple[int, int, int], dict[tuple[int, int], list[int]]] = {}
 
 
 def qbinomial(n: int, k: int, base: int = 1) -> QPoly:
@@ -68,9 +68,7 @@ def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     hit = _pmemo.get(key)
     if hit is not None:  # only valid keys are stored, so this skips the checks
         return hit
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    if min(m1, m2 - parity, m3) < 0 or s not in s_range(m1, m2, m3):
+    if s not in support(m1, m2, m3, parity):
         return QPOLY_ZERO
     if m1 == 0 and m2 == 0 and m3 == 0:
         return QPOLY_ONE
@@ -118,43 +116,60 @@ def p(m1: int, m2: int, m3: int, s: int) -> QPoly:
     return p_parity(m1, m2, m3, s, 0) + p_parity(m1, m2, m3, s, 1)
 
 
-def s_range(m1: int, m2: int, m3: int) -> range:
-    """The s for which P(m1, m2, m3, s) can be nonzero.
+def support(m1: int, m2: int, m3: int, parity: int) -> range:
+    """The s for which P_parity(m1, m2, m3, s) is nonzero.  With n = m1+m2:
 
-    Proof from the recursion: a pair step (m1 or m2 down by one) lowers s by
-    1 or 2, a block step (m3 down by one) lowers it by 4 or 5, and the only
-    nonzero base case is P0(0,0,0,1).  So s - 1 is a sum of m1+m2 steps in
-    {1, 2} and m3 steps in {4, 5}: m1+m2+4m3+1 <= s <= 2(m1+m2)+5m3+1.
+    * P1: m2 >= 1 and n+4m3+1 <= s <= 2n+4m3;
+    * P0 with m1 = m3 = 0: only the empty base, P0(0,0,0,1);
+    * any other P0: n+4m3+1 <= s <= 2n+4m3+1, except that when m3 = 0 the
+      low end rises by 1 if m1, m2 >= 1 and the top falls by 1 if m2 >= 1.
+
+    Empty when a count is negative.  Proof, by induction over m1+m2+m3: no
+    coefficient is negative, so nothing cancels and a component's support
+    is the union of its children's supports, each shifted by its step.
+
+    * P1 reads P1(m1, m2-1, m3) at s-1 and s-2 and P0(m1, m2-1, m3) at
+      s-1.  For m2 >= 2 the P1 child alone gives [n+4m3+1, 2n+4m3] and the
+      P0 child lies inside.  For m2 = 1 the P0 child P0(m1, 0, m3), which
+      is [n+4m3, 2n+4m3-1] (or {1} at n = 1, m3 = 0), gives it by itself.
+    * P0's block reads P1 and P0 of (m1, m2, m3-1) at s-4 and P1 at s-5:
+      [n+4m3+1, 2n+4m3+1] from the P1 child when m2 >= 1, else from the P0
+      child, and the P0 child lies inside in either case.  Its bracket
+      (m1 >= 1) reads P0(m1-1, m2, m3) at s-1 and s-2 and P1 at s-2, all
+      inside that interval when m3 >= 1.  When m3 = 0 the bracket is all:
+      m2 = 0 gives [m1+1, 2m1+1] from P0(m1-1, 0, 0) = [m1, 2m1-1]; m2 >= 1
+      gives [n+2, 2n] from P1(m1-1, m2, 0) = [n, 2n-2] at s-2, and P0(m1-1,
+      m2, 0) = [n+1, 2n-2], read at s-1 and s-2, stays inside (it is empty
+      at m1 = 1).
+    * P0(0, m2, 0) has neither a bracket nor a block; only the empty base
+      (m2 = 0) survives.
     """
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
     if min(m1, m2, m3) < 0:
-        raise ValueError("counts must be >= 0")
-    lo = m1 + m2 + 4 * m3 + 1
-    return range(lo, lo + m1 + m2 + m3 + 1)
-
-
-def max_structure_weight(m1: int, m2: int, m3: int, s_cap: int) -> int:
-    """Weight cap covering every base whose largest pair is [s-1, s-1] or
-    [s-1, s] with s <= s_cap: each of its 2m1+2m2+5m3 parts is at most s."""
-    return (2 * m1 + 2 * m2 + 5 * m3) * max(s_cap, 1)
+        return range(0)
+    n = m1 + m2
+    if parity:
+        return range(n + 4 * m3 + 1, 2 * n + 4 * m3 + 1) if m2 else range(0)
+    if m1 == m3 == 0:
+        return range(1, 1 + (m2 == 0))
+    lo = n + 4 * m3 + 1 + (m3 == 0 and m1 > 0 and m2 > 0)
+    return range(lo, 2 * n + 4 * m3 + 2 - (m3 == 0 and m2 > 0))
 
 
 def p_oracle(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
-    """Brute-force P component: enumerate the bases and read off weights."""
+    """Brute-force P component: enumerate the bases and read off weights.
+    Every base of a shape is listed once, into one table keyed by (s,
+    parity)."""
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    if m1 < 0 or m2 < 0 or m3 < 0 or s <= 0:
-        return QPOLY_ZERO
-    if (m1, m2, m3) == (0, 0, 0):
-        return QPOLY_ONE if (s == 1 and parity == 0) else QPOLY_ZERO
-    cap = max_structure_weight(m1, m2, m3, s)
-    cached = _oracle_memo.get((m1, m2, m3))
-    if cached is None or cached[0] < cap:
-        table: dict[tuple[int, int], list[int]] = {}
-        for rec in enumerate_bases(m1, m2, m3, cap):
-            table.setdefault((rec.largest_pair_index, rec.parity), []).append(rec.weight)
-        cached = (cap, table)
-        _oracle_memo[(m1, m2, m3)] = cached
-    weights = cached[1].get((s - 1, parity), [])
+    table = _oracle_memo.get((m1, m2, m3))
+    if table is None:
+        table = {}
+        for rec in enumerate_bases(m1, m2, m3):
+            table.setdefault((rec.largest_pair_index + 1, rec.parity), []).append(rec.weight)
+        _oracle_memo[(m1, m2, m3)] = table
+    weights = table.get((s, parity), [])
     coeffs = [0] * (max(weights) + 1 if weights else 0)
     for w in weights:
         coeffs[w] += 1

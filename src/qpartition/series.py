@@ -117,16 +117,6 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self.body)
 
-    def __getitem__(self, exp: int) -> int:
-        if exp == self.low and self.body:  # the only term a monomial has
-            return self.body[0]
-        if not self.step:
-            return 0
-        i, off = divmod(exp - self.low, self.step)
-        if not off and 0 <= i < len(self.body):
-            return self.body[i]
-        return 0
-
     def terms(self):
         """Nonzero (exponent, coefficient) pairs, ascending exponent."""
         low, step = self.low, self.step
@@ -387,36 +377,12 @@ class BiSeries:
         return hash((self.max_q, self.max_t, tuple(tuple(r) for r in self._rows)))
 
     def to_json_dict(self) -> dict:
-        """Wire form: decimal-string coefficients guarantee exact round-trips."""
+        """Wire form; coefficients are decimal strings, so JSON keeps them exact."""
         return {
             "max_q": self.max_q,
             "max_t": self.max_t,
             "terms": [[m, n, str(c)] for m, n, c in self.items()],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BiSeries":
-        """Inverse of ``to_json_dict``; a missing field, a malformed or
-        out-of-window term is a ValueError that names it."""
-        if not isinstance(d, dict):
-            raise ValueError("series must be a JSON object, got %s" % type(d).__name__)
-        for field in ("max_q", "max_t", "terms"):
-            if field not in d:
-                raise ValueError("series field %s is missing" % field)
-        s = cls(_json_int(d["max_q"], "max_q"), _json_int(d["max_t"], "max_t"))
-        if not isinstance(d["terms"], list):
-            raise ValueError("series field terms is not a list: %r" % (d["terms"],))
-        for term in d["terms"]:
-            if not isinstance(term, (list, tuple)) or len(term) != 3:
-                raise ValueError("series term %r is not [dt, dq, coeff]" % (term,))
-            m, n = _json_int(term[0], "term dt"), _json_int(term[1], "term dq")
-            if not (0 <= n <= s.max_q and 0 <= m <= s.max_t):
-                raise ValueError(
-                    "series term (dq=%d, dt=%d) outside window (max_q=%d, max_t=%d)"
-                    % (n, m, s.max_q, s.max_t)
-                )
-            s._rows[m][n] = _json_int(term[2], "term coeff")
-        return s
 
     def __repr__(self) -> str:
         head = []
@@ -427,16 +393,6 @@ class BiSeries:
                 break
         body = " + ".join(head) if head else "0"
         return "BiSeries(max_q=%d, max_t=%d: %s)" % (self.max_q, self.max_t, body)
-
-
-def _json_int(value, field: str) -> int:
-    """A JSON integer or decimal string; a float or bool would truncate."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValueError("series %s is not an integer: %r" % (field, value))
 
 
 def divide_geometric(row: list, d: int) -> None:

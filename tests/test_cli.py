@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartition import genfun, moves
+from qpartition import genfun, moves, ppoly
 from qpartition.cli import main
 from qpartition.partitions import KrVariant
-from qpartition.series import BiSeries
 
 
 def run_cli(capsys, *argv):
@@ -150,7 +149,8 @@ def test_kr_json_round_trips_the_series(capsys):
         "--max-q", "10", "--max-t", "5", "--format", "json",
     )
     assert code == 0
-    series = BiSeries.from_json_dict(json.loads(out))
+    series = genfun.kr_alternating(KrVariant.from_label("1"), 10, 5)
+    assert json.loads(out) == series.to_json_dict()
     assert series.coeff(4, 1) == 1 and series.coeff(4, 2) == 1
 
 
@@ -190,6 +190,21 @@ def test_bases_table(capsys):
     code, out, _ = run_cli(capsys, "bases", "--m1", "0", "--m2", "0", "--m3", "1")
     assert code == 0
     assert out.splitlines() == ["[1,2],2,[4,4]\t13\t4\t0"]
+
+
+@pytest.mark.parametrize("counts", [(2, 1, 0), (1, 2, 1), (3, 0, 0), (0, 3, 1)])
+def test_bases_lists_every_base(capsys, counts):
+    # every base is counted once by P at its s, so the listing has as many
+    # rows as the P values have coefficients in all; no weight cap is needed
+    m1, m2, m3 = counts
+    argv = ["bases", "--m1", str(m1), "--m2", str(m2), "--m3", str(m3)]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    total = sum(sum(c for _, c in ppoly.p(*counts, s).terms()) for s in range(1, 40))
+    assert len(json.loads(out)) == total
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-weight", "5"])
+    assert exc.value.code == 2
 
 
 def test_output_is_deterministic(capsys):
@@ -386,10 +401,7 @@ def _argv(draw):
     if command == "seed-expand":
         return ["seed-expand", "--partition", parts(), "--variant", num(0, 4)] + fmt
     if command == "bases":
-        argv = ["bases", "--m1", num(-1, 2), "--m2", num(-1, 2), "--m3", num(-1, 1)]
-        if draw(st.booleans()):
-            argv += ["--max-weight", num(-1, 40)]
-        return argv + fmt
+        return ["bases", "--m1", num(-1, 2), "--m2", num(-1, 2), "--m3", num(-1, 1)] + fmt
     windowed = ("products", "forms", "corollary")
     suite = draw(st.sampled_from(("appendix", "examples", "closed-forms") + windowed))
     argv = ["verify", "--suite", suite]

@@ -357,7 +357,7 @@ def test_kr_brute_prunes_the_walk(monkeypatch):
 def _naive_cell(cell, b, shift, steps, max_q):
     m1, m2, m3, n12 = cell[:4]
     row = [0] * (max_q + 1)
-    for s in ppoly.s_range(m1, m2, m3):
+    for s in range(1, 2 * (m1 + m2) + 5 * m3 + 2):
         for e, c in ppoly.p(m1, m2, m3, s).terms():
             n = b * ((s - 1) * n12 + n12 * n12 + e) + shift
             if n <= max_q:

@@ -431,9 +431,7 @@ def test_all_enumerated_bases_decompose_trivially():
 def _bijection_dump():
     """Canonical JSON of the decompositions (with their traces) of every
     at-most-twice partition of weight <= 16 and of the base records for
-    m1, m2 <= 3, m3 <= 2 at the default weight cap of ``qpartition bases``."""
-    from qpartition import ppoly
-
+    m1, m2 <= 3, m3 <= 2, all of them, as ``qpartition bases`` lists them."""
     out = []
     for n in range(17):
         for parts in iter_partitions(n):
@@ -444,11 +442,9 @@ def _bijection_dump():
     for m1 in range(4):
         for m2 in range(4):
             for m3 in range(3):
-                top = ppoly.s_range(m1, m2, m3)[-1]
-                cap = ppoly.max_structure_weight(m1, m2, m3, top)
                 out.append([
                     [str(r.structure), r.weight, r.largest_pair_index, r.parity]
-                    for r in enumerate_bases(m1, m2, m3, cap)
+                    for r in enumerate_bases(m1, m2, m3)
                 ])
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 

@@ -12,7 +12,7 @@ from qpartition.ppoly import (
     p_oracle,
     p_parity,
     qbinomial,
-    s_range,
+    support,
 )
 from qpartition.series import QPoly
 
@@ -42,8 +42,8 @@ def test_small_tabulated_values():
     assert p(1, 1, 0, 3).format_q() == "q^7"
     assert p(2, 2, 0, 6).format_q() == "q^30 + 2q^28 + 2q^26 + 2q^24"
     assert p(0, 0, 2, 9).format_q() == "q^46"
-    top = p(2, 2, 2, 15)
-    assert (top[154], top[153], top[152], top[151], top[150]) == (1, 0, 2, 1, 5)
+    top = dict(p(2, 2, 2, 15).terms())
+    assert [top.get(e, 0) for e in range(154, 149, -1)] == [1, 0, 2, 1, 5]
 
 
 def test_qbinomial_examples():
@@ -91,25 +91,59 @@ def test_recursion_matches_oracle_small():
                         ), (m1, m2, m3, s, parity)
 
 
-def test_s_range_contains_the_exact_support():
+def test_support_is_exact_against_the_oracle():
+    # the support, not just a bound: every s inside has a nonzero component
+    # and every s outside a zero one, by brute-force enumeration of the bases
     for m1 in range(6):
-        for m2 in range(6):
-            for m3 in range(4):
-                if m1 == m2 == 0:
-                    support = range(4 * m3 + 1, 4 * m3 + 2)
-                else:
-                    top = 2 * (m1 + m2) + 4 * m3 + 1 - (m2 > 0 and m3 == 0)
-                    support = range(m1 + m2 + 4 * m3 + 1, top + 1)
-                bound = s_range(m1, m2, m3)
-                assert support[0] in bound and support[-1] in bound
-                for s in range(1, bound[-1] + 4):
-                    assert bool(p(m1, m2, m3, s)) == (s in support), (m1, m2, m3, s)
+        for m2 in range(6 - m1):
+            for m3 in range((6 - m1 - m2) // 2):
+                for parity in (0, 1):
+                    inside = support(m1, m2, m3, parity)
+                    for s in range(-1, 2 * (m1 + m2) + 5 * m3 + 4):
+                        nonzero = bool(p_oracle(m1, m2, m3, s, parity))
+                        assert nonzero == (s in inside), (m1, m2, m3, s, parity)
 
 
-def test_s_range_rejects_negative_counts():
-    assert s_range(0, 0, 0) == range(1, 2)
-    with pytest.raises(ValueError):
-        s_range(0, 0, -1)
+def _shifted_union(children):
+    return frozenset(s + step for child, step in children for s in child)
+
+
+def test_support_matches_the_set_recursion():
+    # every coefficient is nonnegative, so nothing cancels and the set of s
+    # where a component is nonzero is the union of its children's sets,
+    # shifted by their steps: the recursion of the module docstring on sets
+    sets = {}
+
+    def get(m1, m2, m3, parity):
+        return sets.get((m1, m2, m3, parity), frozenset())
+
+    for m1 in range(31):  # every child comes earlier in this order
+        for m2 in range(31):
+            for m3 in range(13):
+                if m1 == m2 == m3 == 0:  # the empty base
+                    sets[0, 0, 0, 0], sets[0, 0, 0, 1] = frozenset({1}), frozenset()
+                    continue
+                sets[m1, m2, m3, 0] = _shifted_union([
+                    (get(m1 - 1, m2, m3, 0), 1), (get(m1 - 1, m2, m3, 1), 2),
+                    (get(m1 - 1, m2, m3, 0), 2), (get(m1, m2, m3 - 1, 1), 4),
+                    (get(m1, m2, m3 - 1, 0), 4), (get(m1, m2, m3 - 1, 1), 5),
+                ])
+                sets[m1, m2, m3, 1] = _shifted_union([
+                    (get(m1, m2 - 1, m3, 1), 1), (get(m1, m2 - 1, m3, 0), 1),
+                    (get(m1, m2 - 1, m3, 1), 2),
+                ])
+    assert len(sets) == 24986
+    for (m1, m2, m3, parity), found in sets.items():
+        assert set(support(m1, m2, m3, parity)) == found, (m1, m2, m3, parity)
+
+
+def test_support_edges():
+    assert support(0, 0, 0, 0) == range(1, 2)
+    assert not support(0, 0, 0, 1)
+    assert not support(0, 3, 0, 0)  # no repeating pair and no block
+    assert not support(0, 0, -1, 0)
+    with pytest.raises(ValueError, match="parity must be 0 or 1"):
+        support(1, 1, 1, 2)
 
 
 def test_memo_stores_no_zero_polynomial(monkeypatch):
@@ -117,6 +151,15 @@ def test_memo_stores_no_zero_polynomial(monkeypatch):
 
     monkeypatch.setattr(ppoly, "_pmemo", {})
     p(40, 0, 0, 60)
+    for m in range(31):
+        for s in range(1, 2 * m + 3):
+            p(m, 0, 0, s)
+            p(0, m, 0, s)
+    for m1 in range(8):
+        for m2 in range(8):
+            for m3 in range(5):
+                for s in range(1, 2 * (m1 + m2) + 5 * m3 + 3):
+                    p(m1, m2, m3, s)
     assert ppoly._pmemo
     assert all(value != QPoly() for value in ppoly._pmemo.values())
 
@@ -140,9 +183,8 @@ def test_memo_stores_the_pair_families_on_the_even_lattice(monkeypatch):
 
     monkeypatch.setattr(ppoly, "_pmemo", {})
     for m in range(31):
-        for s in s_range(m, 0, 0):
+        for s in range(m + 1, 2 * m + 2):
             p(m, 0, 0, s)
-        for s in s_range(0, m, 0):
             p(0, m, 0, s)
     values = ppoly._pmemo.values()
     assert all(value.step == 2 for value in values if len(value.body) > 1)
@@ -161,12 +203,15 @@ def test_negative_coefficient_guard_fires_on_any_lattice(monkeypatch, planted):
 
 
 def test_negative_block_exponent_guard_fires(monkeypatch):
-    # s_range rules out a block below s = 2; widened, the empty base at
+    # support rules out a block below s = 5; widened, the empty base at
     # s = -2 reaches P0(0, 0, 1, 2), whose block exponent would be -2
     from qpartition import ppoly
 
+    def widened(m1, m2, m3, parity):
+        return range(-10, 100) if min(m1, m2 - parity, m3) >= 0 else range(0)
+
     monkeypatch.setattr(ppoly, "_pmemo", {})
-    monkeypatch.setattr(ppoly, "s_range", lambda m1, m2, m3: range(-10, 100))
+    monkeypatch.setattr(ppoly, "support", widened)
     with pytest.raises(AssertionError, match="negative block exponent"):
         p_parity(0, 0, 1, 2, 0)
 
@@ -174,9 +219,8 @@ def test_negative_block_exponent_guard_fires(monkeypatch):
 def test_closed_forms_match_recursion_past_the_oracle():
     # m = 60 is far beyond what enumerate_bases can list; the closed forms
     # are the independent check there
-    for s in s_range(60, 0, 0):
+    for s in range(60, 123):
         assert closed_form(PX00, m1=60, s=s) == p(60, 0, 0, s), s
-    for s in s_range(0, 60, 0):
         assert closed_form(P0X0, m2=60, s=s) == p(0, 60, 0, s), s
 
 
@@ -184,7 +228,7 @@ def test_all_coefficients_nonnegative():
     for m1 in range(4):
         for m2 in range(4):
             for m3 in range(3):
-                for s in s_range(m1, m2, m3):
+                for s in range(1, 2 * (m1 + m2) + 4 * m3 + 2):
                     assert p(m1, m2, m3, s).is_nonnegative()
 
 
