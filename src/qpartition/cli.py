@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import genfun, moves, ppoly, seeds, verify
-from .partitions import KrVariant, format_parts, parse_parts
+from .partitions import KrVariant, format_parts, parse_ints, parse_parts
 
 
 # the kr routes by --form, in the order --help lists them; the product is
@@ -76,22 +76,12 @@ def _cmd_decompose(args):
     return out, lines
 
 
-def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError("cannot parse %s %r" % (name, text)) from None
-
-
 def _cmd_compose(args):
     base = moves.parse_structure(args.base)
     # compose validates the triple; parse_structure has already checked
     # that the base is the greedy tagging of its parts
     d = moves.Decomposition(
-        base, _parse_int_list(args.mu, "mu"), _parse_int_list(args.theta, "theta")
+        base, parse_ints(args.mu, "mu"), parse_ints(args.theta, "theta")
     )
     trace = [] if args.trace else None
     parts = moves.compose(d, trace)

@@ -3,8 +3,8 @@
 Each partition class has four series routes that must agree coefficient
 for coefficient on any shared window:
 
-* ``kr_brute``       -- count partitions directly (`partitions.brute_series`,
-                        pruned by the local class rules);
+* ``kr_brute``       -- count partitions directly (`partitions.brute_series`
+                        walking the class's prefix rule `partitions.kr_rule`);
 * ``kr_alternating`` -- the triple sum over (i, j, k) with a (-1)^k sign;
 * ``kr_positive``    -- the evidently positive multi-sum built from the base
                         polynomials P(m1,m2,m3,s;q^2); every term is
@@ -17,6 +17,10 @@ its own product prod (1 + t q^n + t^2 q^2n) (``h_product``), positive sum
 (``h_positive``, the series H+ below) and brute count (``h_brute``).  The
 class routes take a `KrVariant`, every route rejects a negative window with
 ``ValueError``, and ``compare`` diffs any two of them.
+
+No class condition looks more than two parts back, so a partition is in
+its class iff each part passes the prefix rule after the parts before it
+(`partitions`), and the brute walk enters members only.
 
 Every term of both sums is homogeneous in t, so it is built on one q-row
 and added into its t-row.  Division by 1 - q^d is causal (coefficient n
@@ -76,72 +80,18 @@ import operator
 from dataclasses import dataclass
 
 from . import ppoly
-from .partitions import KrVariant, brute_series, has_triple
+from .partitions import KrVariant, at_most_twice_rule, brute_series, kr_rule
 from .series import BiSeries, divide_geometric, mul_geometric_rows
 
 
 # ----------------------------------------------------------------- brute
 
-def _third_copy(parts: tuple, x: int) -> bool:
-    return len(parts) >= 2 and parts[-2] == x
-
-
-# the smallest part each variant allows (D also bars 2+2)
-_FIRST_MIN = {KrVariant.D: 1, KrVariant.DPRIME: 2, KrVariant.DPRIMEPRIME: 4}
-
-
-def _kr_extends(variant: KrVariant):
-    """The local class rules as a prefix rule for ``brute_series``: a prefix
-    that breaks one of them cannot extend into the class.  Rule (c) is left
-    to ``_kr_member``."""
-    first_min = _FIRST_MIN[variant]
-
-    def extends(parts: tuple, x: int) -> bool:
-        if not parts:
-            return x >= first_min
-        last = parts[-1]
-        if x == last:  # (b), and a third copy breaks (c)
-            if x % 2 or _third_copy(parts, x):
-                return False
-            return not (x == 2 and variant is KrVariant.D)  # D bars 2+2
-        return x != last + 1  # (a)
-
-    return extends
-
-
-def _kr_member(variant: KrVariant):
-    """``check_kr`` for the walk's nodes, which are sorted and zero-free, so
-    nothing is validated: a value repeats exactly when it equals a sorted
-    neighbour, and the smallest part is the first."""
-    first_min = _FIRST_MIN[variant]
-
-    def member(parts: tuple) -> bool:
-        for a, b in zip(parts, parts[1:]):
-            if b - a == 1 or (a == b and a % 2):  # (a), (b)
-                return False
-        for a, mid, c in zip(parts, parts[1:], parts[2:]):
-            if c - a < 4 and not mid % 2 and (a == mid or mid == c):  # (c)
-                return False
-        if parts and parts[0] < first_min:
-            return False
-        return variant is not KrVariant.D or parts.count(2) < 2  # D bars 2+2
-
-    return member
-
-
 def kr_brute(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
-    return brute_series(
-        _kr_member(variant), max_q, max_t, extends=_kr_extends(variant)
-    )
+    return brute_series(kr_rule(variant), max_q, max_t)
 
 
 def h_brute(max_q: int, max_t: int) -> BiSeries:
-    return brute_series(
-        lambda parts: not has_triple(parts),
-        max_q,
-        max_t,
-        extends=lambda parts, x: not _third_copy(parts, x),
-    )
+    return brute_series(at_most_twice_rule, max_q, max_t)
 
 
 # ----------------------------------------------------------------- rows

@@ -1,41 +1,44 @@
-"""Partitions, class predicates, and brute-force counting oracles.
+"""Partitions, class rules, and the brute-force counting oracle.
 
 A partition is a plain non-decreasing tuple of positive integers.
 ``as_parts`` validates any iterable of parts and is the one check of parts
 from outside; ``parse_parts`` reads the comma-separated text form the CLI
 takes, e.g. ``1,4,4,5``.
 The three restricted classes share conditions (a)-(c) and differ in one
-initial condition:
+initial condition (d):
 
     (a) no two adjacent parts differ by exactly 1;
     (b) no odd value occurs twice;
     (c) in any window (p_i, p_{i+1}, p_{i+2}): if the middle part is even and
         occurs more than once in the whole partition, then
         p_{i+2} - p_i >= 4;
-    variant D:            2+2 never occurs;
-    variant D':           no part equals 1;
-    variant D'':          no part lies in {1, 2, 3}.
+    (d) variant D:   2+2 never occurs;
+        variant D':  no part equals 1;
+        variant D'': no part lies in {1, 2, 3}.
 
-``brute_series`` turns any predicate into a bivariate counting series and is
-the enumeration oracle every generating-function identity in this package is
-checked against.  It is one depth-first walk: parts are appended in
-non-decreasing order, every node (weight <= max_q, length <= max_t) is a
-partition, and each node the predicate accepts is counted, so one pass
-covers every weight.  An optional prefix rule ``extends(parts, x)`` skips
-the subtree below ``parts + (x,)``; it must return False only when no
-partition in that subtree satisfies the predicate.  The predicate still
-decides every counted partition, so a wrong prefix rule can only lose
-partitions, never add one.  ``iter_partitions`` is the unpruned enumeration
-the prefix rules are tested against.
+Each family has one prefix rule ``admits(parts)``, true iff the last part
+of the sorted ``parts`` may follow the parts before it; it reads only
+``parts[-3:]``.  That decides membership one part at a time because no
+condition looks more than two parts back: in sorted parts a value repeats
+only next to itself, so a (c) window's middle part repeats iff it equals a
+neighbour inside the window, and the smallest part is the first.
+
+``brute_series`` turns a prefix rule into a bivariate counting series and is
+the enumeration oracle every generating-function identity in this package
+is checked against.  It is one depth-first walk: parts are appended in
+non-decreasing order, and each node the rule admits (weight <= max_q,
+length <= max_t) is counted, so one pass covers every weight.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from .series import BiSeries
+
+Rule = Callable[[tuple[int, ...]], bool]
 
 
 class KrVariant(Enum):
@@ -47,18 +50,11 @@ class KrVariant(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "KrVariant":
-        table = {
-            "1": cls.D,
-            "2": cls.DPRIME,
-            "3": cls.DPRIMEPRIME,
-            "d": cls.D,
-            "d'": cls.DPRIME,
-            "d''": cls.DPRIMEPRIME,
-        }
-        try:
-            return table[str(label).strip().lower()]
-        except KeyError:
-            raise ValueError("unknown variant %r (use 1, 2 or 3)" % (label,)) from None
+        key = str(label).strip().lower()
+        for variant in cls:
+            if key in (variant.value, str(variant.index)):
+                return variant
+        raise ValueError("unknown variant %r (use 1, 2 or 3)" % (label,))
 
     @property
     def index(self) -> int:
@@ -82,47 +78,57 @@ def as_parts(p) -> tuple[int, ...]:
     return parts
 
 
-def parse_parts(text: str) -> tuple[int, ...]:
-    """Parse the comma-separated form of a partition, e.g. ``1,4,4,5``."""
+def parse_ints(text: str, name: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers; ``name`` labels the error."""
     text = text.strip()
     if not text:
         return ()
     try:
-        ints = [int(tok) for tok in text.split(",")]
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError("cannot parse partition %r" % text) from None
-    return as_parts(ints)
+        raise ValueError("cannot parse %s %r" % (name, text)) from None
+
+
+def parse_parts(text: str) -> tuple[int, ...]:
+    """Parse the comma-separated form of a partition, e.g. ``1,4,4,5``."""
+    return as_parts(parse_ints(text, "partition"))
 
 
 def format_parts(parts: Iterable[int]) -> str:
     return ",".join(str(x) for x in parts)
 
 
+def kr_rule(variant: KrVariant) -> Rule:
+    """The prefix rule of the class named by ``variant``: True iff the last
+    part of the sorted, zero-free ``parts`` may follow the parts before it.
+    Reads only ``parts[-3:]`` and validates nothing."""
+    low = {"d": 1, "d'": 2, "d''": 4}[variant.value]  # the smallest part allowed
+    barred = 2 if variant is KrVariant.D else 0  # D bars 2+2
+
+    def admits(parts: tuple[int, ...]) -> bool:
+        x = parts[-1]
+        if len(parts) == 1:
+            return x >= low  # (d)
+        last = parts[-2]
+        if x == last:  # (b), (d), and (c) on (before, x, x), a third copy too
+            return not (x % 2 or x == barred or len(parts) > 2 and x - parts[-3] < 4)
+        # (a), and (c) on (last, last, x)
+        return x != last + 1 and (len(parts) < 3 or parts[-3] != last or x - last >= 4)
+
+    return admits
+
+
 def check_kr(p, variant: KrVariant) -> bool:
-    """True iff the partition lies in the class named by ``variant``."""
+    """True iff the partition lies in the class named by ``variant``: the
+    class rule admits each part's window, the part and at most two before."""
     parts = as_parts(p)
-    for i in range(len(parts) - 1):
-        if parts[i + 1] - parts[i] == 1:
-            return False  # (a)
-    counts = Counter(parts)
-    for v, c in counts.items():
-        if v % 2 == 1 and c > 1:
-            return False  # (b)
-    for i in range(len(parts) - 2):
-        mid = parts[i + 1]
-        if mid % 2 == 0 and counts[mid] > 1 and parts[i + 2] - parts[i] < 4:
-            return False  # (c); parts are sorted so the gap is the abs difference
-    if variant is KrVariant.D:
-        return counts[2] < 2
-    if variant is KrVariant.DPRIME:
-        return counts[1] == 0
-    return counts[1] == 0 and counts[2] == 0 and counts[3] == 0
+    heads = (parts[:1], parts[:2])[: len(parts)]
+    return all(map(kr_rule(variant), chain(heads, zip(parts, parts[1:], parts[2:]))))
 
 
 def check_at_most_twice(p) -> bool:
     """True iff every value has multiplicity <= 2."""
-    parts = as_parts(p)
-    return not has_triple(parts)
+    return not has_triple(as_parts(p))
 
 
 def has_triple(parts: tuple[int, ...]) -> bool:
@@ -131,8 +137,15 @@ def has_triple(parts: tuple[int, ...]) -> bool:
     return any(a == b for a, b in zip(parts, parts[2:]))
 
 
+def at_most_twice_rule(parts: tuple[int, ...]) -> bool:
+    """The prefix rule of the at-most-twice class: the last part of the
+    sorted ``parts`` is not a third copy (unchecked, like ``has_triple``)."""
+    return len(parts) < 3 or parts[-3] != parts[-1]
+
+
 def iter_partitions(n: int, max_len: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as non-decreasing tuples, lexicographic order."""
+    """All partitions of n as non-decreasing tuples, lexicographic order: the
+    unpruned enumeration the tests hold ``brute_series`` to."""
     if n < 0:
         raise ValueError("weight must be >= 0")
     limit = n if max_len is None else max_len
@@ -150,29 +163,21 @@ def iter_partitions(n: int, max_len: Optional[int] = None) -> Iterator[tuple[int
     return gen(n, 1, limit)
 
 
-def brute_series(
-    pred: Callable[[tuple[int, ...]], bool],
-    max_q: int,
-    max_t: int,
-    extends: Optional[Callable[[tuple[int, ...], int], bool]] = None,
-) -> BiSeries:
-    """Counting series sum_{n,m} #{partitions of n into m parts, pred} q^n t^m.
-
-    The walk enters ``parts + (x,)`` only when ``extends(parts, x)`` holds
-    (see the module docstring for what a prefix rule may skip).
-    """
+def brute_series(admits: Rule, max_q: int, max_t: int) -> BiSeries:
+    """Counting series sum_{n,m} #{partitions of n into m parts} q^n t^m over
+    the partitions whose every nonempty prefix ``admits`` passes."""
     if max_q < 0 or max_t < 0:
         raise ValueError("max_q and max_t must be >= 0")
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
 
     def visit(parts: tuple[int, ...], weight: int) -> None:
-        if pred(parts):
-            rows[len(parts)][weight] += 1
+        rows[len(parts)][weight] += 1
         if len(parts) == max_t:
             return
         for x in range(parts[-1] if parts else 1, max_q - weight + 1):
-            if extends is None or extends(parts, x):
-                visit(parts + (x,), weight + x)
+            child = parts + (x,)
+            if admits(child):
+                visit(child, weight + x)
 
     visit((), 0)
     return BiSeries._wrap(max_q, max_t, rows)

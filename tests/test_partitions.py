@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from naive import check_kr_literal
 
 from qpartition.partitions import (
     KrVariant,
     as_parts,
+    at_most_twice_rule,
     brute_series,
     check_at_most_twice,
     check_kr,
@@ -125,7 +129,7 @@ def test_shift_bijection_between_class2_and_class3(n):
 
 
 def test_brute_series_counts():
-    s = brute_series(check_at_most_twice, 10, 10)
+    s = brute_series(at_most_twice_rule, 10, 10)
     assert sum(s.coeff(3, m) for m in range(11)) == 2
     assert s.coeff(0, 0) == 1
     assert s.is_nonnegative()
@@ -138,14 +142,52 @@ def test_brute_series_window_respects_length():
     assert s.coeff(6, 2) == 3  # 1+5, 2+4, 3+3
 
 
-def test_brute_series_prefix_rule_only_skips_subtrees():
-    distinct = brute_series(lambda p: len(set(p)) == len(p), 12, 6)
-    pruned = brute_series(
-        lambda p: True, 12, 6, extends=lambda parts, x: not parts or x > parts[-1]
-    )
-    assert pruned == distinct
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda parts: len(parts) < 2 or parts[-2] < parts[-1],
+        lambda parts: sum(parts) % 5 != 2,
+    ],
+    ids=["distinct", "no-prefix-weighs-2-mod-5"],
+)
+def test_brute_series_counts_the_partitions_whose_prefixes_all_pass(rule):
+    max_q, max_t = 16, 6
+    counts = [[0] * (max_q + 1) for _ in range(max_t + 1)]
+    for n in range(max_q + 1):
+        for parts in iter_partitions(n, max_len=max_t):
+            if all(rule(parts[:i]) for i in range(1, len(parts) + 1)):
+                counts[len(parts)][n] += 1
+    s = brute_series(rule, max_q, max_t)
+    assert [[s.coeff(n, m) for n in range(max_q + 1)] for m in range(max_t + 1)] == counts
     with pytest.raises(ValueError):
-        brute_series(lambda p: True, -1, 3)
+        brute_series(rule, -1, 3)
+
+
+@pytest.mark.parametrize("variant", [D, DP, DPP])
+def test_check_kr_agrees_with_the_literal_reading(variant):
+    for n in range(25):
+        for parts in iter_partitions(n):
+            assert check_kr(parts, variant) == check_kr_literal(parts, variant), parts
+
+
+@st.composite
+def _sorted_parts(draw):
+    """Any non-decreasing tuple of positive ints, or a near-member: steps of
+    0, 2, 3, 4 and 5 from a small first part meet or just miss each
+    condition."""
+    if draw(st.booleans()):
+        return tuple(sorted(draw(st.lists(st.integers(1, 200), max_size=30))))
+    parts = [draw(st.integers(1, 8))]
+    for step in draw(st.lists(st.sampled_from([0, 2, 3, 4, 5]), max_size=29)):
+        parts.append(parts[-1] + step)
+    return tuple(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorted_parts())
+def test_check_kr_agrees_with_the_literal_reading_on_any_parts(parts):
+    for variant in (D, DP, DPP):
+        assert check_kr(parts, variant) == check_kr_literal(parts, variant)
 
 
 @pytest.mark.parametrize("n", range(1, 26))

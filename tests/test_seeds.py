@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpartition import genfun
-from qpartition.partitions import KrVariant, brute_series, check_kr, iter_partitions
+from qpartition.partitions import KrVariant, brute_series, check_kr, iter_partitions, kr_rule
 from qpartition.seeds import (
     expand_seed,
     seed_decomposition,
@@ -235,18 +235,19 @@ def test_product_A_at_one_counts_padded_partitions():
 @pytest.mark.parametrize("a", [0, 1, 2, 3, 5])
 @pytest.mark.parametrize("variant", [D, DP, DPP])
 def test_marker_product_counts_seeds_by_toggle_groups(variant, a):
-    # every class partition of the window, from the pruned brute walk, is
-    # mapped to its seed; each distinct seed counts a^{#toggle groups}
+    # every class partition of the window, from the brute walk, is mapped
+    # to its seed; each distinct seed counts a^{#toggle groups}
     max_q, max_t = 30, 8
-    member = genfun._kr_member(variant)
-    found = set()
+    admits = kr_rule(variant)
+    found = {()}  # the empty partition, which the walk counts unasked
 
     def record(parts):
-        if member(parts):
+        ok = admits(parts)
+        if ok:
             found.add(to_seed(parts, variant))
-        return False
+        return ok
 
-    brute_series(record, max_q, max_t, extends=genfun._kr_extends(variant))
+    brute_series(record, max_q, max_t)
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     for seed in found:
         rows[len(seed)][sum(seed)] += a ** len(seed_decomposition(seed, variant).groups)
