@@ -7,11 +7,15 @@ result, whose report ``main`` prints and whose outcome sets the exit code.
 Output is deterministic for fixed arguments; JSON is UTF-8 with a stable key
 order and a trailing newline.  Exit codes: 0 success, 1 verification
 mismatch, 2 invalid input (including input too deep for the recursion).
+``main(argv)`` returns the exit code (argparse itself exits on ``--help``
+and on a malformed command line) and may be called any number of times in
+one process; the parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -140,7 +144,10 @@ def _cmd_verify(args):
     return verify.SUITES[args.suite](args.max_q)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call: parsing keeps no state in it, and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="qpartition",
         description="Exact generating functions, seed expansions, and the "
@@ -206,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         out = args.fn(args)
     except ValueError as exc:

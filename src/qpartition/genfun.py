@@ -15,8 +15,9 @@ At t = 1 the three classes also equal infinite products with moduli 6/12
 (``product_side``, which takes no t-window).  The at-most-twice class H has
 its own product prod (1 + t q^n + t^2 q^2n) (``h_product``), positive sum
 (``h_positive``, the series H+ below) and brute count (``h_brute``).  The
-class routes take a `KrVariant`, every route rejects a negative window with
-``ValueError``, and ``compare`` diffs any two of them.
+class routes take a `KrVariant`, every route rejects a window that is
+negative or not an ``int`` with ``ValueError``, and ``compare`` diffs any two
+of them.
 
 No class condition looks more than two parts back, so a partition is in
 its class iff each part passes the prefix rule after the parts before it
@@ -77,10 +78,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ppoly
-from .partitions import KrVariant, at_most_twice_rule, brute_series, kr_rule
+from .partitions import (
+    KrVariant, at_most_twice_rule, brute_series, check_ints, check_window, kr_rule,
+)
 from .series import BiSeries, divide_geometric, mul_geometric_rows
 
 
@@ -95,11 +98,6 @@ def h_brute(max_q: int, max_t: int) -> BiSeries:
 
 
 # ----------------------------------------------------------------- rows
-
-def _check_window(max_q: int, max_t: int) -> None:
-    if max_q < 0 or max_t < 0:
-        raise ValueError("max_q and max_t must be >= 0")
-
 
 def _divided(row: list, d: int, size: int) -> list:
     """The first ``size`` coefficients of ``row`` times 1/(1 - q^d), as a new row."""
@@ -169,7 +167,7 @@ def kr_alternating(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
     loop stops at the first term past the window and extends its parent's
     row by one division.
     """
-    _check_window(max_q, max_t)
+    check_window(max_q, max_t)
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     row_k = [1] + [0] * max_q
     for k in range(max_t // 3 + 1):
@@ -276,7 +274,7 @@ def _class_series(variant: KrVariant, max_q: int, max_t: int, numerator) -> BiSe
     ``numerator(sizes)`` returns N's t-rows, row M on its first sizes[M]
     coefficients: before its staircase shift q^{M^2 + extra*M} (extra = 2
     for D'', else 0), row M is needed only up to q^{max_q - M^2 - extra*M}."""
-    _check_window(max_q, max_t)
+    check_window(max_q, max_t)
     extra = 2 if variant is KrVariant.DPRIMEPRIME else 0  # t -> t q^2
     sizes = [
         max_q + 1 - m * (m + extra) for m in range(min(max_t, math.isqrt(max_q)) + 1)
@@ -318,6 +316,7 @@ def kr_marker(variant: KrVariant, a: int, max_q: int, max_t: int) -> BiSeries:
     marker product A(t;q;a) (D) or B(t;q;a) (D', and D'' at t -> t q^2) on
     the staircase.  It counts each seed a^{#toggle groups} (`seeds`), so at
     a = 2 it is the class series."""
+    check_ints(a=a)
     return _class_series(variant, max_q, max_t, lambda sizes: _pair_product(sizes, a - 1, 2))
 
 
@@ -325,7 +324,7 @@ def _h_series(max_q: int, max_t: int, build) -> BiSeries:
     """An at-most-twice series from its full-width t-rows ``build(sizes)``.
     M parts, each at most twice, weigh at least 1+1+2+2+... = (M+1)^2 // 4,
     so t-degrees past isqrt(4*max_q + 3) - 1 are zero and are not built."""
-    _check_window(max_q, max_t)
+    check_window(max_q, max_t)
     mcap = min(max_t, math.isqrt(4 * max_q + 3) - 1)
     rows = build([max_q + 1] * (mcap + 1))
     rows += [[0] * (max_q + 1) for _ in range(max_t - mcap)]
@@ -370,13 +369,13 @@ def _infinite_product(residues, mod: int, numerator: bool, max_q: int) -> BiSeri
 
 def product_side(variant: KrVariant, max_q: int) -> BiSeries:
     """The t = 1 infinite product of the class, expanded to max_q."""
-    _check_window(max_q, 0)
+    check_window(max_q, 0)
     return _infinite_product(*_PRODUCTS[variant], max_q)
 
 
 def product_side_mod12(variant: KrVariant, max_q: int) -> BiSeries:
     """The kr2 product in its modulus-12 printing; other classes unchanged."""
-    _check_window(max_q, 0)
+    check_window(max_q, 0)
     factors = _KR2_MOD12 if variant is KrVariant.DPRIME else _PRODUCTS[variant]
     return _infinite_product(*factors, max_q)
 
@@ -389,8 +388,7 @@ def marginal_max_t(max_q: int) -> int:
 
 # ---------------------------------------------------------------- compare
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     """Coefficientwise diff of two series on their common window."""
 
     max_q: int

@@ -60,10 +60,9 @@ their staircase slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .partitions import as_parts, check_at_most_twice, has_triple, parse_parts
+from .partitions import as_parts, check_at_most_twice, check_ints, has_triple, parse_parts
 
 
 class TaggedPartition:
@@ -278,8 +277,7 @@ def forward_move(
     return _move(_forward_step, _forward_event, tp, pair_index, trace)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """The bijection image (base, mu, theta); the counts follow from the base."""
 
     base: TaggedPartition
@@ -436,8 +434,7 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True)
-class BaseRecord:
+class BaseRecord(NamedTuple):
     """One enumerated base structure (moveable singletons excluded)."""
 
     structure: TaggedPartition
@@ -478,6 +475,7 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: float = math.inf) -> 
     plain part tuple, tests only the new pairs with `_backward_put`, and builds
     one `TaggedPartition` per record.
     """
+    check_ints(m1=m1, m2=m2, m3=m3)
     if min(m1, m2, m3) < 0:
         raise ValueError("counts must be >= 0")
     if max_weight < 0:

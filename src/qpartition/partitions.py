@@ -61,11 +61,30 @@ class KrVariant(Enum):
         return {"d": 1, "d'": 2, "d''": 3}[self.value]
 
 
+def check_ints(**values) -> None:
+    """Raise ValueError naming the first value that is not an ``int`` (a
+    ``bool`` or a float is refused): the type test of the series windows, the
+    base counts and the P arguments."""
+    for name, x in values.items():
+        if type(x) is not int:
+            raise ValueError("%s=%r is not an integer" % (name, x))
+
+
+def check_window(max_q: int, max_t: int) -> None:
+    """A series window: two ints, neither negative."""
+    check_ints(max_q=max_q, max_t=max_t)
+    if max_q < 0 or max_t < 0:
+        raise ValueError("max_q and max_t must be >= 0")
+
+
 def as_parts(p) -> tuple[int, ...]:
     """The parts of an iterable as a tuple, checked in one pass: each part is
     an ``int`` (not a ``bool``) and at least 1, and the parts never decrease.
     """
-    parts = tuple(p)
+    try:
+        parts = tuple(p)
+    except TypeError:
+        raise ValueError("%r is not a sequence of parts" % (p,)) from None
     prev = 1
     for x in parts:
         if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
@@ -166,8 +185,7 @@ def iter_partitions(n: int, max_len: Optional[int] = None) -> Iterator[tuple[int
 def brute_series(admits: Rule, max_q: int, max_t: int) -> BiSeries:
     """Counting series sum_{n,m} #{partitions of n into m parts} q^n t^m over
     the partitions whose every nonempty prefix ``admits`` passes."""
-    if max_q < 0 or max_t < 0:
-        raise ValueError("max_q and max_t must be >= 0")
+    check_window(max_q, max_t)
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
 
     def visit(parts: tuple[int, ...], weight: int) -> None:

@@ -34,6 +34,7 @@ every second coefficient of its span; the q^3 binomials of the block shapes
 from __future__ import annotations
 
 from .moves import enumerate_bases
+from .partitions import check_ints
 from .series import QPOLY_ONE, QPOLY_ZERO, QPoly
 
 _pmemo: dict[tuple[int, int, int, int, int], QPoly] = {}
@@ -109,10 +110,9 @@ def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
 def p(m1: int, m2: int, m3: int, s: int) -> QPoly:
     """P = P0 + P1.  The arguments must be ints, checked before the memo,
     which would answer p(True, 0, 0, 2) as p(1, 0, 0, 2)."""
+    # the inline test keeps the helper's call off this hot path
     if not (type(m1) is int and type(m2) is int and type(m3) is int and type(s) is int):
-        for name, x in (("m1", m1), ("m2", m2), ("m3", m3), ("s", s)):
-            if type(x) is not int:
-                raise ValueError("%s=%r is not an integer" % (name, x))
+        check_ints(m1=m1, m2=m2, m3=m3, s=s)
     return p_parity(m1, m2, m3, s, 0) + p_parity(m1, m2, m3, s, 1)
 
 
@@ -160,7 +160,8 @@ def support(m1: int, m2: int, m3: int, parity: int) -> range:
 def p_oracle(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     """Brute-force P component: enumerate the bases and read off weights.
     Every base of a shape is listed once, into one table keyed by (s,
-    parity)."""
+    parity); the arguments are checked before its memo, like `p`'s."""
+    check_ints(m1=m1, m2=m2, m3=m3, s=s)
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     table = _oracle_memo.get((m1, m2, m3))

@@ -26,7 +26,7 @@ partitions, so this is the class series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import KrVariant, as_parts, check_kr
 
@@ -36,8 +36,7 @@ def staircase(m: int) -> tuple[int, ...]:
     return tuple(2 * i - 1 for i in range(1, m + 1))
 
 
-@dataclass(frozen=True)
-class SeedGroup:
+class SeedGroup(NamedTuple):
     """A toggleable run mu[start:stop] of one even value (even multiplicity)."""
 
     start: int
@@ -45,8 +44,7 @@ class SeedGroup:
     value: int
 
 
-@dataclass(frozen=True)
-class SeedDecomposition:
+class SeedDecomposition(NamedTuple):
     """Seed split against the odd staircase: seed = base + mu, with groups."""
 
     seed: tuple[int, ...]

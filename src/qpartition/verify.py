@@ -13,8 +13,7 @@ report lines, as a ``SuiteResult``.  Every suite takes ``max_q=None``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import genfun, moves, ppoly, seeds
 from .appendix_data import TABLE_ERRATA, golden_entries
@@ -22,15 +21,13 @@ from .partitions import KrVariant, format_parts
 from .series import QPoly
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     lines: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     checks: tuple[CheckResult, ...]
 

@@ -1,14 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartition import genfun, moves, ppoly
+from qpartition import cli, genfun, moves, ppoly
 from qpartition.cli import main
 from qpartition.partitions import KrVariant
 
@@ -421,3 +424,64 @@ def test_cli_fuzz_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def _captured(argv):
+    """Exit code, stdout and stderr of one ``main`` call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_ARGPARSE_EXITS = (["--help"], ["verify", "--help"], ["kr", "--wrong-flag", "1"])
+_TRACED = (["decompose", "--partition", "1,4,4", "--trace"], ["decompose", "--partition", "1,4,4"])
+
+
+@st.composite
+def _argv_sequence(draw):
+    """2-6 argvs: the traced and then the plain decompose of one partition,
+    with up to four drawn argvs around and between them."""
+    argvs = draw(
+        st.lists(st.one_of(_argv(), st.sampled_from(_ARGPARSE_EXITS)), max_size=4)
+    )
+    at, to = sorted(draw(st.integers(0, len(argvs))) for _ in range(2))
+    return argvs[:at] + [_TRACED[0]] + argvs[at:to] + [_TRACED[1]] + argvs[to:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_argv_sequence())
+def test_shared_parser_answers_like_a_fresh_one(argvs):
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(_captured(argv))
+    cli._parser.cache_clear()
+    assert [_captured(argv) for argv in argvs] == fresh, argvs
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_help_and_usage_errors():
+    code, out, err = _captured(["--help"])
+    assert (code, err) == (0, "")
+    assert "{kr,ppoly,decompose,compose,seed-expand,bases,verify}" in out
+    code, out, err = _captured(["verify", "--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: qpartition verify")
+    code, out, err = _captured(["kr", "--wrong-flag", "1"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the following arguments are required: --variant, --form\n")
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: start-up time
+    # that every command would pay
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import qpartition.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive import check_kr_literal
 
+from qpartition import genfun, moves, ppoly
 from qpartition.partitions import (
     KrVariant,
     as_parts,
@@ -218,6 +219,9 @@ def test_distinct_equals_odd_smoke(n):
         ((0, 2, 2), ValueError("part 0 must be >= 1: (0, 2, 2)")),
         ((2, 0), ValueError("part 0 must be >= 1: (2, 0)")),
         ([1, 4, 4], (1, 4, 4)),
+        (None, ValueError("None is not a sequence of parts")),
+        (5, ValueError("5 is not a sequence of parts")),
+        (1.5, ValueError("1.5 is not a sequence of parts")),
     ],
 )
 def test_as_parts_contract(given, expected):
@@ -227,3 +231,34 @@ def test_as_parts_contract(given, expected):
         assert str(info.value) == str(expected)
         return
     assert as_parts(given) == expected
+
+
+# (name of the checked argument, call with x in its place) for the library
+# entry points that take a window, a count or a P argument; ppoly.p has its
+# own test in test_ppoly.py
+_INT_ARGUMENTS = {
+    "kr_brute": ("max_q", lambda x: genfun.kr_brute(D, x, 3)),
+    "kr_alternating": ("max_t", lambda x: genfun.kr_alternating(D, 10, x)),
+    "kr_positive": ("max_q", lambda x: genfun.kr_positive(D, x, 3)),
+    "kr_marker": ("a", lambda x: genfun.kr_marker(D, x, 12, 4)),
+    "product_side": ("max_q", lambda x: genfun.product_side(D, x)),
+    "product_side_mod12": ("max_q", lambda x: genfun.product_side_mod12(DP, x)),
+    "h_brute": ("max_t", lambda x: genfun.h_brute(10, x)),
+    "h_product": ("max_q", lambda x: genfun.h_product(x, 3)),
+    "h_positive": ("max_q", lambda x: genfun.h_positive(x, 3)),
+    "brute_series": ("max_q", lambda x: brute_series(at_most_twice_rule, x, 3)),
+    "enumerate_bases": ("m3", lambda x: moves.enumerate_bases(0, 0, x)),
+    "p_oracle": ("m1", lambda x: ppoly.p_oracle(x, 0, 0, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "3"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_INT_ARGUMENTS))
+def test_entry_points_refuse_non_integers(entry, bad):
+    # 2.0 == 2 and True == 1 would pass a range check or hit a memo keyed by
+    # the int, so the int twin is memoized first; the type test comes before
+    name, call = _INT_ARGUMENTS[entry]
+    ppoly.p_oracle(1, 0, 0, 2, 0)
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == "%s=%r is not an integer" % (name, bad)
