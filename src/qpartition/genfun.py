@@ -30,9 +30,9 @@ q^e on a window truncated from above: a row divided on the first
 max_q + 1 - e coefficients and then shifted by e equals the row shifted
 first and divided on the whole window.  The alternating sum uses this
 directly: the index loops extend a parent row by one division on a copy
-(`_divided`), and `_add_shifted` adds the row at its shift.  The exponent
-grows with every index, so each loop stops at the first term past the
-window and rows shrink as it grows.
+(`_divided`), and `series.add_shifted` adds the row at its shift.  The
+exponent grows with every index, so each loop stops at the first term past
+the window and rows shrink as it grows.
 
 The positive sums follow the paper's construction.  H+ is a sum over
 cores (m1, m2, m3, n12) at t-degree L = 2(m1+m2) + 5m3 + n12: the sum over
@@ -56,9 +56,9 @@ like ``h_product``; at a = 2 it is H(t;q^2).
 Each 1/(x;q^b)_inf is expanded by Euler's sum_k x^k/(q^b;q^b)_k (Andrews,
 *The Theory of Partitions*, 1976, ch. 2), `_euler_sum`: row L reaches row
 L + k*deg_t(x) through k divisions on a copy.  For D these are the sums
-over the multi-sum's indices i and j, and 1/(1 - t), its k index, is one
-in-place pass over the t-rows (`series.mul_geometric_rows`).  Truncating
-each t-degree on its own is exact.  Before the staircase, row M is needed
+over the multi-sum's indices i and j, and 1/(1 - t), its k index, adds
+each t-row into the next, in ascending order.  Truncating each t-degree
+on its own is exact.  Before the staircase, row M is needed
 only on its first size_M = max_q + 1 - M^2 - extra*M coefficients (extra
 is 2 for D'' and 0 otherwise).  Every factor raises the t-degree and never
 lowers the q-degree, so row M depends only on rows L <= M, on the same
@@ -77,14 +77,11 @@ that component of P is nonzero.
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple
 
 from . import ppoly
-from .partitions import (
-    KrVariant, at_most_twice_rule, brute_series, check_ints, check_window, kr_rule,
-)
-from .series import BiSeries, divide_geometric, mul_geometric_rows
+from .partitions import KrVariant, at_most_twice_rule, brute_series, check_window, kr_rule
+from .series import BiSeries, add_shifted, check_ints, divide_geometric
 
 
 # ----------------------------------------------------------------- brute
@@ -106,22 +103,6 @@ def _divided(row: list, d: int, size: int) -> list:
     return out
 
 
-def _add_shifted(dst: list, src: list, shift: int, coeff: int = 1, low: int = 0) -> None:
-    """dst += coeff * q^shift * src, truncated to dst's window; src is known
-    to be zero below index ``low``, which is skipped."""
-    start = shift + low
-    stop = min(len(dst), shift + len(src))
-    if start < stop:
-        if low:
-            src = src[low : stop - shift]
-        if coeff == 1:
-            dst[start:stop] = map(operator.add, dst[start:stop], src)
-        elif coeff == -1:
-            dst[start:stop] = map(operator.sub, dst[start:stop], src)
-        else:
-            dst[start:stop] = [d + coeff * c for d, c in zip(dst[start:stop], src)]
-
-
 def _pair_product(sizes: list, c2: int, b: int) -> list:
     """The t-rows of prod_{n>=1} (1 + t q^{bn} + c2 t^2 q^{2bn}), row m on its
     first sizes[m] coefficients (non-increasing).  Each factor is added in
@@ -140,9 +121,9 @@ def _pair_product(sizes: list, c2: int, b: int) -> list:
         while top and shift + b * (top * top // 4) >= sizes[top]:
             top -= 1
         for m in range(top, 0, -1):
-            _add_shifted(rows[m], rows[m - 1], shift, 1, b * (m * m // 4))
+            add_shifted(rows[m], rows[m - 1], shift, 1, b * (m * m // 4))
             if m > 1 and c2:
-                _add_shifted(rows[m], rows[m - 2], 2 * shift, c2, b * ((m - 1) ** 2 // 4))
+                add_shifted(rows[m], rows[m - 2], 2 * shift, c2, b * ((m - 1) ** 2 // 4))
         n += 1
     return rows
 
@@ -190,36 +171,30 @@ def kr_alternating(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
                     break
                 if i:
                     row = _divided(row, i, max_q + 1 - exp)
-                _add_shifted(rows[i + 2 * j + 3 * k], row, exp, -1 if k % 2 else 1)
+                add_shifted(rows[i + 2 * j + 3 * k], row, exp, -1 if k % 2 else 1)
     return BiSeries._wrap(max_q, max_t, rows)
 
 
 # --------------------------------------------------------------- positive
 
-def _check_nonnegative(values, what: str, key) -> None:
-    if min(values) < 0:
-        raise AssertionError("negative coefficient in the positive-sum %s %s" % (what, key))
-
-
 def _add_numerator(dst: list, core: tuple) -> None:
     """dst += sum_s P(m1,m2,m3,s; q) q^{(s-1)n12 + n12^2}, the numerator of
     the core (m1, m2, m3, n12), truncated to dst's window.  P = P0 + P1 is
     added one parity at a time over that parity's support, and each
-    component is checked nonnegative.  A component's body lies on its
-    exponent lattice, every ``step``-th coefficient of dst from its lowest
-    term, so it goes in as one extended-slice add."""
+    component is checked nonnegative and goes in on its own exponent
+    lattice (`QPoly.add_into`).  The counts are ints built here, so the
+    support is read without `ppoly.support`'s type test, as the recursion
+    reads it."""
     m1, m2, m3, n12 = core
     for parity in (0, 1):
-        for s in ppoly.support(m1, m2, m3, parity):
+        for s in ppoly._support(m1, m2, m3, parity):
             start = (s - 1) * n12 + n12 * n12
             if start >= len(dst):
                 break
             poly = ppoly.p_parity(m1, m2, m3, s, parity)
-            _check_nonnegative(poly.body, "cell", core)
-            i, k = start + poly.low, poly.step or 1
-            stop = min(len(dst), i + k * len(poly.body))
-            if i < stop:
-                dst[i:stop:k] = map(operator.add, dst[i:stop:k], poly.body)
+            if not poly.is_nonnegative():
+                raise AssertionError("negative coefficient in the positive-sum cell %s" % (core,))
+            poly.add_into(dst, start)
 
 
 def _h_plus_rows(sizes: list) -> list:
@@ -245,7 +220,7 @@ def _h_plus_rows(sizes: list) -> list:
                 m3 = L - n12 - 2 * K
                 for m1 in range(K - 2 * m3 + 1):
                     _add_numerator(inner, (m1, K - 2 * m3 - m1, m3, n12))
-            _add_shifted(row, inner, 0)
+            add_shifted(row, inner, 0)
         rows.append(row)
     return rows
 
@@ -263,9 +238,8 @@ def _euler_sum(rows: list, dt: int, dq: int, b: int) -> None:
             size = len(dst) - dq * k
             if size <= 0:
                 break
-            term = term[:size]
-            divide_geometric(term, b * k)
-            _add_shifted(dst, term, dq * k)
+            term = _divided(term, b * k, size)
+            add_shifted(dst, term, dq * k)
 
 
 def _class_series(variant: KrVariant, max_q: int, max_t: int, numerator) -> BiSeries:
@@ -283,12 +257,13 @@ def _class_series(variant: KrVariant, max_q: int, max_t: int, numerator) -> BiSe
     _euler_sum(rows, 1, 1, 2)  # 1/(t q; q^2)_inf
     if variant is KrVariant.D:
         _euler_sum(rows, 2, 4, 4)  # 1/(t^2 q^4; q^4)_inf
-        mul_geometric_rows(rows, 1, 0)  # 1/(1 - t)
+        for m in range(1, len(rows)):  # 1/(1 - t), ascending: row m - 1 is final
+            add_shifted(rows[m], rows[m - 1], 0)
     else:
         _euler_sum(rows, 2, 0, 4)  # 1/(t^2; q^4)_inf
     out = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     for m, row in enumerate(rows):
-        _add_shifted(out[m], row, m * (m + extra))
+        add_shifted(out[m], row, m * (m + extra))
     return BiSeries._wrap(max_q, max_t, out)
 
 
@@ -307,7 +282,8 @@ def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
     every P and every t-degree row after the Euler sums checked nonnegative."""
     series = _class_series(variant, max_q, max_t, _h_plus_stretched)
     for m, row in enumerate(series._rows):
-        _check_nonnegative(row, "t-degree row", m)
+        if min(row) < 0:
+            raise AssertionError("negative coefficient in the positive-sum t-degree row %s" % m)
     return series
 
 
@@ -360,7 +336,7 @@ def _infinite_product(residues, mod: int, numerator: bool, max_q: int) -> BiSeri
     row = [1] + [0] * max_q
     if numerator:
         for d in range(6, max_q + 1, 12):
-            row[d:] = map(operator.sub, row[d:], row[:-d])  # times 1 - q^d
+            add_shifted(row, row[:-d], d, -1)  # times 1 - q^d
     for a in residues:
         for d in range(a, max_q + 1, mod):
             divide_geometric(row, d)
@@ -383,6 +359,7 @@ def product_side_mod12(variant: KrVariant, max_q: int) -> BiSeries:
 def marginal_max_t(max_q: int) -> int:
     """Smallest t-window that is exhaustive for a t = 1 evaluation:
     a class partition with m parts weighs at least m^2."""
+    check_ints(max_q=max_q)
     return math.isqrt(max_q)
 
 

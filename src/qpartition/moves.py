@@ -19,12 +19,14 @@ at least 2 higher or a pair it must not pass.  Greedy tagging of a prefix
 depends on that prefix alone, and the scan is free just past every pair, so
 the new tagging keeps the pairs below the moving one and rescans from just
 past the pair beneath.  One step function per direction (`_backward_step`,
-`_forward_step`) maps plain ``(parts, starts)`` tuples to the next pair, or
-None when a backward move is blocked; `decompose` and `compose` loop over
-them and wrap a `TaggedPartition` once at the end, and `backward_move` and
+`_forward_step`) maps plain ``(parts, starts)`` tuples to the next
+``(parts, starts, j)``, where j is the index put was written at, or None
+when a backward move is blocked; `decompose` and `compose` loop over them
+and wrap a `TaggedPartition` once at the end, and `backward_move` and
 `forward_move` are the single-move wrappers.  Every step still checks that
 put lies between its neighbours, that the pair count is unchanged and that
-the pairs below are untouched.
+the pairs below are untouched.  A move regrouped iff the moving pair's
+start changed, and one builder, `_event`, makes its trace event from j.
 
 Backward moves.  A pair rewrites [k,k+1] -> [k-1,k-1] or [k,k] -> [k-2,k-1],
 dropping the weight by exactly 3.  The move is legal iff
@@ -62,7 +64,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .partitions import as_parts, check_at_most_twice, check_ints, has_triple, parse_parts
+from .partitions import as_parts, check_at_most_twice, has_triple, parse_parts
+from .series import check_ints
 
 
 class TaggedPartition:
@@ -165,7 +168,7 @@ def _backward_put(parts: tuple, j: int, below: int) -> Optional[tuple[int, int]]
 
 
 def _splice(parts: tuple, starts: tuple, i: int, j: int, put: tuple[int, int]):
-    """The (parts, starts) after the move of pair i writes ``put`` over
+    """The (parts, starts, j) after the move of pair i writes ``put`` over
     parts[j:j+2], where j lies at or above that pair's start.  The parts
     below it are untouched, so the pairs below i are kept and the greedy
     scan resumes just past the pair beneath (module docstring)."""
@@ -181,22 +184,23 @@ def _splice(parts: tuple, starts: tuple, i: int, j: int, put: tuple[int, int]):
         raise AssertionError(
             "move %s: %s -> %s" % (what, TaggedPartition(parts), TaggedPartition(new))
         )
-    return new, new_starts
+    return new, new_starts, j
 
 
-def _backward_step(parts: tuple, starts: tuple, i: int) -> Optional[tuple[tuple, tuple]]:
-    """The weight-3 backward move of pair i: the new (parts, starts), or None
-    when the move is blocked."""
+def _backward_step(parts: tuple, starts: tuple, i: int) -> Optional[tuple[tuple, tuple, int]]:
+    """The weight-3 backward move of pair i: the new (parts, starts, j), put
+    written at j, or None when the move is blocked."""
     j = starts[i]
     put = _backward_put(parts, j, parts[starts[i - 1] + 1] if i else 0)
     return None if put is None else _splice(parts, starts, i, j, put)
 
 
-def _forward_step(parts: tuple, starts: tuple, i: int) -> tuple[tuple, tuple]:
-    """The weight+3 forward move of pair i: the new (parts, starts).  It
-    regroups first when a singleton trails the pair within distance 1, and
-    raises ValueError when the move would push some value past multiplicity
-    2 or carry the pair past the pair above it (either signals a malformed
+def _forward_step(parts: tuple, starts: tuple, i: int) -> tuple[tuple, tuple, int]:
+    """The weight+3 forward move of pair i: the new (parts, starts, j), put
+    written at j.  It regroups first when a singleton trails the pair within
+    distance 1, writing one part past the pair's start, and raises
+    ValueError when the move would push some value past multiplicity 2 or
+    carry the pair past the pair above it (either signals a malformed
     decomposition triple)."""
     j = starts[i]
     # a,[b,s] regrouping when a singleton s trails [a,b]: a stays behind
@@ -220,43 +224,28 @@ def _forward_step(parts: tuple, starts: tuple, i: int) -> tuple[tuple, tuple]:
     return _splice(parts, starts, i, j, put)
 
 
-def _backward_event(parts: tuple, starts: tuple, i: int, new: tuple, new_starts: tuple) -> dict:
-    """The trace event of pair i's backward move from parts to new, which
-    holds put where the pair was; a regroup tags it with a part below."""
-    j, k = starts[i], new_starts[i]
+def _event(op: str, parts: tuple, new: tuple, j: int, regroup: bool) -> dict:
+    """The trace event of a move from parts to new that wrote put at j; a
+    regroup tags it with a neighbouring part."""
     return {
-        "op": "backward",
-        "pair": [parts[j], parts[j + 1]],
-        "result": [new[j], new[j + 1]],
-        "regroup": new[k : k + 2] != new[j : j + 2],
-    }
-
-
-def _forward_event(parts: tuple, starts: tuple, i: int, new: tuple, new_starts: tuple) -> dict:
-    """The trace event of pair i's forward move from parts to new.  Put lies
-    above the moving parts, so the pair's low part is unchanged exactly when
-    the move regrouped and left it behind."""
-    j = starts[i]
-    regroup = new[j] == parts[j]
-    if regroup:
-        j += 1
-    return {
-        "op": "forward",
+        "op": op,
         "pair": [parts[j], parts[j + 1]],
         "result": [new[j], new[j + 1]],
         "regroup": regroup,
     }
 
 
-def _move(step, event, tp: TaggedPartition, pair_index: int, trace: Optional[list]):
+def _move(step, op: str, tp: TaggedPartition, pair_index: int, trace: Optional[list]):
     if not (0 <= pair_index < len(tp.starts)):
         raise ValueError("no pair with index %d in %s" % (pair_index, tp))
-    new = step(tp.parts, tp.starts, pair_index)
-    if new is None:
+    moved = step(tp.parts, tp.starts, pair_index)
+    if moved is None:
         return None
+    new, new_starts, j = moved
     if trace is not None:
-        trace.append(event(tp.parts, tp.starts, pair_index, *new))
-    return TaggedPartition(new[0])
+        regroup = new_starts[pair_index] != tp.starts[pair_index]
+        trace.append(_event(op, tp.parts, new, j, regroup))
+    return TaggedPartition(new)
 
 
 def backward_move(
@@ -266,7 +255,7 @@ def backward_move(
 
     Returns the re-tagged partition, or None when the move is blocked.
     """
-    return _move(_backward_step, _backward_event, tp, pair_index, trace)
+    return _move(_backward_step, "backward", tp, pair_index, trace)
 
 
 def forward_move(
@@ -274,7 +263,7 @@ def forward_move(
 ) -> TaggedPartition:
     """One weight+3 forward move on the pair with the given ordinal; see
     `_forward_step` for the regroup and the ValueErrors."""
-    return _move(_forward_step, _forward_event, tp, pair_index, trace)
+    return _move(_forward_step, "forward", tp, pair_index, trace)
 
 
 class Decomposition(NamedTuple):
@@ -333,10 +322,11 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
     mu = []
     for i in range(len(starts)):
         count = 0
-        while (new := _backward_step(parts, starts, i)) is not None:
+        while (moved := _backward_step(parts, starts, i)) is not None:
             if trace is not None:
-                trace.append(_backward_event(parts, starts, i, *new))
-            parts, starts = new
+                new, new_starts, j = moved
+                trace.append(_event("backward", parts, new, j, new_starts[i] != starts[i]))
+            parts, starts, _ = moved
             count += 1
         mu.append(3 * count)
 
@@ -423,10 +413,11 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
     # forward moves on pairs, largest pair first with the largest mu part
     for i in reversed(range(d.n2)):
         for _ in range(d.mu[i] // 3):
-            new = _forward_step(parts, starts, i)
+            moved = _forward_step(parts, starts, i)
             if trace is not None:
-                trace.append(_forward_event(parts, starts, i, *new))
-            parts, starts = new
+                new, new_starts, j = moved
+                trace.append(_event("forward", parts, new, j, new_starts[i] != starts[i]))
+            parts, starts, _ = moved
     if not check_at_most_twice(parts):
         raise AssertionError("composition left the at-most-twice class: %s" % (parts,))
     if sum(parts) != d.total_weight:

@@ -36,7 +36,7 @@ from enum import Enum
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
-from .series import BiSeries
+from .series import BiSeries, check_ints
 
 Rule = Callable[[tuple[int, ...]], bool]
 
@@ -59,15 +59,6 @@ class KrVariant(Enum):
     @property
     def index(self) -> int:
         return {"d": 1, "d'": 2, "d''": 3}[self.value]
-
-
-def check_ints(**values) -> None:
-    """Raise ValueError naming the first value that is not an ``int`` (a
-    ``bool`` or a float is refused): the type test of the series windows, the
-    base counts and the P arguments."""
-    for name, x in values.items():
-        if type(x) is not int:
-            raise ValueError("%s=%r is not an integer" % (name, x))
 
 
 def check_window(max_q: int, max_t: int) -> None:

@@ -34,8 +34,7 @@ every second coefficient of its span; the q^3 binomials of the block shapes
 from __future__ import annotations
 
 from .moves import enumerate_bases
-from .partitions import check_ints
-from .series import QPOLY_ONE, QPOLY_ZERO, QPoly
+from .series import QPOLY_ONE, QPOLY_ZERO, QPoly, check_ints
 
 _pmemo: dict[tuple[int, int, int, int, int], QPoly] = {}
 _qbin_memo: dict[tuple[int, int, int], QPoly] = {}
@@ -64,12 +63,24 @@ def qbinomial(n: int, k: int, base: int = 1) -> QPoly:
 
 
 def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
-    """One parity component of P; see the module docstring for the rules."""
+    """One parity component of P; see the module docstring for the rules.
+    The arguments must be ints, checked before the memo, which would answer
+    p_parity(True, 0, 0, 2, 0) as p_parity(1, 0, 0, 2, 0); the recursion
+    runs in `_p_parity`, unchecked."""
+    # the inline test keeps the helper's call off this hot path
+    if not (type(m1) is type(m2) is type(m3) is type(s) is type(parity) is int):
+        check_ints(m1=m1, m2=m2, m3=m3, s=s, parity=parity)
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    return _p_parity(m1, m2, m3, s, parity)
+
+
+def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     key = (m1, m2, m3, s, parity)
     hit = _pmemo.get(key)
     if hit is not None:  # only valid keys are stored, so this skips the checks
         return hit
-    if s not in support(m1, m2, m3, parity):
+    if s not in _support(m1, m2, m3, parity):
         return QPOLY_ZERO
     if m1 == 0 and m2 == 0 and m3 == 0:
         return QPOLY_ONE
@@ -77,16 +88,16 @@ def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     if parity == 0:
         value = QPOLY_ZERO
         bracket = (
-            p_parity(m1 - 1, m2, m3, s - 1, 0)
-            + p_parity(m1 - 1, m2, m3, s - 2, 1)
-            + p_parity(m1 - 1, m2, m3, s - 2, 0)
+            _p_parity(m1 - 1, m2, m3, s - 1, 0)
+            + _p_parity(m1 - 1, m2, m3, s - 2, 1)
+            + _p_parity(m1 - 1, m2, m3, s - 2, 0)
         )
         if bracket:
             value = value + bracket.shifted(2 * m)
         block = (
-            p_parity(m1, m2, m3 - 1, s - 4, 1)
-            + p_parity(m1, m2, m3 - 1, s - 4, 0)
-            + p_parity(m1, m2, m3 - 1, s - 5, 1)
+            _p_parity(m1, m2, m3 - 1, s - 4, 1)
+            + _p_parity(m1, m2, m3 - 1, s - 4, 0)
+            + _p_parity(m1, m2, m3 - 1, s - 5, 1)
         )
         if block:
             if 5 * m - 7 < 0:
@@ -96,9 +107,9 @@ def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
             value = value + block.shifted(5 * m - 7)
     else:
         bracket = (
-            p_parity(m1, m2 - 1, m3, s - 1, 1)
-            + p_parity(m1, m2 - 1, m3, s - 1, 0)
-            + p_parity(m1, m2 - 1, m3, s - 2, 1)
+            _p_parity(m1, m2 - 1, m3, s - 1, 1)
+            + _p_parity(m1, m2 - 1, m3, s - 1, 0)
+            + _p_parity(m1, m2 - 1, m3, s - 2, 1)
         )
         value = bracket.shifted(2 * m + 1) if bracket else QPOLY_ZERO
     if not value.is_nonnegative():
@@ -108,11 +119,7 @@ def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
 
 
 def p(m1: int, m2: int, m3: int, s: int) -> QPoly:
-    """P = P0 + P1.  The arguments must be ints, checked before the memo,
-    which would answer p(True, 0, 0, 2) as p(1, 0, 0, 2)."""
-    # the inline test keeps the helper's call off this hot path
-    if not (type(m1) is int and type(m2) is int and type(m3) is int and type(s) is int):
-        check_ints(m1=m1, m2=m2, m3=m3, s=s)
+    """P = P0 + P1; `p_parity` checks the arguments."""
     return p_parity(m1, m2, m3, s, 0) + p_parity(m1, m2, m3, s, 1)
 
 
@@ -144,8 +151,15 @@ def support(m1: int, m2: int, m3: int, parity: int) -> range:
     * P0(0, m2, 0) has neither a bracket nor a block; only the empty base
       (m2 = 0) survives.
     """
+    if not (type(m1) is type(m2) is type(m3) is type(parity) is int):  # as in `p_parity`
+        check_ints(m1=m1, m2=m2, m3=m3, parity=parity)
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
+    return _support(m1, m2, m3, parity)
+
+
+def _support(m1: int, m2: int, m3: int, parity: int) -> range:
+    """`support` on arguments known to be valid: the recursion's call."""
     if min(m1, m2, m3) < 0:
         return range(0)
     n = m1 + m2
@@ -204,6 +218,8 @@ def closed_form(kind: str, m1: int = 0, m2: int = 0, m3: int = 0, s: int = 0) ->
     """
     if kind not in CLOSED_FORM_KINDS:
         raise ValueError("unknown closed form %r" % (kind,))
+    if not (type(m1) is type(m2) is type(m3) is type(s) is int):  # as in `p_parity`
+        check_ints(m1=m1, m2=m2, m3=m3, s=s)
     m = s - 1
     if kind == PX00:
         binom = qbinomial(m1, m - m1, 2)

@@ -29,10 +29,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .partitions import KrVariant, as_parts, check_kr
+from .series import check_ints
 
 
 def staircase(m: int) -> tuple[int, ...]:
     """The base partition 1, 3, 5, ..., 2m-1."""
+    check_ints(m=m)
     return tuple(2 * i - 1 for i in range(1, m + 1))
 
 

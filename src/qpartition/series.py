@@ -18,20 +18,22 @@ Truncation policy: combining two series shrinks to the componentwise minimum
 of the windows, so a coefficient is never reported at a degree where one of
 the operands was unknown.
 
-The series kernel is two in-place operations on lists of coefficients:
+The series kernel is three in-place operations on q-rows, lists whose
+entry n is the coefficient of q^n and whose length is the window:
 
-* ``divide_geometric(row, d)`` multiplies a q-row (a list whose entry n is
-  the coefficient of q^n) by 1/(1 - q^d);
-* ``mul_geometric_rows(rows, dt, dq)`` multiplies a list of t-rows, which
-  may be ragged, by 1/(1 - t^dt q^dq).
+* ``divide_geometric(row, d)`` multiplies a row by 1/(1 - q^d);
+* ``add_shifted(dst, src, shift, coeff)`` adds coeff * q^shift * src;
+* ``QPoly.add_into(row, shift)`` adds q^shift times a polynomial, on the
+  polynomial's own lattice.
 
 The routes in ``genfun`` build every product and Pochhammer symbol they
-need on rows with these and shifted adds: 1/(q^b; q^b)_n is n calls of
+need on rows with these: 1/(q^b; q^b)_n is n calls of
 ``divide_geometric``, 1/(x; q^b)_inf is Euler's sum of such quotients, and
 a finite factor such as 1 - q^d or 1 + t q^n + t^2 q^2n is one shifted add
-per term.  ``BiSeries`` wraps the finished rows; its arithmetic is the
-dense reference the tests check those routes against (Andrews, *The Theory
-of Partitions*, 1976, ch. 2).
+per term; 1/(1 - t^dt q^dq) on a list of t-rows is one shifted add per
+row, in ascending t-degree.  ``BiSeries`` wraps the finished rows; its
+arithmetic is the dense reference the tests check those routes against
+(Andrews, *The Theory of Partitions*, 1976, ch. 2).
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ class QPoly:
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "QPoly":
+        check_ints(coeff=coeff, exp=exp)
         if exp < 0:
             raise ValueError("monomial exponent must be >= 0, got %d" % exp)
         if coeff == 0:
@@ -160,6 +163,15 @@ class QPoly:
             return self
         return QPoly._wrap(self.low * k, self.step * k, self.body)
 
+    def add_into(self, row: list, shift: int) -> None:
+        """row += q^shift * self in place, truncated to the row's window
+        (shift >= 0).  The terms lie every ``step``-th entry from the lowest
+        one, so this is one extended-slice add."""
+        start, step = shift + self.low, self.step or 1
+        stop = min(len(row), start + step * len(self.body))
+        if start < stop:
+            row[start:stop:step] = map(operator.add, row[start:stop:step], self.body)
+
     def is_nonnegative(self) -> bool:
         return not self.body or min(self.body) >= 0
 
@@ -217,6 +229,7 @@ class BiSeries:
     __slots__ = ("max_q", "max_t", "_rows")
 
     def __init__(self, max_q: int, max_t: int, rows=None):
+        check_ints(max_q=max_q, max_t=max_t)
         if max_q < 0 or max_t < 0:
             raise ValueError("window bounds must be >= 0")
         object.__setattr__(self, "max_q", max_q)
@@ -270,6 +283,7 @@ class BiSeries:
 
     def coeff(self, n: int, m: int) -> int:
         """Exact coefficient of t^m q^n; out-of-window queries are errors."""
+        check_ints(n=n, m=m)
         if not (0 <= n <= self.max_q) or not (0 <= m <= self.max_t):
             raise ValueError(
                 "coefficient query (n=%d, m=%d) outside window (max_q=%d, max_t=%d)"
@@ -352,17 +366,13 @@ class BiSeries:
             for row in rows:
                 divide_geometric(row, dq)
         else:
-            mul_geometric_rows(rows, dt, dq)
+            for m in range(dt, len(rows)):  # ascending, so row m - dt is final
+                add_shifted(rows[m], rows[m - dt], dq)
         return BiSeries._wrap(self.max_q, self.max_t, rows)
 
     def t_marginal(self) -> "BiSeries":
         """Evaluate at t = 1 by summing over t-degrees; result has max_t = 0."""
-        out = [0] * (self.max_q + 1)
-        for row in self._rows:
-            for n, c in enumerate(row):
-                if c:
-                    out[n] += c
-        return BiSeries._wrap(self.max_q, 0, [out])
+        return BiSeries._wrap(self.max_q, 0, [[sum(col) for col in zip(*self._rows)]])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiSeries):
@@ -408,18 +418,28 @@ def divide_geometric(row: list, d: int) -> None:
         row[n] += row[n - d]
 
 
-def mul_geometric_rows(rows: list, dt: int, dq: int) -> None:
-    """Multiply the t-rows ``rows`` in place by 1/(1 - t^dt q^dq), dt >= 1.
+def add_shifted(dst: list, src: list, shift: int, coeff: int = 1, low: int = 0) -> None:
+    """dst += coeff * q^shift * src in place, on q-rows.  Truncation: dst's
+    length is the window, so the terms of src that land past it drop, and a
+    src shorter than the window adds nothing above its end.  src is known to
+    be zero below index ``low``, which is skipped.  shift and low are >= 0."""
+    start = shift + low
+    stop = min(len(dst), shift + len(src))
+    if start < stop:
+        if low:
+            src = src[low : stop - shift]
+        if coeff == 1:
+            dst[start:stop] = map(operator.add, dst[start:stop], src)
+        elif coeff == -1:
+            dst[start:stop] = map(operator.sub, dst[start:stop], src)
+        else:
+            dst[start:stop] = [d + coeff * c for d, c in zip(dst[start:stop], src)]
 
-    ``rows[m]`` is the q-row of t^m.  Rows may be ragged: each row's window
-    is its own length, and the result is exact on it as long as no row is
-    longer than the rows below it.  dq may be 0.  Rows are passed in
-    ascending m, so row m - dt is final before it is added into row m.
-    """
-    if dt < 1 or dq < 0:
-        raise ValueError("geometric t-step needs dt >= 1 and dq >= 0, got (%d, %d)" % (dt, dq))
-    for m in range(dt, len(rows)):
-        src, dst = rows[m - dt], rows[m]
-        stop = min(len(dst), dq + len(src))
-        if dq < stop:
-            dst[dq:stop] = map(operator.add, dst[dq:stop], src)
+
+def check_ints(**values) -> None:
+    """Raise ValueError naming the first value that is not an ``int`` (a
+    ``bool`` or a float is refused): the one type test of integer arguments,
+    here in the lowest layer so that every module reaches it."""
+    for name, x in values.items():
+        if type(x) is not int:
+            raise ValueError("%s=%r is not an integer" % (name, x))

@@ -413,14 +413,20 @@ def _naive_h_positive(max_q, max_t):
     return BiSeries._wrap(max_q, max_t, rows)
 
 
+# the linear exponents (a, b, c) of the alternating sums' q-exponent
+# s(s-1) + a*i + b*j + 3k^2 + c*k, s = i + 2j + 3k
+_ALTERNATING_LINEAR = {D: (1, 6, 6), DP: (2, 2, 6), DPP: (4, 6, 12)}
+
+
 def _naive_kr_alternating(variant, max_q, max_t):
+    a, b, c = _ALTERNATING_LINEAR[variant]
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     s = 0
     while s <= max_t and s * (s - 1) <= max_q:
         for k in range(s // 3 + 1):
             for j in range((s - 3 * k) // 2 + 1):
                 i = s - 3 * k - 2 * j
-                exp = genfun._alternating_q_exponent(variant, i, j, k)
+                exp = s * (s - 1) + a * i + b * j + 3 * k * k + c * k
                 if exp > max_q:
                     continue
                 term = [0] * (max_q + 1)

@@ -485,7 +485,8 @@ def test_compose_traces_are_pinned():
 # Reference moves from scratch: write put's values, sort the whole part
 # tuple, re-tag it from index 0 and compare every pair list.  The step
 # functions that decompose and compose call splice put in place and re-tag
-# from the pair below; they must give the same parts and starts.
+# from the pair below; they must give the same parts and starts, and report
+# the index the naive move wrote put at.
 
 
 def _naive_rebuilt(tp, j, put, pair_index):
@@ -508,7 +509,7 @@ def _naive_backward(tp, pair_index):
     below = parts[starts[pair_index - 1] + 1] if pair_index else 0
     if put[0] < max(below, 1) or _naive_overfills(parts, put):
         return None
-    return _naive_rebuilt(tp, j, put, pair_index)
+    return _naive_rebuilt(tp, j, put, pair_index), j
 
 
 def _naive_forward(tp, pair_index):
@@ -519,7 +520,7 @@ def _naive_forward(tp, pair_index):
     a, b = parts[j], parts[j + 1]
     put = (a + 1, a + 2) if a == b else (b + 1, b + 1)
     assert not _naive_overfills(parts, put)
-    return _naive_rebuilt(tp, j, put, pair_index)
+    return _naive_rebuilt(tp, j, put, pair_index), j
 
 
 def _moves_of_round_trips(partitions):
@@ -552,7 +553,10 @@ def _assert_moves_match_the_naive_reference(made):
         if ref is None:
             assert out is None, (kind, tp, pair_index)
         else:
-            assert out == (ref.parts, ref.starts), (kind, tp, pair_index)
+            new, j = ref
+            parts_out, starts_out, j_out = out
+            assert (parts_out, starts_out) == (new.parts, new.starts), (kind, tp, pair_index)
+            assert j_out == j, (kind, tp, pair_index)
 
 
 def test_every_round_trip_move_to_weight_30_matches_the_naive_reference():

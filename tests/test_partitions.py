@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive import check_kr_literal
 
-from qpartition import genfun, moves, ppoly
+from qpartition import genfun, moves, ppoly, seeds
 from qpartition.partitions import (
     KrVariant,
     as_parts,
@@ -15,6 +15,7 @@ from qpartition.partitions import (
     iter_partitions,
     parse_parts,
 )
+from qpartition.series import BiSeries, QPoly
 
 D = KrVariant.D
 DP = KrVariant.DPRIME
@@ -234,8 +235,8 @@ def test_as_parts_contract(given, expected):
 
 
 # (name of the checked argument, call with x in its place) for the library
-# entry points that take a window, a count or a P argument; ppoly.p has its
-# own test in test_ppoly.py
+# entry points that take a window, a count, an exponent or a P argument;
+# ppoly.p has its own test in test_ppoly.py
 _INT_ARGUMENTS = {
     "kr_brute": ("max_q", lambda x: genfun.kr_brute(D, x, 3)),
     "kr_alternating": ("max_t", lambda x: genfun.kr_alternating(D, 10, x)),
@@ -249,6 +250,15 @@ _INT_ARGUMENTS = {
     "brute_series": ("max_q", lambda x: brute_series(at_most_twice_rule, x, 3)),
     "enumerate_bases": ("m3", lambda x: moves.enumerate_bases(0, 0, x)),
     "p_oracle": ("m1", lambda x: ppoly.p_oracle(x, 0, 0, 2, 0)),
+    "p_parity": ("m1", lambda x: ppoly.p_parity(x, 0, 0, 2, 0)),
+    "p_parity_parity": ("parity", lambda x: ppoly.p_parity(1, 0, 0, 2, x)),
+    "support": ("m1", lambda x: ppoly.support(x, 0, 0, 0)),
+    "closed_form": ("m1", lambda x: ppoly.closed_form(ppoly.PX00, x, 0, 0, 3)),
+    "QPoly.monomial": ("exp", lambda x: QPoly.monomial(1, x)),
+    "BiSeries": ("max_q", lambda x: BiSeries(x, 2)),
+    "BiSeries.coeff": ("n", lambda x: BiSeries(3, 2).coeff(x, 0)),
+    "marginal_max_t": ("max_q", lambda x: genfun.marginal_max_t(x)),
+    "staircase": ("m", lambda x: seeds.staircase(x)),
 }
 
 
@@ -259,6 +269,7 @@ def test_entry_points_refuse_non_integers(entry, bad):
     # the int, so the int twin is memoized first; the type test comes before
     name, call = _INT_ARGUMENTS[entry]
     ppoly.p_oracle(1, 0, 0, 2, 0)
+    ppoly.p(1, 0, 0, 2)
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value) == "%s=%r is not an integer" % (name, bad)

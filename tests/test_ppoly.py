@@ -144,6 +144,8 @@ def test_support_edges():
     assert not support(0, 0, -1, 0)
     with pytest.raises(ValueError, match="parity must be 0 or 1"):
         support(1, 1, 1, 2)
+    with pytest.raises(ValueError, match="parity must be 0 or 1"):
+        p_parity(1, 1, 0, 3, 2)  # not read as P1 by the unchecked recursion
 
 
 def test_memo_stores_no_zero_polynomial(monkeypatch):
@@ -211,7 +213,7 @@ def test_negative_block_exponent_guard_fires(monkeypatch):
         return range(-10, 100) if min(m1, m2 - parity, m3) >= 0 else range(0)
 
     monkeypatch.setattr(ppoly, "_pmemo", {})
-    monkeypatch.setattr(ppoly, "support", widened)
+    monkeypatch.setattr(ppoly, "_support", widened)
     with pytest.raises(AssertionError, match="negative block exponent"):
         p_parity(0, 0, 1, 2, 0)
 

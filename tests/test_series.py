@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpartition.partitions import iter_partitions
-from qpartition.series import BiSeries, QPoly, divide_geometric, mul_geometric_rows
+from qpartition.series import BiSeries, QPoly, add_shifted, divide_geometric
 
 
 def inv_product(x_dt, x_dq, base, max_q, max_t):
@@ -101,8 +101,6 @@ def test_geometric_inverse_examples():
     assert all(s.coeff(n, 0) == 1 for n in range(7))
     a = BiSeries.one(6, 3) + BiSeries.monomial(-1, 1, 1, 6, 3)
     assert a.mul_geometric_inverse(1, 1) == BiSeries.one(6, 3)
-    with pytest.raises(ValueError):
-        BiSeries.one(4, 4).mul_geometric_inverse(0, 0)
 
 
 def test_inv_pochhammer_counts_partitions():
@@ -243,8 +241,7 @@ _coeff = st.integers(-5, 5)
 
 
 def _naive_geometric_t_pass(rows, dt, dq):
-    """rows times 1/(1 - t^dt q^dq), dt >= 1, one cell at a time: the loop
-    ``BiSeries.mul_geometric_inverse`` ran before ``mul_geometric_rows``."""
+    """rows times 1/(1 - t^dt q^dq), dt >= 1, one cell at a time."""
     for m in range(dt, len(rows)):
         src, dst = rows[m - dt], rows[m]
         for n in range(dq, len(dst)):
@@ -252,37 +249,60 @@ def _naive_geometric_t_pass(rows, dt, dq):
                 dst[n] += src[n - dq]
 
 
-@st.composite
-def _ragged_rows(draw):
-    # t-rows whose windows never grow with the t-degree, as in kr_positive
-    widths = sorted(draw(st.lists(st.integers(0, 9), min_size=1, max_size=6)), reverse=True)
-    return [[draw(_coeff) for _ in range(w)] for w in widths]
-
-
 @settings(max_examples=150, deadline=None)
-@given(_ragged_rows(), st.integers(1, 4), st.integers(0, 10))
+@given(
+    st.integers(1, 10).flatmap(
+        lambda w: st.lists(st.lists(_coeff, min_size=w, max_size=w), min_size=1, max_size=6)
+    ),
+    st.integers(1, 4),
+    st.integers(0, 10),
+)
 def test_geometric_t_pass_matches_the_naive_loop(rows, dt, dq):
     expected = [row[:] for row in rows]
     _naive_geometric_t_pass(expected, dt, dq)
-    got = [row[:] for row in rows]
-    mul_geometric_rows(got, dt, dq)
-    assert got == expected
-    width = len(rows[0])
-    if width and all(len(row) == width for row in rows):
-        s = BiSeries(width - 1, len(rows) - 1, rows)
-        assert s.mul_geometric_inverse(dt, dq)._rows == expected
-        # and multiplying by 1 - t^dt q^dq undoes it
-        factor = BiSeries.one(s.max_q, s.max_t)
-        if dt <= s.max_t and dq <= s.max_q:
-            factor = factor + BiSeries.monomial(-1, dq, dt, s.max_q, s.max_t)
-        assert s.mul_geometric_inverse(dt, dq) * factor == s
+    s = BiSeries(len(rows[0]) - 1, len(rows) - 1, rows)
+    assert s.mul_geometric_inverse(dt, dq)._rows == expected
+    # and multiplying by 1 - t^dt q^dq undoes it
+    factor = BiSeries.one(s.max_q, s.max_t)
+    if dt <= s.max_t and dq <= s.max_q:
+        factor = factor + BiSeries.monomial(-1, dq, dt, s.max_q, s.max_t)
+    assert s.mul_geometric_inverse(dt, dq) * factor == s
 
 
 def test_geometric_t_pass_rejects_a_constant_t_step():
-    with pytest.raises(ValueError, match="dt >= 1"):
-        mul_geometric_rows([[1], [0]], 0, 1)
-    with pytest.raises(ValueError, match="dq >= 0"):
-        mul_geometric_rows([[1], [0]], 1, -1)
+    # (0, 0) is the constant step 1/(1 - 1); negative steps leave the window
+    s = BiSeries(0, 1, [[1], [0]])
+    for dt, dq in ((0, 0), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match=r"\(dt, dq\) != \(0, 0\), both >= 0"):
+            s.mul_geometric_inverse(dt, dq)
+
+
+# The row kernel against per-cell loops: entry n of a row is the
+# coefficient of q^n, and the row's length is its window.
+
+
+def _naive_add_shifted(dst, src, shift, coeff, low):
+    for n, c in enumerate(src):
+        if n >= low and shift + n < len(dst):
+            dst[shift + n] += coeff * c
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_coeff, max_size=12),
+    st.lists(_coeff, max_size=12),
+    st.integers(0, 15),
+    st.sampled_from([1, -1, 0, 2, -3, 10**30]),
+    st.integers(0, 6),
+)
+def test_add_shifted_matches_the_naive_loop(dst, src, shift, coeff, low):
+    src = [0] * min(low, len(src)) + src[low:]  # zero below low, as promised
+    expected = dst[:]
+    _naive_add_shifted(expected, src, shift, coeff, low)
+    before = src[:]
+    add_shifted(dst, src, shift, coeff, low)
+    assert dst == expected
+    assert src == before
 
 
 # QPoly against a plain dense list: entry e is the coefficient of q^e.
@@ -412,3 +432,24 @@ def test_qpoly_equality_reads_terms_across_lattices():
     assert dense == strided and hash(dense) == hash(strided)
     assert QPoly((1, 0, 2)) != strided
     assert QPoly.monomial(3, 4) == QPoly((0, 0, 0, 0, 3)) == QPoly((3,)).stretched(2).shifted(4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _dense, st.integers(0, 3), st.integers(0, 4), st.lists(_coeff, max_size=20), st.integers(0, 20)
+)
+def test_qpoly_add_into_matches_the_naive_loop(dense, step, low, row, shift):
+    # a monomial has step 0; otherwise dense's terms lie every step-th
+    # exponent from q^low
+    if step:
+        poly = QPoly(dense).stretched(step).shifted(low)
+        terms = [(low + step * n, c) for n, c in enumerate(dense)]
+    else:
+        terms = [(low, dense[-1] if dense else 0)]
+        poly = QPoly.monomial(terms[0][1], low)
+    expected = row[:]
+    for e, c in terms:
+        if shift + e < len(row):
+            expected[shift + e] += c
+    poly.add_into(row, shift)
+    assert row == expected
