@@ -80,8 +80,8 @@ import math
 from typing import NamedTuple
 
 from . import ppoly
-from .partitions import KrVariant, at_most_twice_rule, brute_series, check_window, kr_rule
-from .series import BiSeries, add_shifted, check_ints, divide_geometric
+from .partitions import KrVariant, at_most_twice_rule, brute_series, kr_rule
+from .series import BiSeries, add_shifted, check_ints, check_window, divide_geometric
 
 
 # ----------------------------------------------------------------- brute

@@ -9,24 +9,32 @@ derived from them by the greedy scan in its constructor, and the bracket
 form ``[1,2],3,[5,5]`` is only printed and parsed.  `tag` validates outside
 input.
 
-Local moves.  A move writes two parts ``put`` over ``parts[j:j+2]`` and
-splices them in place: the result is already sorted.  A backward move writes
-below its pair but not below the pair beneath (rule (iii) below), and a
-singleton right below the pair is at least 2 below its low part, or greedy
-pairing would have bound the two.  A forward move first absorbs a trailing
-singleton within 1 (the regroup below), so the part after it is a singleton
-at least 2 higher or a pair it must not pass.  Greedy tagging of a prefix
-depends on that prefix alone, and the scan is free just past every pair, so
-the new tagging keeps the pairs below the moving one and rescans from just
-past the pair beneath.  One step function per direction (`_backward_step`,
-`_forward_step`) maps plain ``(parts, starts)`` tuples to the next
-``(parts, starts, j)``, where j is the index put was written at, or None
-when a backward move is blocked; `decompose` and `compose` loop over them
-and wrap a `TaggedPartition` once at the end, and `backward_move` and
-`forward_move` are the single-move wrappers.  Every step still checks that
-put lies between its neighbours, that the pair count is unchanged and that
-the pairs below are untouched.  A move regrouped iff the moving pair's
-start changed, and one builder, `_event`, makes its trace event from j.
+Local moves.  A move writes two parts ``put`` over ``parts[j:j+2]`` of one
+list, in place: the result is already sorted.  A backward move writes below
+its pair but not below the pair beneath (rule (iii) below), and a singleton
+right below the pair is at least 2 below its low part, or greedy pairing
+would have bound the two.  A forward move first absorbs a trailing singleton
+within 1 (the regroup below), so the part after it is a singleton at least 2
+higher or a pair it must not pass.  Put's values lie on one side of the pair
+with no value between, and no value appears thrice, so rule (ii) counts them
+in the four parts next to the pair on that side.  Greedy tagging of a prefix
+depends on that prefix alone, and the old scan is free at every index from
+just past the pair beneath up to the pair above, except inside the moving
+pair.  So the pairs below it are kept, and the scan restarts just below the
+write and stops once it is free past the written parts.  With no triple in
+the list it finds exactly one pair there and stops by index j+2, so it never
+crosses the pair above: a forward put lies at least 2 above the part below
+it and binds as a pair at j, and a backward put binds at j or lends its low
+part to the singleton below, and then its top is at least 2 below the part
+above the write.  The scan is back in step, and only the moving pair's start
+changes; any other outcome trips an assertion.  `_backward_step` and
+`_forward_step` move pair i of a ``(parts, starts)`` pair of lists and
+return the index j put was written at, or None when a backward move is
+blocked; `decompose`, `compose` and the single-move
+`backward_move`/`forward_move` run them.  Every step still checks that put
+lies between its neighbours, that the pair count is unchanged and that the
+pairs below are untouched.  A traced move records the pair before the write
+and what was written; it regrouped iff the pair's start changed.
 
 Backward moves.  A pair rewrites [k,k+1] -> [k-1,k-1] or [k,k] -> [k-2,k-1],
 dropping the weight by exactly 3.  The move is legal iff
@@ -77,9 +85,10 @@ class TaggedPartition:
     __slots__ = ("parts", "starts")
 
     def __init__(self, parts):
-        parts = tuple(parts)
+        parts, starts = tuple(parts), []
+        _greedy_scan(parts, 0, len(parts) - 1, starts)
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "starts", _greedy_starts(parts, 0, []))
+        object.__setattr__(self, "starts", tuple(starts))
 
     def __setattr__(self, name, value):
         raise AttributeError("TaggedPartition is immutable")
@@ -113,17 +122,18 @@ class TaggedPartition:
         return "TaggedPartition(%s)" % self
 
 
-def _greedy_starts(parts: tuple, i: int, starts: list) -> tuple[int, ...]:
+def _greedy_scan(parts, i: int, stop: int, starts: list) -> int:
     """Extend ``starts`` by the greedy scan of ``parts`` from index i, where
-    the scan is free (no pair is open at i)."""
-    last = len(parts) - 1
-    while i < last:
+    the scan is free (no pair is open at i), over the pairs starting below
+    ``stop`` <= len(parts) - 1; return the index it ended at, which is
+    ``stop`` unless a pair straddles it or the scan ran off the end."""
+    while i < stop:
         if parts[i + 1] - parts[i] <= 1:
             starts.append(i)
             i += 2
         else:
             i += 1
-    return tuple(starts)
+    return i
 
 
 def tag(p) -> TaggedPartition:
@@ -152,100 +162,110 @@ def parse_structure(text: str) -> TaggedPartition:
     return tp
 
 
-def _backward_put(parts: tuple, j: int, below: int) -> Optional[tuple[int, int]]:
+def _backward_put(parts, j: int, floor: int) -> Optional[tuple[int, int]]:
     """The parts a backward move writes over the pair at parts[j:j+2], or
-    None when rules (i)-(iii) block it.  ``below`` is the top part of the
-    pair beneath (0 for the first pair) and ``parts`` holds no triple.  The
-    rewritten parts lie below the pair, so parts above it cannot matter."""
+    None when rules (i)-(iii) block it.  ``floor`` is the top part of the
+    pair beneath, or 1 for the first pair, and ``parts`` holds no triple.
+    The rewritten parts lie below the pair, so parts above it cannot matter."""
     lo = parts[j]
     put = (lo - 2, lo - 1) if lo == parts[j + 1] else (lo - 1, lo - 1)
-    if put[0] < max(below, 1):  # (i), and (iii): pairs do not move through pairs
+    if put[0] < floor:  # (i), and (iii): pairs do not move through pairs
         return None
-    # (ii): put's values differ from the pair's, so only they can reach 3
-    if parts.count(put[0]) + (put[0] == put[1]) > 1 or parts.count(put[1]) > 1:
+    # (ii): put's values differ from the pair's, so only they can reach 3,
+    # and all their copies sit in the four parts below it (module docstring)
+    window = parts[j - 4 : j] if j > 4 else parts[:j]
+    if window.count(put[0]) + (put[0] == put[1]) > 1 or window.count(put[1]) > 1:
         return None
     return put
 
 
-def _splice(parts: tuple, starts: tuple, i: int, j: int, put: tuple[int, int]):
-    """The (parts, starts, j) after the move of pair i writes ``put`` over
-    parts[j:j+2], where j lies at or above that pair's start.  The parts
-    below it are untouched, so the pairs below i are kept and the greedy
-    scan resumes just past the pair beneath (module docstring)."""
-    if (j and put[0] < parts[j - 1]) or (j + 2 < len(parts) and put[1] > parts[j + 2]):
+def _write(parts: list, starts: list, i: int, j: int, put: tuple[int, int]) -> int:
+    """Write ``put`` over parts[j:j+2] for the move of pair i, where j lies
+    at or above that pair's start, re-tag ``starts`` and return j.  The
+    pairs below i are kept; the greedy scan restarts just below the write
+    and must find one pair there and come free past it without crossing
+    pair i+1, which keeps the pairs above too (module docstring)."""
+    n = len(parts)
+    if (j and put[0] < parts[j - 1]) or (j + 2 < n and put[1] > parts[j + 2]):
         raise AssertionError(
             "move put %s out of order at index %d of %s" % (put, j, TaggedPartition(parts))
         )
-    new = parts[:j] + put + parts[j + 2 :]
+    old = parts[j : j + 2]
+    parts[j], parts[j + 1] = put
     resume = starts[i - 1] + 2 if i else 0
-    new_starts = _greedy_starts(new, resume, list(starts[:i]))
-    if j < resume or len(new_starts) != len(starts):
+    found = []
+    end = _greedy_scan(parts, j - 1 if j > resume else resume, j + 2 if j + 2 < n else n - 1, found)
+    if j < resume or len(found) != 1 or (i + 1 < len(starts) and end > starts[i + 1]):
         what = "disturbed a finalized pair" if j < resume else "changed the pair count"
-        raise AssertionError(
-            "move %s: %s -> %s" % (what, TaggedPartition(parts), TaggedPartition(new))
-        )
-    return new, new_starts, j
+        before = TaggedPartition(parts[:j] + old + parts[j + 2 :])
+        raise AssertionError("move %s: %s -> %s" % (what, before, TaggedPartition(parts)))
+    starts[i] = found[0]
+    return j
 
 
-def _backward_step(parts: tuple, starts: tuple, i: int) -> Optional[tuple[tuple, tuple, int]]:
-    """The weight-3 backward move of pair i: the new (parts, starts, j), put
-    written at j, or None when the move is blocked."""
+def _backward_step(parts: list, starts: list, i: int) -> Optional[int]:
+    """The weight-3 backward move of pair i, made in place: the index j put
+    was written at, or None (nothing changed) when the move is blocked."""
     j = starts[i]
-    put = _backward_put(parts, j, parts[starts[i - 1] + 1] if i else 0)
-    return None if put is None else _splice(parts, starts, i, j, put)
+    put = _backward_put(parts, j, parts[starts[i - 1] + 1] if i else 1)
+    return None if put is None else _write(parts, starts, i, j, put)
 
 
-def _forward_step(parts: tuple, starts: tuple, i: int) -> tuple[tuple, tuple, int]:
-    """The weight+3 forward move of pair i: the new (parts, starts, j), put
-    written at j.  It regroups first when a singleton trails the pair within
-    distance 1, writing one part past the pair's start, and raises
+def _forward_step(parts: list, starts: list, i: int) -> int:
+    """The weight+3 forward move of pair i, made in place: the index j put
+    was written at.  It regroups first when a singleton trails the pair
+    within distance 1, writing one part past the pair's start, and raises
     ValueError when the move would push some value past multiplicity 2 or
     carry the pair past the pair above it (either signals a malformed
     decomposition triple)."""
-    j = starts[i]
+    j, n = starts[i], len(parts)
     # a,[b,s] regrouping when a singleton s trails [a,b]: a stays behind
-    if j + 2 < len(parts) and parts[j + 2] - parts[j + 1] <= 1 and (
-        j + 2 not in starts[i + 1 : i + 2]
+    if j + 2 < n and parts[j + 2] - parts[j + 1] <= 1 and (
+        i + 1 == len(starts) or starts[i + 1] != j + 2
     ):
         j += 1
     a, b = parts[j], parts[j + 1]
     put = (a + 1, a + 2) if a == b else (b + 1, b + 1)
-    # put's values differ from the pair's, so only they can reach 3
-    if parts.count(put[0]) + (put[0] == put[1]) > 1 or parts.count(put[1]) > 1:
+    # put's values differ from the pair's, so only they can reach 3, and all
+    # their copies sit in the four parts above it (module docstring)
+    window = parts[j + 2 : j + 6]
+    if window.count(put[0]) + (put[0] == put[1]) > 1 or window.count(put[1]) > 1:
         raise ValueError(
             "forward move on [%d,%d] of %s would repeat a part more than twice"
             % (a, b, TaggedPartition(parts))
         )
-    if j + 2 < len(parts) and put[1] > parts[j + 2]:
+    if j + 2 < n and put[1] > parts[j + 2]:
         raise ValueError(
             "forward move on [%d,%d] of %s would pass the pair above"
             % (a, b, TaggedPartition(parts))
         )
-    return _splice(parts, starts, i, j, put)
+    return _write(parts, starts, i, j, put)
 
 
-def _event(op: str, parts: tuple, new: tuple, j: int, regroup: bool) -> dict:
-    """The trace event of a move from parts to new that wrote put at j; a
-    regroup tags it with a neighbouring part."""
-    return {
-        "op": op,
-        "pair": [parts[j], parts[j + 1]],
-        "result": [new[j], new[j + 1]],
-        "regroup": regroup,
-    }
+def _traced(step, op: str, trace: Optional[list]):
+    """``step``, appending to ``trace`` when one is given the event of each
+    move made: the pair before the write, the parts written, and whether the
+    pair's start moved (a regroup)."""
+    if trace is None:
+        return step
+
+    def traced(parts: list, starts: list, i: int) -> Optional[int]:
+        s, old = starts[i], parts[starts[i] : starts[i] + 3]
+        j = step(parts, starts, i)
+        if j is not None:
+            pair, result = old[j - s : j - s + 2], parts[j : j + 2]
+            trace.append({"op": op, "pair": pair, "result": result, "regroup": starts[i] != s})
+        return j
+
+    return traced
 
 
 def _move(step, op: str, tp: TaggedPartition, pair_index: int, trace: Optional[list]):
     if not (0 <= pair_index < len(tp.starts)):
         raise ValueError("no pair with index %d in %s" % (pair_index, tp))
-    moved = step(tp.parts, tp.starts, pair_index)
-    if moved is None:
-        return None
-    new, new_starts, j = moved
-    if trace is not None:
-        regroup = new_starts[pair_index] != tp.starts[pair_index]
-        trace.append(_event(op, tp.parts, new, j, regroup))
-    return TaggedPartition(new)
+    parts = list(tp.parts)
+    moved = _traced(step, op, trace)(parts, list(tp.starts), pair_index) is not None
+    return TaggedPartition(parts) if moved else None
 
 
 def backward_move(
@@ -318,20 +338,17 @@ def _largest_pair_lo(parts: tuple, starts: tuple) -> int:
 def decompose(p, trace: Optional[list] = None) -> Decomposition:
     """Drive every pair to its blocked position, then stow the singletons."""
     tp = tag(p)
-    parts, starts = tp.parts, tp.starts
+    parts, starts = list(tp.parts), list(tp.starts)
+    step = _traced(_backward_step, "backward", trace)
     mu = []
     for i in range(len(starts)):
         count = 0
-        while (moved := _backward_step(parts, starts, i)) is not None:
-            if trace is not None:
-                new, new_starts, j = moved
-                trace.append(_event("backward", parts, new, j, new_starts[i] != starts[i]))
-            parts, starts, _ = moved
+        while step(parts, starts, i) is not None:
             count += 1
         mu.append(3 * count)
 
     end, k = _past_last_pair(starts), _largest_pair_lo(parts, starts)
-    base_parts = list(parts[:end])
+    base_parts = parts[:end]
     theta = [0] * (end - 2 * len(mu))  # forced zeros for the immobile singletons
     for rank, s in enumerate(parts[end:], start=1):
         target = k + 2 * rank - 1
@@ -342,7 +359,7 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
             trace.append({"op": "backward", "singleton": s, "result": target})
         base_parts.append(target)
     base = TaggedPartition(base_parts)
-    if base.starts != starts:
+    if base.starts != tuple(starts):
         raise AssertionError("stowing singletons disturbed the structure: %s" % base)
     return Decomposition(base, tuple(mu), tuple(theta))
 
@@ -358,32 +375,37 @@ def make_decomposition(base, mu, theta) -> Decomposition:
     # a base is its own decomposition: every pair's first backward move is
     # blocked, and the moveable singletons sit on the staircase
     end, k = _past_last_pair(starts), _largest_pair_lo(parts, starts)
-    belows = (0,) + tuple(parts[j + 1] for j in starts[:-1])
-    if any(_backward_put(parts, j, b) is not None for j, b in zip(starts, belows)) or (
-        parts[end:] != tuple(range(k + 1, k + 2 * (len(parts) - end), 2))
-    ):
+    floor = 1
+    for j in starts:
+        if _backward_put(parts, j, floor) is not None:
+            raise ValueError("not a base partition: %s" % (parts,))
+        floor = parts[j + 1]
+    if parts[end:] != tuple(range(k + 1, k + 2 * (len(parts) - end), 2)):
         raise ValueError("not a base partition: %s" % (parts,))
     mu, theta = tuple(mu), tuple(theta)
     for name, xs in (("mu", mu), ("theta", theta)):
         for x in xs:
-            if not isinstance(x, int) or isinstance(x, bool):
+            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
                 raise ValueError("%s part %r is not an integer" % (name, x))
     n2 = len(starts)
     if len(mu) != n2:
         raise ValueError("mu must have %d parts, got %d" % (n2, len(mu)))
-    if any(x < 0 or x % 3 for x in mu):
-        raise ValueError("mu parts must be non-negative multiples of 3: %s" % (mu,))
-    if any(mu[i] > mu[i + 1] for i in range(len(mu) - 1)):
+    for x in mu:
+        if x < 0 or x % 3:
+            raise ValueError("mu parts must be non-negative multiples of 3: %s" % (mu,))
+    if mu != tuple(sorted(mu)):
         raise ValueError("mu must be non-decreasing: %s" % (mu,))
     n1 = len(parts) - 2 * n2
     if len(theta) != n1:
         raise ValueError("theta must have %d parts, got %d" % (n1, len(theta)))
-    if any(x < 0 for x in theta):
-        raise ValueError("theta parts must be >= 0: %s" % (theta,))
-    if any(theta[i] > theta[i + 1] for i in range(len(theta) - 1)):
+    for x in theta:
+        if x < 0:
+            raise ValueError("theta parts must be >= 0: %s" % (theta,))
+    if theta != tuple(sorted(theta)):
         raise ValueError("theta must be non-decreasing: %s" % (theta,))
+    # theta is sorted and non-negative: its first n11 parts are 0 iff the last is
     n11 = end - 2 * n2
-    if any(theta[i] != 0 for i in range(n11)):
+    if n11 and theta[n11 - 1]:
         raise ValueError(
             "theta needs at least %d zeros for the immobile singletons: %s"
             % (n11, theta)
@@ -405,19 +427,18 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
             if trace is not None:
                 trace.append({"op": "forward", "singleton": s, "result": s + t})
             parts[pos] = s + t
-    parts = tuple(sorted(parts))
-    starts = _greedy_starts(parts, 0, [])
+    parts.sort()
+    starts = []
+    _greedy_scan(parts, 0, len(parts) - 1, starts)
     if len(starts) != d.n2:
         raise ValueError("theta placement broke the pair structure")
 
     # forward moves on pairs, largest pair first with the largest mu part
+    step = _traced(_forward_step, "forward", trace)
     for i in reversed(range(d.n2)):
         for _ in range(d.mu[i] // 3):
-            moved = _forward_step(parts, starts, i)
-            if trace is not None:
-                new, new_starts, j = moved
-                trace.append(_event("forward", parts, new, j, new_starts[i] != starts[i]))
-            parts, starts, _ = moved
+            step(parts, starts, i)
+    parts = tuple(parts)
     if not check_at_most_twice(parts):
         raise AssertionError("composition left the at-most-twice class: %s" % (parts,))
     if sum(parts) != d.total_weight:
@@ -497,11 +518,11 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: float = math.inf) -> 
                 # whether a pair can move backward depends only on the parts
                 # up to its top, and every later shape is at least `last`, so
                 # a pair blocked now stays blocked; prune as soon as one moves
-                below = last
+                floor = max(last, 1)
                 for j in (len(parts) + o for o in pair_offsets):
-                    if _backward_put(cand, j, below) is not None:
+                    if _backward_put(cand, j, floor) is not None:
                         break
-                    below = cand[j + 1]
+                    floor = cand[j + 1]
                 else:
                     dfs(cand, new_weight, rest)
 

@@ -36,7 +36,7 @@ from enum import Enum
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
-from .series import BiSeries, check_ints
+from .series import BiSeries, check_window
 
 Rule = Callable[[tuple[int, ...]], bool]
 
@@ -59,13 +59,6 @@ class KrVariant(Enum):
     @property
     def index(self) -> int:
         return {"d": 1, "d'": 2, "d''": 3}[self.value]
-
-
-def check_window(max_q: int, max_t: int) -> None:
-    """A series window: two ints, neither negative."""
-    check_ints(max_q=max_q, max_t=max_t)
-    if max_q < 0 or max_t < 0:
-        raise ValueError("max_q and max_t must be >= 0")
 
 
 def as_parts(p) -> tuple[int, ...]:

@@ -229,9 +229,7 @@ class BiSeries:
     __slots__ = ("max_q", "max_t", "_rows")
 
     def __init__(self, max_q: int, max_t: int, rows=None):
-        check_ints(max_q=max_q, max_t=max_t)
-        if max_q < 0 or max_t < 0:
-            raise ValueError("window bounds must be >= 0")
+        check_window(max_q, max_t)
         object.__setattr__(self, "max_q", max_q)
         object.__setattr__(self, "max_t", max_t)
         if rows is None:
@@ -443,3 +441,10 @@ def check_ints(**values) -> None:
     for name, x in values.items():
         if type(x) is not int:
             raise ValueError("%s=%r is not an integer" % (name, x))
+
+
+def check_window(max_q: int, max_t: int) -> None:
+    """A series window: two ints, neither negative."""
+    check_ints(max_q=max_q, max_t=max_t)
+    if max_q < 0 or max_t < 0:
+        raise ValueError("max_q and max_t must be >= 0")

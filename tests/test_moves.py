@@ -320,17 +320,17 @@ def test_observed_immobile_singletons_sit_in_blocks():
 
 def test_make_decomposition_validation():
     base = parse_structure("[1,2],[3,4],4,[6,6],[7,8],8,10,12")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu must have 4 parts, got 3"):
         make_decomposition(base, (3, 3, 6), (0, 1, 2, 2))  # mu too short
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu parts must be non-negative multiples of 3"):
         make_decomposition(base, (3, 3, 6, 5), (0, 1, 2, 2))  # not a multiple of 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mu must be non-decreasing"):
         make_decomposition(base, (3, 6, 3, 6), (0, 1, 2, 2))  # not sorted
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="theta needs at least 1 zeros for the immobile"):
         make_decomposition(base, (3, 3, 6, 6), (1, 1, 2, 2))  # immobile zero missing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a base partition"):
         make_decomposition((1, 4, 4), (3,), (0,))  # not a base
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a base partition"):
         make_decomposition((2, 13), (), (0, 5))  # moveables off the staircase
     for mu, theta, bad in (
         ((3, 3, 6, 6.0), (0, 1, 2, 2), "mu part 6.0"),  # 6.0 == 6, yet refused
@@ -340,6 +340,34 @@ def test_make_decomposition_validation():
     ):
         with pytest.raises(ValueError, match="%s is not an integer" % bad):
             make_decomposition(base, mu, theta)
+
+
+# Triples with two faults, one for each pair of neighbouring checks, the
+# later check's fault placed first where the checks scan the same parts:
+# the error names the earlier check, so the checks keep their order.
+TWO_FAULT_TRIPLES = [
+    # (checks, base, mu, theta, message); base None is the worked example's
+    ("base-ints", (1, 4, 4), (3.0,), (0,), "not a base partition"),
+    ("mu_ints-theta_ints", None, (3, 3, 6, 6.0), (0, 1, 2, 2.5), "mu part 6.0 is not"),
+    ("ints-mu_length", None, (3, 3.0, 6), (0, 1, 2, 2), "mu part 3.0 is not"),
+    ("theta_ints-mu_length", None, (3, 3, 6), (0, 1, 2, 2.5), "theta part 2.5 is not"),
+    ("mu_length-mu_multiples", None, (3, 5, 6), (0, 1, 2, 2), "mu must have 4 parts"),
+    ("mu_multiples-mu_sorted", None, (6, 3, 6, 7), (0, 1, 2, 2), "mu parts must be non-neg"),
+    ("mu_sorted-theta_length", None, (3, 6, 3, 6), (0, 1), "mu must be non-decreasing"),
+    ("theta_length-theta_signs", None, (3, 3, 6, 6), (0, -1, 2), "theta must have 4 parts"),
+    ("theta_signs-theta_sorted", None, (3, 3, 6, 6), (0, 2, 1, -1), "theta parts must be >= 0"),
+    ("theta_sorted-zeros", None, (3, 3, 6, 6), (1, 0, 2, 2), "theta must be non-decreasing"),
+]
+
+
+@pytest.mark.parametrize(
+    "base,mu,theta,message", [t[1:] for t in TWO_FAULT_TRIPLES], ids=[t[0] for t in TWO_FAULT_TRIPLES]
+)
+def test_make_decomposition_checks_keep_their_order(base, mu, theta, message):
+    if base is None:
+        base = parse_structure("[1,2],[3,4],4,[6,6],[7,8],8,10,12")
+    with pytest.raises(ValueError, match=message):
+        make_decomposition(base, mu, theta)
 
 
 def _is_base(parts) -> bool:
@@ -484,9 +512,9 @@ def test_compose_traces_are_pinned():
 #
 # Reference moves from scratch: write put's values, sort the whole part
 # tuple, re-tag it from index 0 and compare every pair list.  The step
-# functions that decompose and compose call splice put in place and re-tag
-# from the pair below; they must give the same parts and starts, and report
-# the index the naive move wrote put at.
+# functions that decompose and compose call write put into the list in place
+# and re-tag from the pair below; they must leave the same parts and starts,
+# and report the index the naive move wrote put at.
 
 
 def _naive_rebuilt(tp, j, put, pair_index):
@@ -525,14 +553,20 @@ def _naive_forward(tp, pair_index):
 
 def _moves_of_round_trips(partitions):
     """Every (kind, parts, starts, pair_index, out) step that decompose and
-    compose make on the given partitions, through the module's step functions."""
+    compose make on the given partitions, through the module's step
+    functions: the parts and starts before the step, and the (parts, starts,
+    j) it left, or None when it was blocked and changed nothing."""
     made = []
 
     def spy(step, kind):
         def recorded(parts, starts, pair_index):
-            out = step(parts, starts, pair_index)
-            made.append((kind, parts, starts, pair_index, out))
-            return out
+            before = tuple(parts), tuple(starts)
+            j = step(parts, starts, pair_index)
+            after = tuple(parts), tuple(starts)
+            if j is None:
+                assert after == before, (kind, before, pair_index)
+            made.append((kind, *before, pair_index, None if j is None else (*after, j)))
+            return j
 
         return recorded
 
@@ -578,22 +612,31 @@ def test_out_of_order_put_trips_the_sortedness_assertion(monkeypatch):
     # [2,2] has 6 above it; a put past 6 would need the re-sort it no longer gets
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (7, 8))
     with pytest.raises(AssertionError, match="out of order"):
-        _backward_step((2, 2, 6), (0,), 0)
+        _backward_step([2, 2, 6], [0], 0)
     # and below: 1 sits under [4,4]
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (0, 0))
     with pytest.raises(AssertionError, match="out of order"):
-        _backward_step((1, 4, 4), (1,), 0)
+        _backward_step([1, 4, 4], [1], 0)
 
 
 def test_stability_check_fires(monkeypatch):
     # [1,2],[4,5] with pair 1 rewritten to 4,7: the rescan finds no pair there
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (4, 7))
     with pytest.raises(AssertionError, match="changed the pair count"):
-        _backward_step((1, 2, 4, 5), (0, 2), 1)
+        _backward_step([1, 2, 4, 5], [0, 2], 1)
     # a pair 1 said to start inside pair 0 would write below the rescan point
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (2, 2))
-    with pytest.raises(AssertionError, match="disturbed a finalized pair"):
-        _backward_step((1, 2, 3, 5), (0, 1), 1)
+    with pytest.raises(AssertionError, match=r"disturbed a finalized pair: \[1,2\],3,5 ->"):
+        _backward_step([1, 2, 3, 5], [0, 1], 1)
+
+
+def test_unsynced_local_scan_trips_the_stability_check(monkeypatch):
+    # [1,1],[4,5],5 with pair 0 rewritten to 1,4: the scan from index 0
+    # binds [4,4] across the start of pair 1, which no valid move does
+    # (a fresh tagging would read 1,[4,4],[5,5])
+    monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (1, 4))
+    with pytest.raises(AssertionError, match=r"changed the pair count: \[1,1\],\[4,5\],5 ->"):
+        _backward_step([1, 1, 4, 5, 5], [0, 2], 0)
 
 
 def test_forward_move_rejects_passing_the_pair_above():

@@ -144,6 +144,14 @@ def test_brute_series_window_respects_length():
     assert s.coeff(6, 2) == 3  # 1+5, 2+4, 3+3
 
 
+@pytest.mark.parametrize("max_q,max_t", [(-1, 3), (5, -2), (-3, -4)])
+def test_series_and_brute_walk_share_the_window_check(max_q, max_t):
+    # one validator, with the message the genfun routes give as well
+    for build in (BiSeries, lambda q, t: brute_series(at_most_twice_rule, q, t)):
+        with pytest.raises(ValueError, match="max_q and max_t must be >= 0"):
+            build(max_q, max_t)
+
+
 @pytest.mark.parametrize(
     "rule",
     [
