@@ -183,15 +183,15 @@ def _add_numerator(dst: list, core: tuple) -> None:
     added one parity at a time over that parity's support, and each
     component is checked nonnegative and goes in on its own exponent
     lattice (`QPoly.add_into`).  The counts are ints built here, so the
-    support is read without `ppoly.support`'s type test, as the recursion
-    reads it."""
+    support and P are read without `ppoly.support`'s and `ppoly.p_parity`'s
+    type tests, as the recursion reads them."""
     m1, m2, m3, n12 = core
     for parity in (0, 1):
         for s in ppoly._support(m1, m2, m3, parity):
             start = (s - 1) * n12 + n12 * n12
             if start >= len(dst):
                 break
-            poly = ppoly.p_parity(m1, m2, m3, s, parity)
+            poly = ppoly._p_parity(m1, m2, m3, s, parity)
             if not poly.is_nonnegative():
                 raise AssertionError("negative coefficient in the positive-sum cell %s" % (core,))
             poly.add_into(dst, start)

@@ -5,9 +5,10 @@ parts differing by at most 1 bind into a *pair* (repeating [k,k] or
 consecutive [k,k+1]); leftmost parts pair first.  Unbound parts are
 *singletons*.  Tagging is a pure function of the part multiset, so a
 `TaggedPartition` stores only its sorted parts; the pair start indices are
-derived from them by the greedy scan in its constructor, and the bracket
-form ``[1,2],3,[5,5]`` is only printed and parsed.  `tag` validates outside
-input.
+derived from them by the greedy scan, and the bracket form
+``[1,2],3,[5,5]`` is only printed and parsed.  ``TaggedPartition(p)`` checks
+outside parts (`as_parts`, no triple); the partitions this module builds
+itself are valid by construction and skip the check through `_tagged`.
 
 Local moves.  A move writes two parts ``put`` over ``parts[j:j+2]`` of one
 list, in place: the result is already sorted.  A backward move writes below
@@ -72,23 +73,23 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .partitions import as_parts, check_at_most_twice, has_triple, parse_parts
+from .partitions import as_parts, has_triple, parse_ints
 from .series import check_ints
 
 
 class TaggedPartition:
     """Sorted parts and the start indices of their greedy pairs, derived here.
 
-    The parts must already be sorted and valid; `tag` checks outside input.
+    Raises ValueError unless the parts pass `as_parts` with no triple.
     """
 
     __slots__ = ("parts", "starts")
 
-    def __init__(self, parts):
-        parts, starts = tuple(parts), []
-        _greedy_scan(parts, 0, len(parts) - 1, starts)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "starts", tuple(starts))
+    def __new__(cls, p) -> "TaggedPartition":
+        parts = as_parts(p)
+        if has_triple(parts):
+            raise ValueError("some part appears more than twice: %s" % (parts,))
+        return _tagged(parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("TaggedPartition is immutable")
@@ -136,12 +137,14 @@ def _greedy_scan(parts, i: int, stop: int, starts: list) -> int:
     return i
 
 
-def tag(p) -> TaggedPartition:
-    """Greedy leftmost tagging of an at-most-twice partition."""
-    parts = as_parts(p)
-    if has_triple(parts):
-        raise ValueError("some part appears more than twice: %s" % (parts,))
-    return TaggedPartition(parts)
+def _tagged(parts) -> TaggedPartition:
+    # Internal constructor: the module built ``parts`` valid, so only the scan runs
+    parts, starts = tuple(parts), []
+    _greedy_scan(parts, 0, len(parts) - 1, starts)
+    tp = object.__new__(TaggedPartition)
+    object.__setattr__(tp, "parts", parts)
+    object.__setattr__(tp, "starts", tuple(starts))
+    return tp
 
 
 def parse_structure(text: str) -> TaggedPartition:
@@ -149,14 +152,13 @@ def parse_structure(text: str) -> TaggedPartition:
     text = text.replace(" ", "")
     brackets = "".join(ch for ch in text if ch in "[]")
     if not brackets:
-        return tag(parse_parts(text))
+        return TaggedPartition(parse_ints(text, "partition"))
     if brackets != "[]" * (len(brackets) // 2):  # each [ closed before the next
         raise ValueError("structure %r has an unbalanced bracket" % text)
     try:
-        parts = parse_parts(text.replace("[", "").replace("]", ""))
+        tp = TaggedPartition(parse_ints(text.replace("[", "").replace("]", ""), "partition"))
     except ValueError as exc:
         raise ValueError("cannot parse structure %r: %s" % (text, exc)) from None
-    tp = tag(parts)
     if str(tp) != text:
         raise ValueError("structure %r is not the greedy tagging of its parts" % text)
     return tp
@@ -188,7 +190,7 @@ def _write(parts: list, starts: list, i: int, j: int, put: tuple[int, int]) -> i
     n = len(parts)
     if (j and put[0] < parts[j - 1]) or (j + 2 < n and put[1] > parts[j + 2]):
         raise AssertionError(
-            "move put %s out of order at index %d of %s" % (put, j, TaggedPartition(parts))
+            "move put %s out of order at index %d of %s" % (put, j, _tagged(parts))
         )
     old = parts[j : j + 2]
     parts[j], parts[j + 1] = put
@@ -197,8 +199,8 @@ def _write(parts: list, starts: list, i: int, j: int, put: tuple[int, int]) -> i
     end = _greedy_scan(parts, j - 1 if j > resume else resume, j + 2 if j + 2 < n else n - 1, found)
     if j < resume or len(found) != 1 or (i + 1 < len(starts) and end > starts[i + 1]):
         what = "disturbed a finalized pair" if j < resume else "changed the pair count"
-        before = TaggedPartition(parts[:j] + old + parts[j + 2 :])
-        raise AssertionError("move %s: %s -> %s" % (what, before, TaggedPartition(parts)))
+        before = _tagged(parts[:j] + old + parts[j + 2 :])
+        raise AssertionError("move %s: %s -> %s" % (what, before, _tagged(parts)))
     starts[i] = found[0]
     return j
 
@@ -232,12 +234,11 @@ def _forward_step(parts: list, starts: list, i: int) -> int:
     if window.count(put[0]) + (put[0] == put[1]) > 1 or window.count(put[1]) > 1:
         raise ValueError(
             "forward move on [%d,%d] of %s would repeat a part more than twice"
-            % (a, b, TaggedPartition(parts))
+            % (a, b, _tagged(parts))
         )
     if j + 2 < n and put[1] > parts[j + 2]:
         raise ValueError(
-            "forward move on [%d,%d] of %s would pass the pair above"
-            % (a, b, TaggedPartition(parts))
+            "forward move on [%d,%d] of %s would pass the pair above" % (a, b, _tagged(parts))
         )
     return _write(parts, starts, i, j, put)
 
@@ -265,7 +266,7 @@ def _move(step, op: str, tp: TaggedPartition, pair_index: int, trace: Optional[l
         raise ValueError("no pair with index %d in %s" % (pair_index, tp))
     parts = list(tp.parts)
     moved = _traced(step, op, trace)(parts, list(tp.starts), pair_index) is not None
-    return TaggedPartition(parts) if moved else None
+    return _tagged(parts) if moved else None
 
 
 def backward_move(
@@ -337,7 +338,7 @@ def _largest_pair_lo(parts: tuple, starts: tuple) -> int:
 
 def decompose(p, trace: Optional[list] = None) -> Decomposition:
     """Drive every pair to its blocked position, then stow the singletons."""
-    tp = tag(p)
+    tp = TaggedPartition(p)
     parts, starts = list(tp.parts), list(tp.starts)
     step = _traced(_backward_step, "backward", trace)
     mu = []
@@ -358,7 +359,7 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
         if trace is not None and s != target:
             trace.append({"op": "backward", "singleton": s, "result": target})
         base_parts.append(target)
-    base = TaggedPartition(base_parts)
+    base = _tagged(base_parts)
     if base.starts != tuple(starts):
         raise AssertionError("stowing singletons disturbed the structure: %s" % base)
     return Decomposition(base, tuple(mu), tuple(theta))
@@ -367,10 +368,11 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
 def make_decomposition(base, mu, theta) -> Decomposition:
     """Validate and assemble a (base, mu, theta) triple.
 
-    ``base`` may be parts or a TaggedPartition; mu/theta are sequences of
-    ints.  Raises ValueError on any broken invariant.
+    ``base`` may be parts or a TaggedPartition, which its constructor has
+    checked; mu/theta are sequences of ints.  Raises ValueError on any
+    broken invariant.
     """
-    base = tag(base.parts if isinstance(base, TaggedPartition) else base)
+    base = base if isinstance(base, TaggedPartition) else TaggedPartition(base)
     parts, starts = base.parts, base.starts
     # a base is its own decomposition: every pair's first backward move is
     # blocked, and the moveable singletons sit on the staircase
@@ -385,7 +387,7 @@ def make_decomposition(base, mu, theta) -> Decomposition:
     mu, theta = tuple(mu), tuple(theta)
     for name, xs in (("mu", mu), ("theta", theta)):
         for x in xs:
-            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+            if type(x) is not int:
                 raise ValueError("%s part %r is not an integer" % (name, x))
     n2 = len(starts)
     if len(mu) != n2:
@@ -439,7 +441,7 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
         for _ in range(d.mu[i] // 3):
             step(parts, starts, i)
     parts = tuple(parts)
-    if not check_at_most_twice(parts):
+    if has_triple(parts):
         raise AssertionError("composition left the at-most-twice class: %s" % (parts,))
     if sum(parts) != d.total_weight:
         raise AssertionError("composition lost weight: %s" % (parts,))
@@ -496,7 +498,7 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: float = math.inf) -> 
 
     def dfs(parts: tuple, weight: int, counts: tuple[int, int, int]):
         if not any(counts):
-            results.append(BaseRecord(TaggedPartition(parts)))
+            results.append(BaseRecord(_tagged(parts)))
             return
         last = parts[-1] if parts else 0
         for kind, (offsets, pair_offsets) in enumerate(_SHAPES):

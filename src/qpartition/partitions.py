@@ -3,7 +3,9 @@
 A partition is a plain non-decreasing tuple of positive integers.
 ``as_parts`` validates any iterable of parts and is the one check of parts
 from outside; ``parse_parts`` reads the comma-separated text form the CLI
-takes, e.g. ``1,4,4,5``.
+takes, e.g. ``1,4,4,5``.  ``check_kr``/``kr_member`` and
+``check_at_most_twice``/``has_triple`` are checked/unchecked pairs: the first
+runs ``as_parts`` on outside input, the second takes parts already valid.
 The three restricted classes share conditions (a)-(c) and differ in one
 initial condition (d):
 
@@ -32,6 +34,7 @@ length <= max_t) is counted, so one pass covers every weight.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
@@ -63,15 +66,15 @@ class KrVariant(Enum):
 
 def as_parts(p) -> tuple[int, ...]:
     """The parts of an iterable as a tuple, checked in one pass: each part is
-    an ``int`` (not a ``bool``) and at least 1, and the parts never decrease.
-    """
+    exactly an ``int`` (a ``bool`` or other subclass is refused, as in
+    `series.check_ints`) and at least 1, and the parts never decrease."""
     try:
         parts = tuple(p)
     except TypeError:
         raise ValueError("%r is not a sequence of parts" % (p,)) from None
     prev = 1
     for x in parts:
-        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+        if type(x) is not int:
             raise ValueError("part %r is not an integer" % (x,))
         if x < prev:
             if x < 1:
@@ -122,9 +125,12 @@ def kr_rule(variant: KrVariant) -> Rule:
 
 
 def check_kr(p, variant: KrVariant) -> bool:
-    """True iff the partition lies in the class named by ``variant``: the
-    class rule admits each part's window, the part and at most two before."""
-    parts = as_parts(p)
+    """True iff the partition lies in the class named by ``variant``."""
+    return kr_member(as_parts(p), variant)
+
+
+def kr_member(parts: tuple[int, ...], variant: KrVariant) -> bool:
+    """`check_kr` on parts already valid (unchecked): the rule admits every window."""
     heads = (parts[:1], parts[:2])[: len(parts)]
     return all(map(kr_rule(variant), chain(heads, zip(parts, parts[1:], parts[2:]))))
 
@@ -137,7 +143,7 @@ def check_at_most_twice(p) -> bool:
 def has_triple(parts: tuple[int, ...]) -> bool:
     """True iff some value of the sorted parts appears three times or more
     (unchecked: the parts must already be sorted)."""
-    return any(a == b for a, b in zip(parts, parts[2:]))
+    return any(map(operator.eq, parts, parts[2:]))
 
 
 def at_most_twice_rule(parts: tuple[int, ...]) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import KrVariant, as_parts, check_kr
+from .partitions import KrVariant, as_parts, kr_member
 from .series import check_ints
 
 
@@ -65,7 +65,7 @@ def to_seed(p, variant: KrVariant) -> tuple[int, ...]:
     3 of it, so 2k-1, 2k+1 keep the order and form no new even pair.
     """
     parts = as_parts(p)
-    if not check_kr(parts, variant):
+    if not kr_member(parts, variant):
         raise ValueError("not a class-%s partition: %s" % (variant.value, parts))
     out = list(parts)
     i = 0
@@ -141,7 +141,7 @@ def _toggle(parts: list[int], start: int, stop: int) -> None:
 def expand_seed(seed, variant: KrVariant) -> list[tuple[int, ...]]:
     """All 2^e class partitions generated by a seed, sorted lexicographically.
 
-    Every output is verified against ``check_kr``; a seed that generates any
+    Every output is verified against ``kr_member``; a seed that generates any
     invalid partition is rejected as ill-formed.
     """
     dec = seed_decomposition(seed, variant)
@@ -156,7 +156,7 @@ def expand_seed(seed, variant: KrVariant) -> list[tuple[int, ...]]:
                 g = dec.groups[g_index]
                 _toggle(parts, g.start, g.stop)
         candidate = tuple(sorted(parts))
-        if not check_kr(candidate, variant):
+        if not kr_member(candidate, variant):
             raise ValueError(
                 "ill-formed seed %s: toggle produced %s outside the class"
                 % (dec.seed, candidate)

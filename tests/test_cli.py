@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartition import cli, genfun, moves, ppoly
+from qpartition import cli, genfun, moves, partitions, ppoly
 from qpartition.cli import main
 from qpartition.partitions import KrVariant
 
@@ -105,6 +105,32 @@ def test_compose_validates_the_triple_once(capsys, monkeypatch):
         "--theta", "0,0,2,3,5",
     )
     assert code == 0 and calls == ["make_decomposition"]
+
+
+def test_parts_are_checked_once_where_they_enter(capsys, monkeypatch):
+    # as_parts runs once per outside partition; the package's own values skip it
+    calls = []
+    real_as_parts = partitions.as_parts
+
+    def counted(p):
+        calls.append(p)
+        return real_as_parts(p)
+
+    for module in (moves, partitions):
+        monkeypatch.setattr(module, "as_parts", counted)
+    d = moves.decompose((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))
+    assert len(calls) == 1
+    calls.clear()
+    assert moves.compose(d) == (1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14)
+    assert calls == []
+    code, _, _ = run_cli(
+        capsys,
+        "compose",
+        "--base", "[2,2],[3,4],4,[6,6],[7,8],8,[10,10],11,13,15",
+        "--mu", "3,3,3,6,6",
+        "--theta", "0,0,2,3,5",
+    )
+    assert code == 0 and len(calls) == 1
 
 
 def test_compose_names_the_immobile_zeros_theta_lacks(capsys):

@@ -90,15 +90,16 @@ def test_routes_reject_negative_windows(route, window):
 
 def test_positivity_guard_names_the_cell(monkeypatch):
     # a P0 with a negative coefficient for the one core (1, 0, 0, 0) must
-    # stop both positive sums at that core's row
-    real_p_parity = ppoly.p_parity
+    # stop both positive sums at that core's row; the sums read the
+    # unchecked recursion entry, so the negative P is planted there
+    real_p_parity = ppoly._p_parity
 
     def broken_p_parity(m1, m2, m3, s, parity):
         if (m1, m2, m3, s, parity) == (1, 0, 0, 2, 0):
             return QPoly((-1,))
         return real_p_parity(m1, m2, m3, s, parity)
 
-    monkeypatch.setattr(ppoly, "p_parity", broken_p_parity)
+    monkeypatch.setattr(ppoly, "_p_parity", broken_p_parity)
     with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0\)$"):
         kr_positive(D, 40, 8)
     with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0\)$"):

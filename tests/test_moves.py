@@ -17,29 +17,41 @@ from qpartition.moves import (
     forward_move,
     make_decomposition,
     parse_structure,
-    tag,
 )
 from qpartition.partitions import check_at_most_twice, iter_partitions
 
 
 def test_tag_examples():
-    assert str(tag((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))) == (
+    assert str(TaggedPartition((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))) == (
         "1,[4,4],[5,6],6,[9,10],[11,12],12,14"
     )
-    assert str(tag((1, 2))) == "[1,2]"
-    assert str(tag((1, 3, 5))) == "1,3,5"
+    assert str(TaggedPartition((1, 2))) == "[1,2]"
+    assert str(TaggedPartition((1, 3, 5))) == "1,3,5"
 
 
 def test_tag_rejects_triples():
-    with pytest.raises(ValueError):
-        tag((2, 2, 2))
+    with pytest.raises(ValueError, match=r"^some part appears more than twice: \(2, 2, 2\)$"):
+        TaggedPartition((2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        ((3, 1), r"^parts must be non-decreasing: \(3, 1\)$"),
+        ([True], r"^part True is not an integer$"),
+    ],
+    ids=["unsorted", "bool"],
+)
+def test_tagged_partition_checks_outside_parts(parts, message):
+    with pytest.raises(ValueError, match=message):
+        TaggedPartition(parts)
 
 
 def test_parse_structure_round_trip():
     text = "[1,2],[3,4],4,[6,6],[7,8],8,10,12"
     tp = parse_structure(text)
     assert str(tp) == text
-    assert parse_structure("1,2,2,3") == tag((1, 2, 2, 3))
+    assert parse_structure("1,2,2,3") == TaggedPartition((1, 2, 2, 3))
     with pytest.raises(ValueError):
         parse_structure("[1,3]")  # not a pair
     with pytest.raises(ValueError):
@@ -47,7 +59,7 @@ def test_parse_structure_round_trip():
 
 
 def test_backward_trace_of_the_worked_example():
-    tp = tag((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))
+    tp = TaggedPartition((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))
     steps = [
         (0, "[1,2],3,[5,6],6,[9,10],[11,12],12,14"),
         (1, "[1,2],[3,4],4,6,[9,10],[11,12],12,14"),
@@ -65,18 +77,18 @@ def test_backward_trace_of_the_worked_example():
 
 def test_backward_move_weight_drop_and_trace_events():
     trace = []
-    tp = tag((1, 4, 4))
+    tp = TaggedPartition((1, 4, 4))
     out = backward_move(tp, 0, trace)
     assert out.weight == tp.weight - 3
     assert trace == [{"op": "backward", "pair": [4, 4], "result": [2, 3], "regroup": True}]
 
 
 def test_backward_blocked_cases():
-    assert backward_move(tag((1, 2)), 0) is None  # parts must stay >= 1
-    assert backward_move(tag((1, 1, 2, 3)), 1) is None  # multiplicity 3
-    assert backward_move(tag((1, 2, 3, 3)), 1) is None  # crossing the pair below
+    assert backward_move(TaggedPartition((1, 2)), 0) is None  # parts must stay >= 1
+    assert backward_move(TaggedPartition((1, 1, 2, 3)), 1) is None  # multiplicity 3
+    assert backward_move(TaggedPartition((1, 2, 3, 3)), 1) is None  # crossing the pair below
     with pytest.raises(ValueError):
-        backward_move(tag((1, 2)), 1)
+        backward_move(TaggedPartition((1, 2)), 1)
 
 
 # backward case diagrams, anchored at k = 10
@@ -92,7 +104,7 @@ BACKWARD_CASES = [
 
 @pytest.mark.parametrize("name,parts,pair_index,expected", BACKWARD_CASES)
 def test_backward_case_diagrams(name, parts, pair_index, expected):
-    tp = tag(parts)
+    tp = TaggedPartition(parts)
     # pair_index counts pairs only; the leading singleton is not one
     out = backward_move(tp, 0)
     assert str(out) == expected
@@ -100,7 +112,7 @@ def test_backward_case_diagrams(name, parts, pair_index, expected):
 
 def test_case_three_chain():
     # [7,8], 8, [10,11], [12,13]: the locked-streak scenario, local window
-    tp = tag((7, 8, 8, 10, 11, 12, 13))
+    tp = TaggedPartition((7, 8, 8, 10, 11, 12, 13))
     assert str(tp) == "[7,8],8,[10,11],[12,13]"
     tp = backward_move(tp, 1)
     assert str(tp) == "[7,8],[8,9],9,[12,13]"
@@ -135,7 +147,7 @@ CHAIN_CASES = [
 
 @pytest.mark.parametrize("name,parts,mid,end", CHAIN_CASES)
 def test_backward_chain_cases(name, parts, mid, end):
-    tp = tag(parts)
+    tp = TaggedPartition(parts)
     tp = backward_move(tp, 0)
     assert str(tp) == mid
     tp = backward_move(tp, 1)
@@ -145,20 +157,20 @@ def test_backward_chain_cases(name, parts, mid, end):
 # forward case diagrams
 def test_forward_case_diagrams():
     # I'a: [k-1,k-1] -> [k,k+1]
-    assert str(forward_move(tag((7, 9, 9)), 0)) == "7,[10,11]"
+    assert str(forward_move(TaggedPartition((7, 9, 9)), 0)) == "7,[10,11]"
     # II'a: [k-2,k-1] -> [k,k]
-    assert str(forward_move(tag((6, 8, 9)), 0)) == "6,[10,10]"
+    assert str(forward_move(TaggedPartition((6, 8, 9)), 0)) == "6,[10,10]"
     # I'b: [k-2,k-1],k-1 regroups to k-2,[k-1,k-1] then moves to [k,k+1]
-    assert str(forward_move(tag((8, 9, 9)), 0)) == "8,[10,11]"
+    assert str(forward_move(TaggedPartition((8, 9, 9)), 0)) == "8,[10,11]"
     # II'b: [k-2,k-2],k-1 regroups then moves to [k,k]
-    assert str(forward_move(tag((8, 8, 9)), 0)) == "8,[10,10]"
+    assert str(forward_move(TaggedPartition((8, 8, 9)), 0)) == "8,[10,10]"
     # II'c: [k-3,k-2],k-1 regroups then moves to [k,k]
-    assert str(forward_move(tag((7, 8, 9)), 0)) == "7,[10,10]"
+    assert str(forward_move(TaggedPartition((7, 8, 9)), 0)) == "7,[10,10]"
 
 
 def test_forward_case_three_chain():
     # inverse of the locked-streak scenario
-    tp = tag((7, 8, 8, 9, 9, 11, 11))
+    tp = TaggedPartition((7, 8, 8, 9, 9, 11, 11))
     assert str(tp) == "[7,8],[8,9],9,[11,11]"
     tp = forward_move(tp, 2)
     assert str(tp) == "[7,8],[8,9],9,[12,13]"
@@ -171,7 +183,7 @@ def test_forward_inverts_backward_everywhere():
         for parts in iter_partitions(n):
             if not check_at_most_twice(parts):
                 continue
-            tp = tag(parts)
+            tp = TaggedPartition(parts)
             for i in range(len(tp.pairs())):
                 moved = backward_move(tp, i)
                 if moved is not None:
@@ -181,7 +193,7 @@ def test_forward_inverts_backward_everywhere():
 def test_forward_move_rejects_multiplicity_violation():
     # [5,6] moving onto an existing pair of 7s
     with pytest.raises(ValueError, match="repeat a part more than twice"):
-        forward_move(tag((5, 6, 7, 7)), 0)
+        forward_move(TaggedPartition((5, 6, 7, 7)), 0)
 
 
 def test_decompose_worked_example():
@@ -273,7 +285,7 @@ def _leftmost_pairs(parts):
 @settings(max_examples=100, deadline=None)
 @given(_at_most_twice())
 def test_tagging_and_move_inverse_property(parts):
-    tp = tag(parts)
+    tp = TaggedPartition(parts)
     assert tp.parts == parts
     assert parse_structure(str(tp)) == tp
     assert tp.pairs() == _leftmost_pairs(parts)
@@ -385,7 +397,7 @@ def test_is_base():
 def _passes_base_check(parts) -> bool:
     """make_decomposition's one-pass check: the zero triple on ``parts`` is
     accepted unless the parts are not a base."""
-    tp = tag(parts)
+    tp = TaggedPartition(parts)
     n2 = len(tp.starts)
     try:
         make_decomposition(tp, (0,) * n2, (0,) * (len(parts) - 2 * n2))
@@ -643,4 +655,4 @@ def test_forward_move_rejects_passing_the_pair_above():
     # [1,1] -> [2,3] would land on [2,3]; sorted, that reads [2,2],[3,3],
     # which no backward move maps back
     with pytest.raises(ValueError, match="pass the pair above"):
-        forward_move(tag((1, 1, 2, 3)), 0)
+        forward_move(TaggedPartition((1, 1, 2, 3)), 0)

@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,9 +81,31 @@ def test_non_integer_parts_are_refused_not_truncated():
     with pytest.raises(ValueError, match=r"^part 1.5 is not an integer$"):
         moves.decompose((1.5, 4.9, 4))
     with pytest.raises(ValueError, match=r"^part 0 must be >= 1: \(0, 1\)$"):
-        moves.tag((0, 1))
+        moves.TaggedPartition((0, 1))
     with pytest.raises(ValueError, match=r"^part 0 must be >= 1: \(0, 3\)$"):
         seeds.seed_decomposition((0, 3), DP)
+
+
+class _One(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: as_parts((_One.ONE, 3)), r"^part <_One.ONE: 1> is not an integer$"),
+        (
+            lambda: moves.make_decomposition((1, 1), (_One.ONE,), ()),
+            r"^mu part <_One.ONE: 1> is not an integer$",
+        ),
+        (lambda: ppoly.p(_One.ONE, 0, 0, 3), r"^m1=<_One.ONE: 1> is not an integer$"),
+    ],
+    ids=["as_parts", "make_decomposition", "p"],
+)
+def test_int_subclasses_are_refused_everywhere(call, message):
+    # one integer rule: an int subclass is no int, as for bool
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_at_most_twice_examples():
