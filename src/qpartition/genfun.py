@@ -37,10 +37,15 @@ the window and rows shrink as it grows.
 The positive sums follow the paper's construction.  H+ is a sum over
 cores (m1, m2, m3, n12) at t-degree L = 2(m1+m2) + 5m3 + n12: the sum over
 s of P, q-shifted, over (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}.  Every P added
-is asserted nonnegative.  `_h_plus_rows` builds H+ one t-degree row at a
+is asserted nonnegative.  `_h_plus_row` builds H+ one t-degree row at a
 time.  The denominators nest, so it sums over n12 and over
 K = m1+m2+2m3 in Horner form, one division per index step, and
-``h_positive`` is those rows at full width.
+``h_positive`` is those rows at full width.  By the causality above, a
+row's prefix does not depend on how far the row was built, so H+ is built
+once per process and shared by all four positive routes (``h_positive``
+and ``kr_positive`` for each class): `_h_plus_rows` keeps each row at the
+longest prefix asked for so far and hands every caller a copy of a slice
+of it.  Only this shared numerator is kept; no route's output is.
 
 Each class series is a numerator N(t;q) over Euler denominators, then the
 staircase t^M -> t^M q^{M^2} (`_class_series`):
@@ -197,31 +202,56 @@ def _add_numerator(dst: list, core: tuple) -> None:
             poly.add_into(dst, start)
 
 
-def _h_plus_rows(sizes: list) -> list:
-    """H+'s t-degree rows, row L on its first sizes[L] >= 1 coefficients.
+# row L of H+ on the longest prefix built so far in this process
+_h_plus_memo: list = []
 
-    Row L sums the cores (m1, m2, m3, n12) with 2(m1+m2) + 5m3 + n12 = L,
+
+def _h_plus_row(L: int, size: int) -> list:
+    """H+'s t-degree row L on its first ``size`` >= 1 coefficients.
+
+    The row sums the cores (m1, m2, m3, n12) with 2(m1+m2) + 5m3 + n12 = L,
     each its numerator over (q;q)_{n12} (q^3;q^3)_K, K = m1+m2+2m3.  These
     denominators nest, so both sums run in Horner form from the top index
     down, one division per index step: sum_n x_n/(q;q)_n is
-    x_0 + (x_1 + (x_2 + ...)/(1 - q^2))/(1 - q).  For a given L and n12,
-    K fixes m3 = L - n12 - 2K, leaving the split of m1 + m2.
+    x_0 + (x_1 + (x_2 + ...)/(1 - q^2))/(1 - q).  For a given n12, K fixes
+    m3 = L - n12 - 2K, leaving the split of m1 + m2.
     """
+    row = [0] * size  # sum over n12, from n12 = L down
+    for n12 in range(L, -1, -1):
+        if any(row):
+            divide_geometric(row, n12 + 1)
+        inner = [0] * size  # sum over K, from the largest K down
+        for K in range((L - n12) // 2, -1, -1):
+            if any(inner):
+                divide_geometric(inner, 3 * (K + 1))
+            m3 = L - n12 - 2 * K
+            for m1 in range(K - 2 * m3 + 1):
+                _add_numerator(inner, (m1, K - 2 * m3 - m1, m3, n12))
+        add_shifted(row, inner, 0)
+    return row
+
+
+def _h_plus_rows(sizes: list) -> list:
+    """H+'s t-degree rows, row L on its first sizes[L] >= 1 coefficients,
+    as fresh lists the caller may change.
+
+    Row L on its first n coefficients depends on (L, n) alone and is the
+    prefix of the same row on any n' >= n: every step of `_h_plus_row`
+    only truncates above the window, since `divide_geometric` is causal,
+    `add_shifted` and `QPoly.add_into` drop what falls past the row, and
+    `_add_numerator` stops at the first P that starts past it.  So
+    `_h_plus_memo` keeps each row at the longest size built so far: a row
+    no longer than the kept one is a slice of it, and a longer one is built
+    (its every P checked) and replaces it.
+    """
+    memo = _h_plus_memo
     rows = []
     for L, size in enumerate(sizes):
-        row = [0] * size  # sum over n12, from n12 = L down
-        for n12 in range(L, -1, -1):
-            if any(row):
-                divide_geometric(row, n12 + 1)
-            inner = [0] * size  # sum over K, from the largest K down
-            for K in range((L - n12) // 2, -1, -1):
-                if any(inner):
-                    divide_geometric(inner, 3 * (K + 1))
-                m3 = L - n12 - 2 * K
-                for m1 in range(K - 2 * m3 + 1):
-                    _add_numerator(inner, (m1, K - 2 * m3 - m1, m3, n12))
-            add_shifted(row, inner, 0)
-        rows.append(row)
+        if L == len(memo):
+            memo.append([])
+        if len(memo[L]) < size:
+            memo[L] = _h_plus_row(L, size)
+        rows.append(memo[L][:size])
     return rows
 
 

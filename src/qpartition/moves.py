@@ -94,6 +94,10 @@ class TaggedPartition:
     def __setattr__(self, name, value):
         raise AttributeError("TaggedPartition is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the checked constructor
+        return (TaggedPartition, (self.parts,))
+
     @property
     def weight(self) -> int:
         return sum(self.parts)

@@ -21,10 +21,12 @@ recursion, so the descent returns 0 outside it at once and never stores a
 zero.  The recursion is calibrated against ``p_oracle``, an independent
 brute-force enumeration of the bases themselves.
 
-The memo tables are the only shared state: module-level and append-only,
-each entry a pure function of its key.  A ``QPoly`` stores only the
-lattice its terms live on, from its lowest term to its highest, so the
-shifts of the recursion copy nothing and its sums touch only that lattice.
+The memo tables here and ``genfun``'s kept rows of H+ (`genfun._h_plus_rows`)
+are the package's only shared state: module-level, each entry a pure
+function of its key (an H+ row grows only by a longer prefix of itself).
+A ``QPoly`` stores only the lattice its terms live on, from its lowest term
+to its highest, so the shifts of the recursion copy nothing and its sums
+touch only that lattice.
 A repeating pair [k,k] weighs 2k and a consecutive pair [k,k+1] weighs
 2k+1, so P(m1, m2, 0, s) is q^c times a polynomial in q^2 and is stored as
 every second coefficient of its span; the q^3 binomials of the block shapes
@@ -84,34 +86,41 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
         return QPOLY_ZERO
     if m1 == 0 and m2 == 0 and m3 == 0:
         return QPOLY_ONE
+    # a child is read only where its counts allow it to be nonzero: a
+    # bracket needs m1 >= 1, a block m3 >= 1, a P1 child m2 >= 1
     m = s - 1
+    value = QPOLY_ZERO
     if parity == 0:
-        value = QPOLY_ZERO
-        bracket = (
-            _p_parity(m1 - 1, m2, m3, s - 1, 0)
-            + _p_parity(m1 - 1, m2, m3, s - 2, 1)
-            + _p_parity(m1 - 1, m2, m3, s - 2, 0)
-        )
-        if bracket:
-            value = value + bracket.shifted(2 * m)
-        block = (
-            _p_parity(m1, m2, m3 - 1, s - 4, 1)
-            + _p_parity(m1, m2, m3 - 1, s - 4, 0)
-            + _p_parity(m1, m2, m3 - 1, s - 5, 1)
-        )
-        if block:
-            if 5 * m - 7 < 0:
-                raise AssertionError(
-                    "negative block exponent against a nonzero bracket at %s" % (key,)
+        if m1:
+            bracket = _p_parity(m1 - 1, m2, m3, s - 1, 0) + _p_parity(m1 - 1, m2, m3, s - 2, 0)
+            if m2:
+                bracket = bracket + _p_parity(m1 - 1, m2, m3, s - 2, 1)
+            if bracket:
+                value = bracket.shifted(2 * m)
+        if m3:
+            block = _p_parity(m1, m2, m3 - 1, s - 4, 0)
+            if m2:
+                block = (
+                    block
+                    + _p_parity(m1, m2, m3 - 1, s - 4, 1)
+                    + _p_parity(m1, m2, m3 - 1, s - 5, 1)
                 )
-            value = value + block.shifted(5 * m - 7)
+            if block:
+                if 5 * m - 7 < 0:
+                    raise AssertionError(
+                        "negative block exponent against a nonzero bracket at %s" % (key,)
+                    )
+                value = value + block.shifted(5 * m - 7)
     else:
-        bracket = (
-            _p_parity(m1, m2 - 1, m3, s - 1, 1)
-            + _p_parity(m1, m2 - 1, m3, s - 1, 0)
-            + _p_parity(m1, m2 - 1, m3, s - 2, 1)
-        )
-        value = bracket.shifted(2 * m + 1) if bracket else QPOLY_ZERO
+        bracket = _p_parity(m1, m2 - 1, m3, s - 1, 0)
+        if m2 > 1:
+            bracket = (
+                bracket
+                + _p_parity(m1, m2 - 1, m3, s - 1, 1)
+                + _p_parity(m1, m2 - 1, m3, s - 2, 1)
+            )
+        if bracket:
+            value = bracket.shifted(2 * m + 1)
     if not value.is_nonnegative():
         raise AssertionError("negative coefficient in P at %s" % (key,))
     _pmemo[key] = value

@@ -69,6 +69,10 @@ class QPoly:
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the value on its own lattice
+        return (QPoly._wrap, (self.low, self.step, self.body))
+
     @classmethod
     def _wrap(cls, low: int, step: int, body: tuple) -> "QPoly":
         # Internal constructor: ``body`` is already trimmed at both ends, and
@@ -242,6 +246,10 @@ class BiSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("BiSeries is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checked constructor, which copies the rows
+        return (BiSeries, (self.max_q, self.max_t, self._rows))
 
     @classmethod
     def _wrap(cls, max_q: int, max_t: int, rows) -> "BiSeries":

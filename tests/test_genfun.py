@@ -55,6 +55,7 @@ def test_kr_positive_divides_by_t_degree(monkeypatch):
         real(row, d)
 
     monkeypatch.setattr(genfun, "divide_geometric", counted)
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])  # count H+'s divisions too
     kr_positive(D, 300, 17)
     assert 0 < len(calls) <= 1500
 
@@ -100,8 +101,11 @@ def test_positivity_guard_names_the_cell(monkeypatch):
         return real_p_parity(m1, m2, m3, s, parity)
 
     monkeypatch.setattr(ppoly, "_p_parity", broken_p_parity)
+    # a kept H+ row would not read P again
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])
     with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0\)$"):
         kr_positive(D, 40, 8)
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])
     with pytest.raises(AssertionError, match=r"cell \(1, 0, 0, 0\)$"):
         h_positive(20, 8)
 
@@ -452,9 +456,76 @@ def test_factored_sums_match_the_naive_references(variant, max_q, max_t):
 def test_h_positive_skips_cores_that_cannot_fit(monkeypatch):
     # 11 parts weigh at least 36 > 30, so every t-degree past 10 is zero
     assert h_positive(30, 30) == h_product(30, 30)
+    # with H+'s rows kept, a warm call would read no P at all
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])
     monkeypatch.setattr(ppoly, "_pmemo", {})
     h_positive(30, 12)
     entries = len(ppoly._pmemo)
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])
     monkeypatch.setattr(ppoly, "_pmemo", {})
     h_positive(30, 30)
     assert len(ppoly._pmemo) <= entries
+
+
+# H+'s rows are kept across calls: every served row must equal a cold build
+# and the naive references, in whatever order the windows come
+
+
+def _cold(monkeypatch, route, *args):
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])
+    return route(*args)
+
+
+@pytest.mark.parametrize("windows", [[(60, 14), (20, 6)], [(20, 6), (60, 14)]])
+def test_kept_h_plus_rows_match_a_cold_build(monkeypatch, windows):
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])
+    warm = [(kr_positive(D, q, t), h_positive(q, t)) for q, t in windows]
+    for (q, t), (kr, h) in zip(windows, warm):
+        assert kr == _naive_kr_positive(D, q, t)
+        assert h == _naive_h_positive(q, t)
+        assert kr == _cold(monkeypatch, kr_positive, D, q, t)
+        assert h == _cold(monkeypatch, h_positive, q, t)
+
+
+def test_h_positive_then_kr_positive_reads_the_kept_rows(monkeypatch):
+    # H+(t; q^2) to q^70 needs rows 0..8 to q^35, all inside H+ to q^40
+    cold = {variant: _cold(monkeypatch, kr_positive, variant, 70, 8) for variant in (D, DP, DPP)}
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])
+    h = h_positive(40, 10)
+
+    def rebuilt(L, size):
+        raise AssertionError("row %d rebuilt on %d coefficients" % (L, size))
+
+    monkeypatch.setattr(genfun, "_h_plus_row", rebuilt)
+    for variant in (D, DP, DPP):
+        assert kr_positive(variant, 70, 8) == cold[variant] == _naive_kr_positive(variant, 70, 8)
+    assert h == _naive_h_positive(40, 10)
+
+
+def test_the_three_classes_share_one_h_plus(monkeypatch):
+    # D'' needs no longer rows than D and D', so only the first class reads P
+    calls = []
+    real = genfun._add_numerator
+
+    def counted(dst, core):
+        calls.append(core)
+        real(dst, core)
+
+    monkeypatch.setattr(genfun, "_add_numerator", counted)
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])
+    kr_positive(D, 120, 12)
+    first = len(calls)
+    assert first > 0
+    kr_positive(DP, 120, 12)
+    kr_positive(DPP, 120, 12)
+    assert len(calls) == first
+
+
+def test_changing_a_series_leaves_the_kept_rows_alone(monkeypatch):
+    monkeypatch.setattr(genfun, "_h_plus_memo", [])
+    first = h_positive(30, 8)
+    expected = [list(row) for row in first._rows]
+    for row in first._rows:
+        row[:] = [c + 7 for c in row]
+    assert h_positive(30, 8)._rows == expected
+    assert h_positive(20, 8)._rows == [row[:21] for row in expected]

@@ -1,9 +1,12 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpartition.moves import TaggedPartition, decompose
 from qpartition.partitions import iter_partitions
 from qpartition.series import BiSeries, QPoly, add_shifted, divide_geometric
 
@@ -453,3 +456,39 @@ def test_qpoly_add_into_matches_the_naive_loop(dense, step, low, row, shift):
             expected[shift + e] += c
     poly.add_into(row, shift)
     assert row == expected
+
+
+_VALUES = {
+    "qpoly-dense": QPoly((0, 2, 0, 1)),
+    "qpoly-strided": QPoly((1,)).shifted(3) + QPoly((0, 0, 5)).shifted(7),
+    "qpoly-zero": QPoly(),
+    "biseries": BiSeries(3, 1, [[1, 0, 2, 0], [0, 1, 0, 4]]),
+    "tagged": TaggedPartition((1, 2, 4, 6, 6, 9)),
+    "decomposition": decompose((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14)),
+}
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+def _fields(value):
+    # the stored form, which == alone does not pin for QPoly
+    if isinstance(value, QPoly):
+        return value.low, value.step, value.body
+    if isinstance(value, TaggedPartition):
+        return value.parts, value.starts
+    if isinstance(value, tuple):
+        return tuple(_fields(v) for v in value)
+    return value
+
+
+@pytest.mark.parametrize("how", sorted(_COPIES))
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_values_copy_and_pickle(name, how):
+    value = _VALUES[name]
+    again = _COPIES[how](value)
+    assert type(again) is type(value)
+    assert again == value
+    assert _fields(again) == _fields(value)
