@@ -15,9 +15,9 @@ At t = 1 the three classes also equal infinite products with moduli 6/12
 (``product_side``, which takes no t-window).  The at-most-twice class H has
 its own product prod (1 + t q^n + t^2 q^2n) (``h_product``), positive sum
 (``h_positive``, the series H+ below) and brute count (``h_brute``).  The
-class routes take a `KrVariant`, every route rejects a window that is
-negative or not an ``int`` with ``ValueError``, and ``compare`` diffs any two
-of them.
+class routes take a `KrVariant` and refuse anything else, every route
+rejects a window that is negative or not an ``int``, both with
+``ValueError``, and ``compare`` diffs any two of them.
 
 No class condition looks more than two parts back, so a partition is in
 its class iff each part passes the prefix rule after the parts before it
@@ -85,7 +85,7 @@ import math
 from typing import NamedTuple
 
 from . import ppoly
-from .partitions import KrVariant, at_most_twice_rule, brute_series, kr_rule
+from .partitions import KrVariant, at_most_twice_rule, brute_series, check_variant, kr_rule
 from .series import BiSeries, add_shifted, check_ints, check_window, divide_geometric
 
 
@@ -153,6 +153,7 @@ def kr_alternating(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
     loop stops at the first term past the window and extends its parent's
     row by one division.
     """
+    check_variant(variant)
     check_window(max_q, max_t)
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     row_k = [1] + [0] * max_q
@@ -278,6 +279,7 @@ def _class_series(variant: KrVariant, max_q: int, max_t: int, numerator) -> BiSe
     ``numerator(sizes)`` returns N's t-rows, row M on its first sizes[M]
     coefficients: before its staircase shift q^{M^2 + extra*M} (extra = 2
     for D'', else 0), row M is needed only up to q^{max_q - M^2 - extra*M}."""
+    check_variant(variant)
     check_window(max_q, max_t)
     extra = 2 if variant is KrVariant.DPRIMEPRIME else 0  # t -> t q^2
     sizes = [
@@ -375,12 +377,14 @@ def _infinite_product(residues, mod: int, numerator: bool, max_q: int) -> BiSeri
 
 def product_side(variant: KrVariant, max_q: int) -> BiSeries:
     """The t = 1 infinite product of the class, expanded to max_q."""
+    check_variant(variant)
     check_window(max_q, 0)
     return _infinite_product(*_PRODUCTS[variant], max_q)
 
 
 def product_side_mod12(variant: KrVariant, max_q: int) -> BiSeries:
     """The kr2 product in its modulus-12 printing; other classes unchanged."""
+    check_variant(variant)
     check_window(max_q, 0)
     factors = _KR2_MOD12 if variant is KrVariant.DPRIME else _PRODUCTS[variant]
     return _infinite_product(*factors, max_q)

@@ -28,14 +28,14 @@ crosses the pair above: a forward put lies at least 2 above the part below
 it and binds as a pair at j, and a backward put binds at j or lends its low
 part to the singleton below, and then its top is at least 2 below the part
 above the write.  The scan is back in step, and only the moving pair's start
-changes; any other outcome trips an assertion.  `_backward_step` and
-`_forward_step` move pair i of a ``(parts, starts)`` pair of lists and
-return the index j put was written at, or None when a backward move is
-blocked; `decompose`, `compose` and the single-move
-`backward_move`/`forward_move` run them.  Every step still checks that put
-lies between its neighbours, that the pair count is unchanged and that the
-pairs below are untouched.  A traced move records the pair before the write
-and what was written; it regrouped iff the pair's start changed.
+changes; any other outcome trips an assertion.  While pair i moves, the
+pairs below and above it stay put, so one kernel call per pair keeps its
+floor, the scan's resume index and pair i+1's start in locals:
+`_backward_run` moves it until blocked (or ``limit`` moves) and
+`_forward_run` makes ``count`` moves, each move with every check (rules
+(i)-(iii) through `_backward_put`, the forward ValueErrors, put between its
+neighbours, the scan).  A traced move records the pair before the write and
+what was written; it regrouped iff the pair's start changed.
 
 Backward moves.  A pair rewrites [k,k+1] -> [k-1,k-1] or [k,k] -> [k-2,k-1],
 dropping the weight by exactly 3.  The move is legal iff
@@ -127,27 +127,24 @@ class TaggedPartition:
         return "TaggedPartition(%s)" % self
 
 
-def _greedy_scan(parts, i: int, stop: int, starts: list) -> int:
-    """Extend ``starts`` by the greedy scan of ``parts`` from index i, where
-    the scan is free (no pair is open at i), over the pairs starting below
-    ``stop`` <= len(parts) - 1; return the index it ended at, which is
-    ``stop`` unless a pair straddles it or the scan ran off the end."""
+def _greedy_scan(parts) -> list:
+    """The start indices of the greedy pairs of the sorted ``parts``."""
+    starts, i, stop = [], 0, len(parts) - 1
     while i < stop:
         if parts[i + 1] - parts[i] <= 1:
             starts.append(i)
             i += 2
         else:
             i += 1
-    return i
+    return starts
 
 
 def _tagged(parts) -> TaggedPartition:
     # Internal constructor: the module built ``parts`` valid, so only the scan runs
-    parts, starts = tuple(parts), []
-    _greedy_scan(parts, 0, len(parts) - 1, starts)
+    parts = tuple(parts)
     tp = object.__new__(TaggedPartition)
     object.__setattr__(tp, "parts", parts)
-    object.__setattr__(tp, "starts", tuple(starts))
+    object.__setattr__(tp, "starts", tuple(_greedy_scan(parts)))
     return tp
 
 
@@ -185,92 +182,101 @@ def _backward_put(parts, j: int, floor: int) -> Optional[tuple[int, int]]:
     return put
 
 
-def _write(parts: list, starts: list, i: int, j: int, put: tuple[int, int]) -> int:
-    """Write ``put`` over parts[j:j+2] for the move of pair i, where j lies
-    at or above that pair's start, re-tag ``starts`` and return j.  The
-    pairs below i are kept; the greedy scan restarts just below the write
-    and must find one pair there and come free past it without crossing
-    pair i+1, which keeps the pairs above too (module docstring)."""
+def _backward_run(parts: list, starts: list, i: int, limit: float, trace: Optional[list]) -> int:
+    """Move pair i of ``(parts, starts)`` backward in place (weight -3 each)
+    until it is blocked or has made ``limit`` moves; return the count."""
+    n, count = len(parts), 0
+    floor, resume = (parts[starts[i - 1] + 1], starts[i - 1] + 2) if i else (1, 0)
+    above = starts[i + 1] if i + 1 < len(starts) else n
+    while count < limit:
+        j = starts[i]
+        put = _backward_put(parts, j, floor)
+        if put is None:
+            break
+        if (j and put[0] < parts[j - 1]) or (j + 2 < n and put[1] > parts[j + 2]):
+            raise AssertionError(
+                "move put %s out of order at index %d of %s" % (put, j, _tagged(parts))
+            )
+        old = parts[j : j + 2]
+        parts[j], parts[j + 1] = put
+        k, stop, found = (j - 1 if j > resume else resume), (j + 2 if j + 2 < n else n - 1), 0
+        while k < stop:  # the greedy scan, restarted just below the write
+            if parts[k + 1] - parts[k] <= 1:
+                new, found = k, found + 1
+                k += 2
+            else:
+                k += 1
+        if j < resume or found != 1 or k > above:
+            _unsynced(parts, j, resume, old)
+        starts[i] = new
+        if trace is not None:
+            trace.append({"op": "backward", "pair": old, "result": list(put), "regroup": new != j})
+        count += 1
+    return count
+
+
+def _forward_run(parts: list, starts: list, i: int, count: int, trace: Optional[list]) -> None:
+    """Make ``count`` forward moves (weight +3 each) of pair i in place, each
+    regrouping first when a singleton trails the pair within 1; a move that
+    would put a value thrice or pass the pair above raises ValueError."""
     n = len(parts)
-    if (j and put[0] < parts[j - 1]) or (j + 2 < n and put[1] > parts[j + 2]):
-        raise AssertionError(
-            "move put %s out of order at index %d of %s" % (put, j, _tagged(parts))
-        )
-    old = parts[j : j + 2]
-    parts[j], parts[j + 1] = put
     resume = starts[i - 1] + 2 if i else 0
-    found = []
-    end = _greedy_scan(parts, j - 1 if j > resume else resume, j + 2 if j + 2 < n else n - 1, found)
-    if j < resume or len(found) != 1 or (i + 1 < len(starts) and end > starts[i + 1]):
-        what = "disturbed a finalized pair" if j < resume else "changed the pair count"
-        before = _tagged(parts[:j] + old + parts[j + 2 :])
-        raise AssertionError("move %s: %s -> %s" % (what, before, _tagged(parts)))
-    starts[i] = found[0]
-    return j
+    above = starts[i + 1] if i + 1 < len(starts) else n
+    for _ in range(count):
+        s = j = starts[i]
+        # a,[b,s] regrouping when a singleton s trails [a,b]: a stays behind
+        if j + 2 < n and parts[j + 2] - parts[j + 1] <= 1 and above != j + 2:
+            j += 1
+        a, b = parts[j], parts[j + 1]
+        put = (a + 1, a + 2) if a == b else (b + 1, b + 1)
+        # put's values differ from the pair's, so only they can reach 3, and
+        # all their copies sit in the four parts above it (module docstring)
+        window = parts[j + 2 : j + 6]
+        if window.count(put[0]) + (put[0] == put[1]) > 1 or window.count(put[1]) > 1:
+            raise ValueError(
+                "forward move on [%d,%d] of %s would repeat a part more than twice"
+                % (a, b, _tagged(parts))
+            )
+        if j + 2 < n and put[1] > parts[j + 2]:
+            raise ValueError(
+                "forward move on [%d,%d] of %s would pass the pair above" % (a, b, _tagged(parts))
+            )
+        if (j and put[0] < parts[j - 1]) or (j + 2 < n and put[1] > parts[j + 2]):
+            raise AssertionError(
+                "move put %s out of order at index %d of %s" % (put, j, _tagged(parts))
+            )
+        parts[j], parts[j + 1] = put
+        k, stop, found = (j - 1 if j > resume else resume), (j + 2 if j + 2 < n else n - 1), 0
+        while k < stop:  # the greedy scan, restarted just below the write
+            if parts[k + 1] - parts[k] <= 1:
+                new, found = k, found + 1
+                k += 2
+            else:
+                k += 1
+        if j < resume or found != 1 or k > above:
+            _unsynced(parts, j, resume, [a, b])
+        starts[i] = new
+        if trace is not None:
+            trace.append(
+                {"op": "forward", "pair": [a, b], "result": list(put), "regroup": new != s}
+            )
 
 
-def _backward_step(parts: list, starts: list, i: int) -> Optional[int]:
-    """The weight-3 backward move of pair i, made in place: the index j put
-    was written at, or None (nothing changed) when the move is blocked."""
-    j = starts[i]
-    put = _backward_put(parts, j, parts[starts[i - 1] + 1] if i else 1)
-    return None if put is None else _write(parts, starts, i, j, put)
+def _unsynced(parts: list, j: int, resume: int, old: list):
+    """Raise for a rescan that fell out of step with the old tagging."""
+    what = "disturbed a finalized pair" if j < resume else "changed the pair count"
+    before = _tagged(parts[:j] + old + parts[j + 2 :])
+    raise AssertionError("move %s: %s -> %s" % (what, before, _tagged(parts)))
 
 
-def _forward_step(parts: list, starts: list, i: int) -> int:
-    """The weight+3 forward move of pair i, made in place: the index j put
-    was written at.  It regroups first when a singleton trails the pair
-    within distance 1, writing one part past the pair's start, and raises
-    ValueError when the move would push some value past multiplicity 2 or
-    carry the pair past the pair above it (either signals a malformed
-    decomposition triple)."""
-    j, n = starts[i], len(parts)
-    # a,[b,s] regrouping when a singleton s trails [a,b]: a stays behind
-    if j + 2 < n and parts[j + 2] - parts[j + 1] <= 1 and (
-        i + 1 == len(starts) or starts[i + 1] != j + 2
-    ):
-        j += 1
-    a, b = parts[j], parts[j + 1]
-    put = (a + 1, a + 2) if a == b else (b + 1, b + 1)
-    # put's values differ from the pair's, so only they can reach 3, and all
-    # their copies sit in the four parts above it (module docstring)
-    window = parts[j + 2 : j + 6]
-    if window.count(put[0]) + (put[0] == put[1]) > 1 or window.count(put[1]) > 1:
-        raise ValueError(
-            "forward move on [%d,%d] of %s would repeat a part more than twice"
-            % (a, b, _tagged(parts))
-        )
-    if j + 2 < n and put[1] > parts[j + 2]:
-        raise ValueError(
-            "forward move on [%d,%d] of %s would pass the pair above" % (a, b, _tagged(parts))
-        )
-    return _write(parts, starts, i, j, put)
-
-
-def _traced(step, op: str, trace: Optional[list]):
-    """``step``, appending to ``trace`` when one is given the event of each
-    move made: the pair before the write, the parts written, and whether the
-    pair's start moved (a regroup)."""
-    if trace is None:
-        return step
-
-    def traced(parts: list, starts: list, i: int) -> Optional[int]:
-        s, old = starts[i], parts[starts[i] : starts[i] + 3]
-        j = step(parts, starts, i)
-        if j is not None:
-            pair, result = old[j - s : j - s + 2], parts[j : j + 2]
-            trace.append({"op": op, "pair": pair, "result": result, "regroup": starts[i] != s})
-        return j
-
-    return traced
-
-
-def _move(step, op: str, tp: TaggedPartition, pair_index: int, trace: Optional[list]):
+def _move_lists(tp, pair_index) -> tuple[list, list]:
+    """``tp``'s parts and starts as new lists, after checking both arguments."""
+    if not isinstance(tp, TaggedPartition):
+        raise ValueError("%r is not a TaggedPartition" % (tp,))
+    check_ints(pair_index=pair_index)
     if not (0 <= pair_index < len(tp.starts)):
         raise ValueError("no pair with index %d in %s" % (pair_index, tp))
-    parts = list(tp.parts)
-    moved = _traced(step, op, trace)(parts, list(tp.starts), pair_index) is not None
-    return _tagged(parts) if moved else None
+    return list(tp.parts), list(tp.starts)
 
 
 def backward_move(
@@ -280,15 +286,18 @@ def backward_move(
 
     Returns the re-tagged partition, or None when the move is blocked.
     """
-    return _move(_backward_step, "backward", tp, pair_index, trace)
+    parts, starts = _move_lists(tp, pair_index)
+    return _tagged(parts) if _backward_run(parts, starts, pair_index, 1, trace) else None
 
 
 def forward_move(
     tp: TaggedPartition, pair_index: int, trace: Optional[list] = None
 ) -> TaggedPartition:
     """One weight+3 forward move on the pair with the given ordinal; see
-    `_forward_step` for the regroup and the ValueErrors."""
-    return _move(_forward_step, "forward", tp, pair_index, trace)
+    `_forward_run` for the regroup and the ValueErrors."""
+    parts, starts = _move_lists(tp, pair_index)
+    _forward_run(parts, starts, pair_index, 1, trace)
+    return _tagged(parts)
 
 
 class Decomposition(NamedTuple):
@@ -344,13 +353,7 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
     """Drive every pair to its blocked position, then stow the singletons."""
     tp = TaggedPartition(p)
     parts, starts = list(tp.parts), list(tp.starts)
-    step = _traced(_backward_step, "backward", trace)
-    mu = []
-    for i in range(len(starts)):
-        count = 0
-        while step(parts, starts, i) is not None:
-            count += 1
-        mu.append(3 * count)
+    mu = [3 * _backward_run(parts, starts, i, math.inf, trace) for i in range(len(starts))]
 
     end, k = _past_last_pair(starts), _largest_pair_lo(parts, starts)
     base_parts = parts[:end]
@@ -434,16 +437,13 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
                 trace.append({"op": "forward", "singleton": s, "result": s + t})
             parts[pos] = s + t
     parts.sort()
-    starts = []
-    _greedy_scan(parts, 0, len(parts) - 1, starts)
+    starts = _greedy_scan(parts)
     if len(starts) != d.n2:
         raise ValueError("theta placement broke the pair structure")
 
-    # forward moves on pairs, largest pair first with the largest mu part
-    step = _traced(_forward_step, "forward", trace)
-    for i in reversed(range(d.n2)):
-        for _ in range(d.mu[i] // 3):
-            step(parts, starts, i)
+    # forward moves on pairs, largest first with the largest mu part (its zeros lead)
+    for i in reversed(range(d.mu.count(0), d.n2)):
+        _forward_run(parts, starts, i, d.mu[i] // 3, trace)
     parts = tuple(parts)
     if has_triple(parts):
         raise AssertionError("composition left the at-most-twice class: %s" % (parts,))

@@ -53,15 +53,19 @@ class KrVariant(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "KrVariant":
-        key = str(label).strip().lower()
-        for variant in cls:
-            if key in (variant.value, str(variant.index)):
-                return variant
-        raise ValueError("unknown variant %r (use 1, 2 or 3)" % (label,))
+        try:
+            return _VARIANT_LABELS[str(label).strip().lower()]
+        except KeyError:
+            raise ValueError("unknown variant %r (use 1, 2 or 3)" % (label,)) from None
 
     @property
     def index(self) -> int:
-        return {"d": 1, "d'": 2, "d''": 3}[self.value]
+        return _VARIANT_INDEX[self]
+
+
+_VARIANT_INDEX = {KrVariant.D: 1, KrVariant.DPRIME: 2, KrVariant.DPRIMEPRIME: 3}
+# each variant under its value and its index, as the CLI spells them
+_VARIANT_LABELS = {key: v for v, i in _VARIANT_INDEX.items() for key in (v.value, str(i))}
 
 
 def as_parts(p) -> tuple[int, ...]:
@@ -104,12 +108,9 @@ def format_parts(parts: Iterable[int]) -> str:
     return ",".join(str(x) for x in parts)
 
 
-def kr_rule(variant: KrVariant) -> Rule:
-    """The prefix rule of the class named by ``variant``: True iff the last
-    part of the sorted, zero-free ``parts`` may follow the parts before it.
-    Reads only ``parts[-3:]`` and validates nothing."""
-    low = {"d": 1, "d'": 2, "d''": 4}[variant.value]  # the smallest part allowed
-    barred = 2 if variant is KrVariant.D else 0  # D bars 2+2
+def _prefix_rule(low: int, barred: int) -> Rule:
+    """The prefix rule of a class with smallest part ``low`` whose (d) bars
+    ``barred`` + ``barred`` (0 for none)."""
 
     def admits(parts: tuple[int, ...]) -> bool:
         x = parts[-1]
@@ -122,6 +123,33 @@ def kr_rule(variant: KrVariant) -> Rule:
         return x != last + 1 and (len(parts) < 3 or parts[-3] != last or x - last >= 4)
 
     return admits
+
+
+# one rule per class, built once: D bars 2+2, D' parts below 2, D'' parts below 4
+_KR_RULES = {
+    KrVariant.D: _prefix_rule(1, 2),
+    KrVariant.DPRIME: _prefix_rule(2, 0),
+    KrVariant.DPRIMEPRIME: _prefix_rule(4, 0),
+}
+
+
+def check_variant(variant) -> None:
+    """Raise ValueError, naming the value, unless ``variant`` is a KrVariant:
+    the one check of a variant, made by every class route and seed entry."""
+    if not isinstance(variant, KrVariant):
+        raise ValueError("variant %r is not a KrVariant" % (variant,))
+
+
+def kr_rule(variant: KrVariant) -> Rule:
+    """The prefix rule of the class named by ``variant``: True iff the last
+    part of the sorted, zero-free ``parts`` may follow the parts before it.
+    The rule reads only ``parts[-3:]`` and validates nothing; the lookup
+    refuses a ``variant`` that is not a KrVariant (`check_variant`)."""
+    try:
+        return _KR_RULES[variant]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        check_variant(variant)
+        raise
 
 
 def check_kr(p, variant: KrVariant) -> bool:

@@ -26,16 +26,18 @@ partitions, so this is the class series.
 
 from __future__ import annotations
 
+import operator
+from itertools import groupby
 from typing import NamedTuple
 
-from .partitions import KrVariant, as_parts, kr_member
+from .partitions import KrVariant, as_parts, check_variant, kr_member
 from .series import check_ints
 
 
 def staircase(m: int) -> tuple[int, ...]:
     """The base partition 1, 3, 5, ..., 2m-1."""
     check_ints(m=m)
-    return tuple(2 * i - 1 for i in range(1, m + 1))
+    return tuple(range(1, 2 * m, 2))
 
 
 class SeedGroup(NamedTuple):
@@ -80,13 +82,16 @@ def to_seed(p, variant: KrVariant) -> tuple[int, ...]:
 
 
 def _is_seed_shape(parts: tuple[int, ...]) -> bool:
-    """Fixed point of the even-pair rewrite with legally spaced parts."""
-    for i in range(len(parts) - 1):
-        if parts[i + 1] - parts[i] == 0 and parts[i] % 2 == 0:
-            return False
-        if parts[i + 1] - parts[i] == 1:
-            return False
-    return True
+    """Fixed point of the even-pair rewrite with legally spaced parts: no
+    two adjacent parts 1 apart, and no even part twice."""
+    gaps = tuple(map(operator.sub, parts[1:], parts))
+    if 1 in gaps:
+        return False
+    return 0 not in gaps or all(x % 2 for x, gap in zip(parts, gaps) if not gap)
+
+
+# the mu value of each variant's mandatory leading run (module docstring)
+_FORCED_VALUE = {KrVariant.D: None, KrVariant.DPRIME: 0, KrVariant.DPRIMEPRIME: 2}
 
 
 def seed_decomposition(seed, variant: KrVariant) -> SeedDecomposition:
@@ -95,23 +100,21 @@ def seed_decomposition(seed, variant: KrVariant) -> SeedDecomposition:
     Raises ValueError when ``seed`` cannot be the seed of any partition in
     the class (negative mu, ill-shaped runs, odd mandatory runs, ...).
     """
+    check_variant(variant)
     parts = as_parts(seed)
     if not _is_seed_shape(parts):
         raise ValueError("not a seed: %s" % (parts,))
-    base = staircase(len(parts))
-    mu = tuple(parts[i] - base[i] for i in range(len(parts)))
-    if any(x < 0 for x in mu):
+    base = tuple(range(1, 2 * len(parts), 2))  # staircase(len(parts))
+    mu = tuple(map(operator.sub, parts, base))
+    if mu and min(mu) < 0:
         raise ValueError("seed lies below the odd staircase: %s" % (parts,))
-    if any(mu[i] > mu[i + 1] for i in range(len(mu) - 1)):
+    if any(map(operator.gt, mu, mu[1:])):
         raise ValueError("seed gaps out of order: %s" % (parts,))
 
-    forced_value = {KrVariant.D: None, KrVariant.DPRIME: 0, KrVariant.DPRIMEPRIME: 2}[
-        variant
-    ]
+    forced_value = _FORCED_VALUE[variant]
     forced_prefix = 0
     if mu and forced_value is not None and mu[0] == forced_value:
-        while forced_prefix < len(mu) and mu[forced_prefix] == forced_value:
-            forced_prefix += 1
+        forced_prefix = mu.count(forced_value)  # mu is sorted: the leading run
         if forced_prefix % 2 != 0:
             raise ValueError(
                 "leading run of %d must have even length for variant %s: %s"
@@ -120,11 +123,8 @@ def seed_decomposition(seed, variant: KrVariant) -> SeedDecomposition:
 
     groups = []
     i = forced_prefix
-    while i < len(mu):
-        j = i
-        while j < len(mu) and mu[j] == mu[i]:
-            j += 1
-        v = mu[i]
+    for v, run in groupby(mu[forced_prefix:]):
+        j = i + len(tuple(run))
         if v > 0 and v % 2 == 0 and (j - i) % 2 == 0:
             groups.append(SeedGroup(i, j, v))
         i = j

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from qpartition import moves
 from qpartition.moves import (
     TaggedPartition,
-    _backward_step,
-    _forward_step,
+    _backward_run,
+    _forward_run,
     backward_move,
     compose,
     decompose,
@@ -523,10 +523,10 @@ def test_compose_traces_are_pinned():
 # ---------------------------------------------------------------- naive moves
 #
 # Reference moves from scratch: write put's values, sort the whole part
-# tuple, re-tag it from index 0 and compare every pair list.  The step
-# functions that decompose and compose call write put into the list in place
-# and re-tag from the pair below; they must leave the same parts and starts,
-# and report the index the naive move wrote put at.
+# tuple, re-tag it from index 0 and compare every pair list.  The kernels
+# that decompose and compose call write put into the list in place and
+# re-tag from the pair below; one move at a time, they must leave the same
+# parts and starts, and trace the pair and the parts the naive move wrote.
 
 
 def _naive_rebuilt(tp, j, put, pair_index):
@@ -563,83 +563,118 @@ def _naive_forward(tp, pair_index):
     return _naive_rebuilt(tp, j, put, pair_index), j
 
 
-def _moves_of_round_trips(partitions):
-    """Every (kind, parts, starts, pair_index, out) step that decompose and
-    compose make on the given partitions, through the module's step
-    functions: the parts and starts before the step, and the (parts, starts,
-    j) it left, or None when it was blocked and changed nothing."""
-    made = []
-
-    def spy(step, kind):
-        def recorded(parts, starts, pair_index):
-            before = tuple(parts), tuple(starts)
-            j = step(parts, starts, pair_index)
-            after = tuple(parts), tuple(starts)
-            if j is None:
-                assert after == before, (kind, before, pair_index)
-            made.append((kind, *before, pair_index, None if j is None else (*after, j)))
-            return j
-
-        return recorded
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moves, "_backward_step", spy(_backward_step, "backward"))
-        mp.setattr(moves, "_forward_step", spy(_forward_step, "forward"))
-        for parts in partitions:
-            assert compose(decompose(parts)) == parts
-    return made
-
-
-def _assert_moves_match_the_naive_reference(made):
-    naive = {"backward": _naive_backward, "forward": _naive_forward}
-    for kind, parts, starts, pair_index, out in made:
-        tp = TaggedPartition(parts)
-        assert tp.starts == starts, (kind, parts)  # the running tagging is exact
-        ref = naive[kind](tp, pair_index)
+def _checked_move(kind, parts, starts, pair_index, trace):
+    """One move of pair ``pair_index`` through its kernel, held to the naive
+    reference: the parts, starts and traced event it leaves, or nothing
+    changed when the reference blocks it.  Returns whether it moved."""
+    tp = TaggedPartition(parts)
+    assert tuple(starts) == tp.starts, (kind, tp)  # the running tagging is exact
+    events = len(trace)
+    if kind == "backward":
+        ref = _naive_backward(tp, pair_index)
+        moved = _backward_run(parts, starts, pair_index, 1, trace)
         if ref is None:
-            assert out is None, (kind, tp, pair_index)
-        else:
-            new, j = ref
-            parts_out, starts_out, j_out = out
-            assert (parts_out, starts_out) == (new.parts, new.starts), (kind, tp, pair_index)
-            assert j_out == j, (kind, tp, pair_index)
+            after = (moved, tuple(parts), tuple(starts), len(trace))
+            assert after == (0, tp.parts, tp.starts, events), (kind, tp, pair_index)
+            return False
+        assert moved == 1, (kind, tp, pair_index)
+    else:
+        ref = _naive_forward(tp, pair_index)
+        _forward_run(parts, starts, pair_index, 1, trace)
+    new, j = ref
+    assert (tuple(parts), tuple(starts)) == (new.parts, new.starts), (kind, tp, pair_index)
+    event = {
+        "op": kind,
+        "pair": list(tp.parts[j : j + 2]),
+        "result": list(new.parts[j : j + 2]),
+        "regroup": new.starts[pair_index] != tp.starts[pair_index],
+    }
+    assert trace[events:] == [event], (kind, tp, pair_index)
+    return True
+
+
+def _check_round_trip_moves(p) -> dict:
+    """Run decompose and compose on ``p`` one kernel move at a time, in loops
+    that mirror theirs, each move held to the naive reference.  The loops
+    must end where decompose and compose end: same base, mu, theta and move
+    traces.  Returns the number of moves made of each kind."""
+    tp = TaggedPartition(p)
+    parts, starts, trace = list(tp.parts), list(tp.starts), []
+    mu = []
+    for i in range(len(starts)):
+        count = 0
+        while _checked_move("backward", parts, starts, i, trace):
+            count += 1
+        mu.append(3 * count)
+    end = starts[-1] + 2 if starts else 0
+    k = parts[starts[-1]] if starts else 0
+    slots = tuple(range(k + 1, k + 2 * (len(parts) - end), 2))
+    theta = (0,) * (end - 2 * len(starts)) + tuple(s - t for s, t in zip(parts[end:], slots))
+    decompose_trace = []
+    d = decompose(p, decompose_trace)
+    assert (d.base.parts, d.mu, d.theta) == (tuple(parts[:end]) + slots, tuple(mu), theta)
+    assert [e for e in decompose_trace if "pair" in e] == trace
+
+    # compose: theta back onto the slots, then forward moves, largest pair first
+    slid = (s + t for s, t in zip(slots, theta[len(theta) - len(slots) :]))
+    parts, trace = sorted(d.base.parts[:end] + tuple(slid)), []
+    starts = list(TaggedPartition(parts).starts)
+    for i in reversed(range(len(starts))):
+        for _ in range(d.mu[i] // 3):
+            _checked_move("forward", parts, starts, i, trace)
+    compose_trace = []
+    assert compose(d, compose_trace) == tuple(parts) == p
+    assert [e for e in compose_trace if "pair" in e] == trace
+    return {"backward": sum(mu) // 3, "forward": len(trace)}
 
 
 def test_every_round_trip_move_to_weight_30_matches_the_naive_reference():
-    made = _moves_of_round_trips(
-        parts for n in range(31) for parts in iter_partitions(n) if check_at_most_twice(parts)
-    )
-    kinds = {kind for kind, *_, out in made if out is not None}
-    assert kinds == {"backward", "forward"}
-    _assert_moves_match_the_naive_reference(made)
+    made = {"backward": 0, "forward": 0}
+    for n in range(31):
+        for parts in iter_partitions(n):
+            if check_at_most_twice(parts):
+                for kind, count in _check_round_trip_moves(parts).items():
+                    made[kind] += count
+    assert min(made.values()) > 0, made
 
 
 @settings(max_examples=100, deadline=None)
 @given(_at_most_twice())
 def test_moves_match_the_naive_reference_property(parts):
-    _assert_moves_match_the_naive_reference(_moves_of_round_trips([parts]))
+    _check_round_trip_moves(parts)
+    # a pair of parts[-1] + 3 on top moves at least once each way
+    made = _check_round_trip_moves(parts + (parts[-1] + 3,) * 2)
+    assert min(made.values()) > 0, made
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(40, 400).flatmap(lambda w: _at_most_twice(max_weight=w)))
+def test_moves_match_the_naive_reference_at_weights_40_to_400(parts):
+    _check_round_trip_moves(parts)
+    made = _check_round_trip_moves(parts + (parts[-1] + 3,) * 2)
+    assert min(made.values()) > 0, made
 
 
 def test_out_of_order_put_trips_the_sortedness_assertion(monkeypatch):
     # [2,2] has 6 above it; a put past 6 would need the re-sort it no longer gets
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (7, 8))
     with pytest.raises(AssertionError, match="out of order"):
-        _backward_step([2, 2, 6], [0], 0)
+        _backward_run([2, 2, 6], [0], 0, 1, None)
     # and below: 1 sits under [4,4]
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (0, 0))
     with pytest.raises(AssertionError, match="out of order"):
-        _backward_step([1, 4, 4], [1], 0)
+        _backward_run([1, 4, 4], [1], 0, 1, None)
 
 
 def test_stability_check_fires(monkeypatch):
     # [1,2],[4,5] with pair 1 rewritten to 4,7: the rescan finds no pair there
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (4, 7))
     with pytest.raises(AssertionError, match="changed the pair count"):
-        _backward_step([1, 2, 4, 5], [0, 2], 1)
+        _backward_run([1, 2, 4, 5], [0, 2], 1, 1, None)
     # a pair 1 said to start inside pair 0 would write below the rescan point
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (2, 2))
     with pytest.raises(AssertionError, match=r"disturbed a finalized pair: \[1,2\],3,5 ->"):
-        _backward_step([1, 2, 3, 5], [0, 1], 1)
+        _backward_run([1, 2, 3, 5], [0, 1], 1, 1, None)
 
 
 def test_unsynced_local_scan_trips_the_stability_check(monkeypatch):
@@ -648,7 +683,13 @@ def test_unsynced_local_scan_trips_the_stability_check(monkeypatch):
     # (a fresh tagging would read 1,[4,4],[5,5])
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (1, 4))
     with pytest.raises(AssertionError, match=r"changed the pair count: \[1,1\],\[4,5\],5 ->"):
-        _backward_step([1, 1, 4, 5, 5], [0, 2], 0)
+        _backward_run([1, 1, 4, 5, 5], [0, 2], 0, 1, None)
+
+
+@pytest.mark.parametrize("move", [backward_move, forward_move])
+def test_single_moves_refuse_a_partition_that_is_not_tagged(move):
+    with pytest.raises(ValueError, match=r"^\(1, 2\) is not a TaggedPartition$"):
+        move((1, 2), 0)
 
 
 def test_forward_move_rejects_passing_the_pair_above():

@@ -266,6 +266,8 @@ def test_as_parts_contract(given, expected):
     assert as_parts(given) == expected
 
 
+_TWO_PAIRS = moves.TaggedPartition((1, 2, 5, 5))
+
 # (name of the checked argument, call with x in its place) for the library
 # entry points that take a window, a count, an exponent or a P argument;
 # ppoly.p has its own test in test_ppoly.py
@@ -291,6 +293,8 @@ _INT_ARGUMENTS = {
     "BiSeries.coeff": ("n", lambda x: BiSeries(3, 2).coeff(x, 0)),
     "marginal_max_t": ("max_q", lambda x: genfun.marginal_max_t(x)),
     "staircase": ("m", lambda x: seeds.staircase(x)),
+    "backward_move": ("pair_index", lambda x: moves.backward_move(_TWO_PAIRS, x)),
+    "forward_move": ("pair_index", lambda x: moves.forward_move(_TWO_PAIRS, x)),
 }
 
 
@@ -305,3 +309,28 @@ def test_entry_points_refuse_non_integers(entry, bad):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value) == "%s=%r is not an integer" % (name, bad)
+
+
+# every class route and seed entry point, called with v as the variant
+_VARIANT_ENTRIES = {
+    "kr_brute": lambda v: genfun.kr_brute(v, 30, 6),
+    "kr_alternating": lambda v: genfun.kr_alternating(v, 30, 6),
+    "kr_positive": lambda v: genfun.kr_positive(v, 30, 6),
+    "kr_marker": lambda v: genfun.kr_marker(v, 2, 30, 6),
+    "product_side": lambda v: genfun.product_side(v, 30),
+    "product_side_mod12": lambda v: genfun.product_side_mod12(v, 30),
+    "check_kr": lambda v: check_kr((4, 4, 8), v),
+    "to_seed": lambda v: seeds.to_seed((4, 4, 8), v),
+    "seed_decomposition": lambda v: seeds.seed_decomposition((3, 5, 7), v),
+    "expand_seed": lambda v: seeds.expand_seed((3, 5, 7), v),
+}
+
+
+@pytest.mark.parametrize("bad", ["d", 1, None], ids=repr)
+def test_class_routes_and_seed_entries_refuse_a_non_variant(bad):
+    # 'd' and 1 name a class in the CLI, but a library call given one used to
+    # return another class's series or fail with AttributeError or KeyError
+    for entry, call in _VARIANT_ENTRIES.items():
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == "variant %r is not a KrVariant" % (bad,), entry
