@@ -82,8 +82,9 @@ def _cmd_decompose(args):
 
 def _cmd_compose(args):
     base = moves.parse_structure(args.base)
-    # compose validates the triple; parse_structure has already checked
-    # that the base is the greedy tagging of its parts
+    # the constructor validates the triple, and compose trusts it;
+    # parse_structure has already checked that the base is the greedy
+    # tagging of its parts
     d = moves.Decomposition(
         base, parse_ints(args.mu, "mu"), parse_ints(args.theta, "theta")
     )

@@ -63,9 +63,14 @@ contribute forced zeros).  Composition inverts everything:
 theta is added back largest-to-largest, then pairs move forward
 ([k-1,k-1] -> [k,k+1], [k-2,k-1] -> [k,k]) largest-first, where a pair with
 a singleton right behind its top regroups (a,[b,s] for [a,b],s) before
-moving.  A triple's base is checked in one pass: every pair's first
-backward move is blocked, in order, and the trailing singletons sit on
-their staircase slots.
+moving.  One constructor checks a triple: ``Decomposition(base, mu,
+theta)`` runs `make_decomposition`, whose base check is one pass (every
+pair's first backward move is blocked, in order, and the trailing
+singletons sit on their staircase slots).  `decompose` builds its triple
+valid and skips that check through `_decomposition`; it asserts on every
+call that mu is non-decreasing, the one invariant not true by its
+construction.  So `compose` trusts any `Decomposition`, refuses anything
+else, and places theta without re-tagging.
 """
 
 from __future__ import annotations
@@ -300,12 +305,36 @@ def forward_move(
     return _tagged(parts)
 
 
-class Decomposition(NamedTuple):
-    """The bijection image (base, mu, theta); the counts follow from the base."""
+class Decomposition:
+    """The bijection image (base, mu, theta); the counts follow from the base.
 
-    base: TaggedPartition
-    mu: tuple[int, ...]
-    theta: tuple[int, ...]
+    ``Decomposition(base, mu, theta)`` checks the triple through
+    `make_decomposition` (ValueError on any broken invariant); `decompose`
+    builds its valid output through the unchecked `_decomposition`.
+    """
+
+    __slots__ = ("base", "mu", "theta")
+
+    def __new__(cls, base, mu, theta) -> "Decomposition":
+        return make_decomposition(base, mu, theta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Decomposition is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checked constructor
+        return (Decomposition, (self.base, self.mu, self.theta))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Decomposition):
+            return NotImplemented
+        return (self.base, self.mu, self.theta) == (other.base, other.mu, other.theta)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.mu, self.theta))
+
+    def __repr__(self) -> str:
+        return "Decomposition(base=%r, mu=%r, theta=%r)" % (self.base, self.mu, self.theta)
 
     @property
     def n2(self) -> int:
@@ -339,6 +368,15 @@ class Decomposition(NamedTuple):
         return self.base_weight + self.mu_weight + self.theta_weight
 
 
+def _decomposition(base: TaggedPartition, mu: tuple, theta: tuple) -> Decomposition:
+    # Internal constructor: the caller checked the triple or built it valid
+    d = object.__new__(Decomposition)
+    object.__setattr__(d, "base", base)
+    object.__setattr__(d, "mu", mu)
+    object.__setattr__(d, "theta", theta)
+    return d
+
+
 def _past_last_pair(starts: tuple) -> int:
     """Index of the part just past the last pair (0 without pairs): the
     singletons before it are immobile, the ones from it on moveable."""
@@ -350,10 +388,26 @@ def _largest_pair_lo(parts: tuple, starts: tuple) -> int:
 
 
 def decompose(p, trace: Optional[list] = None) -> Decomposition:
-    """Drive every pair to its blocked position, then stow the singletons."""
+    """Drive every pair to its blocked position, then stow the singletons.
+
+    The triple is valid by construction, so it skips the constructor's
+    check (`make_decomposition`):
+
+    - every pair stops exactly when `_backward_put` blocks it, and later
+      pairs never write below it, so each base pair's first move is blocked;
+    - the staircase and the immobile zeros of theta are built here;
+    - theta is sorted because the trailing singletons are at least 2 apart
+      and their slots exactly 2, and a singleton below its slot is asserted;
+    - each mu entry is 3*count.
+
+    That mu is non-decreasing is the one invariant not true by
+    construction, so it is asserted on every call.
+    """
     tp = TaggedPartition(p)
     parts, starts = list(tp.parts), list(tp.starts)
     mu = [3 * _backward_run(parts, starts, i, math.inf, trace) for i in range(len(starts))]
+    if mu != sorted(mu):
+        raise AssertionError("mu came out decreasing: %s" % (tuple(mu),))
 
     end, k = _past_last_pair(starts), _largest_pair_lo(parts, starts)
     base_parts = parts[:end]
@@ -369,11 +423,12 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
     base = _tagged(base_parts)
     if base.starts != tuple(starts):
         raise AssertionError("stowing singletons disturbed the structure: %s" % base)
-    return Decomposition(base, tuple(mu), tuple(theta))
+    return _decomposition(base, tuple(mu), tuple(theta))
 
 
 def make_decomposition(base, mu, theta) -> Decomposition:
-    """Validate and assemble a (base, mu, theta) triple.
+    """Validate and assemble a (base, mu, theta) triple: the check behind
+    the `Decomposition` constructor.
 
     ``base`` may be parts or a TaggedPartition, which its constructor has
     checked; mu/theta are sequences of ints.  Raises ValueError on any
@@ -419,15 +474,25 @@ def make_decomposition(base, mu, theta) -> Decomposition:
             "theta needs at least %d zeros for the immobile singletons: %s"
             % (n11, theta)
         )
-    return Decomposition(base, mu, theta)
+    return _decomposition(base, mu, theta)
 
 
 def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
-    """Rebuild the unique at-most-twice partition from a valid triple."""
-    d = make_decomposition(d.base, d.mu, d.theta)
+    """Rebuild the unique at-most-twice partition from a triple.
 
-    # forward moves on moveable singletons: i-th largest theta part onto the
-    # i-th largest singleton (the trailing ones; the rest of theta is zero)
+    ``d`` must be a `Decomposition` (ValueError otherwise), so its
+    constructor or `decompose` has checked it and it is trusted here.  The
+    i-th largest theta part moves the i-th largest singleton forward; the
+    rest of theta is the immobile zeros.  The pairs keep their base starts:
+    the moveable singletons sit on the slots k+1, k+3, ... above the last
+    pair [k,k] or [k,k+1], and adding the non-decreasing tail of theta
+    keeps them at least 2 apart and at least k+1, so the parts stay sorted,
+    no new pair forms, and the prefix through the last pair, whose greedy
+    tagging depends on it alone, is untouched.  Every forward move is then
+    checked in `_forward_run`.
+    """
+    if not isinstance(d, Decomposition):
+        raise ValueError("%r is not a Decomposition" % (d,))
     parts = list(d.base.parts)
     moveable_pos = range(len(parts) - 1, _past_last_pair(d.base.starts) - 1, -1)
     for pos, t in zip(moveable_pos, reversed(d.theta)):
@@ -436,10 +501,7 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
             if trace is not None:
                 trace.append({"op": "forward", "singleton": s, "result": s + t})
             parts[pos] = s + t
-    parts.sort()
-    starts = _greedy_scan(parts)
-    if len(starts) != d.n2:
-        raise ValueError("theta placement broke the pair structure")
+    starts = list(d.base.starts)
 
     # forward moves on pairs, largest first with the largest mu part (its zeros lead)
     for i in reversed(range(d.mu.count(0), d.n2)):

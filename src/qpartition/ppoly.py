@@ -46,10 +46,18 @@ _oracle_memo: dict[tuple[int, int, int], dict[tuple[int, int], list[int]]] = {}
 def qbinomial(n: int, k: int, base: int = 1) -> QPoly:
     """Gaussian binomial [n over k] in q^base, via the Pascal recurrence.
 
-    Zero for k < 0, n < 0 or k > n; degree k*(n-k)*base otherwise.
+    Zero for k < 0, n < 0 or k > n; degree k*(n-k)*base otherwise.  The
+    arguments must be ints, checked before the memo, as in `p_parity`; the
+    recursion runs in `_qbinomial`, unchecked.
     """
+    if not (type(n) is type(k) is type(base) is int):
+        check_ints(n=n, k=k, base=base)
     if base < 1:
         raise ValueError("base must be >= 1")
+    return _qbinomial(n, k, base)
+
+
+def _qbinomial(n: int, k: int, base: int) -> QPoly:
     if k < 0 or n < 0 or k > n:
         return QPOLY_ZERO
     if k == 0:
@@ -59,7 +67,7 @@ def qbinomial(n: int, k: int, base: int = 1) -> QPoly:
     if hit is not None:
         return hit
     # [n, k] = q^{k*base} [n-1, k] + [n-1, k-1]
-    value = qbinomial(n - 1, k, base).shifted(k * base) + qbinomial(n - 1, k - 1, base)
+    value = _qbinomial(n - 1, k, base).shifted(k * base) + _qbinomial(n - 1, k - 1, base)
     _qbin_memo[key] = value
     return value
 
@@ -231,7 +239,7 @@ def closed_form(kind: str, m1: int = 0, m2: int = 0, m3: int = 0, s: int = 0) ->
         check_ints(m1=m1, m2=m2, m3=m3, s=s)
     m = s - 1
     if kind == PX00:
-        binom = qbinomial(m1, m - m1, 2)
+        binom = _qbinomial(m1, m - m1, 2)
         if not binom:
             return QPOLY_ZERO
         return binom.shifted(2 * m1 * m1 - 2 * m * m1 + m * m + m)
@@ -240,7 +248,7 @@ def closed_form(kind: str, m1: int = 0, m2: int = 0, m3: int = 0, s: int = 0) ->
             # degenerate: the binomial convention gives 0 here, but the
             # empty base is counted once at s = 1
             return QPOLY_ONE if m == 0 else QPOLY_ZERO
-        binom = qbinomial(m2 - 1, m - m2, 2)
+        binom = _qbinomial(m2 - 1, m - m2, 2)
         if not binom:
             return QPOLY_ZERO
         return binom.shifted(2 * m2 * m2 + m2 - 2 * m * m2 + m * m + m)
@@ -253,11 +261,11 @@ def closed_form(kind: str, m1: int = 0, m2: int = 0, m3: int = 0, s: int = 0) ->
     if kind == PX0X:
         if s != m1 + 4 * m3 + 1:
             raise ValueError("px0x requires s = m1 + 4*m3 + 1")
-        return qbinomial(m1 + m3, m1, 3).shifted(
+        return _qbinomial(m1 + m3, m1, 3).shifted(
             m1 * m1 + m1 + 5 * m1 * m3 + _m3_exponent(m3)
         )
     if s != m2 + 4 * m3 + 1:
         raise ValueError("p0xx requires s = m2 + 4*m3 + 1")
-    return qbinomial(m2 + m3, m2, 3).shifted(
+    return _qbinomial(m2 + m3, m2, 3).shifted(
         m2 * m2 + 2 * m2 + 5 * m2 * m3 + _m3_exponent(m3)
     )

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from qpartition import moves
 from qpartition.moves import (
+    Decomposition,
     TaggedPartition,
     _backward_run,
     _forward_run,
@@ -331,27 +334,29 @@ def test_observed_immobile_singletons_sit_in_blocks():
 
 
 def test_make_decomposition_validation():
+    # the constructor is the check: both spellings raise the same messages
     base = parse_structure("[1,2],[3,4],4,[6,6],[7,8],8,10,12")
-    with pytest.raises(ValueError, match="mu must have 4 parts, got 3"):
-        make_decomposition(base, (3, 3, 6), (0, 1, 2, 2))  # mu too short
-    with pytest.raises(ValueError, match="mu parts must be non-negative multiples of 3"):
-        make_decomposition(base, (3, 3, 6, 5), (0, 1, 2, 2))  # not a multiple of 3
-    with pytest.raises(ValueError, match="mu must be non-decreasing"):
-        make_decomposition(base, (3, 6, 3, 6), (0, 1, 2, 2))  # not sorted
-    with pytest.raises(ValueError, match="theta needs at least 1 zeros for the immobile"):
-        make_decomposition(base, (3, 3, 6, 6), (1, 1, 2, 2))  # immobile zero missing
-    with pytest.raises(ValueError, match="not a base partition"):
-        make_decomposition((1, 4, 4), (3,), (0,))  # not a base
-    with pytest.raises(ValueError, match="not a base partition"):
-        make_decomposition((2, 13), (), (0, 5))  # moveables off the staircase
-    for mu, theta, bad in (
-        ((3, 3, 6, 6.0), (0, 1, 2, 2), "mu part 6.0"),  # 6.0 == 6, yet refused
-        ((3, 3, 6, 6), (0, 1, 2, 2.7), "theta part 2.7"),  # int() would truncate
-        ((3, 3, 6, 6), (False, 1, 2, 2), "theta part False"),  # bools do not count
-        (("3", 3, 6, 6), (0, 1, 2, 2), "mu part '3'"),
-    ):
-        with pytest.raises(ValueError, match="%s is not an integer" % bad):
-            make_decomposition(base, mu, theta)
+    for build in (make_decomposition, Decomposition):
+        with pytest.raises(ValueError, match="mu must have 4 parts, got 3"):
+            build(base, (3, 3, 6), (0, 1, 2, 2))  # mu too short
+        with pytest.raises(ValueError, match="mu parts must be non-negative multiples of 3"):
+            build(base, (3, 3, 6, 5), (0, 1, 2, 2))  # not a multiple of 3
+        with pytest.raises(ValueError, match="mu must be non-decreasing"):
+            build(base, (3, 6, 3, 6), (0, 1, 2, 2))  # not sorted
+        with pytest.raises(ValueError, match="theta needs at least 1 zeros for the immobile"):
+            build(base, (3, 3, 6, 6), (1, 1, 2, 2))  # immobile zero missing
+        with pytest.raises(ValueError, match="not a base partition"):
+            build((1, 4, 4), (3,), (0,))  # not a base
+        with pytest.raises(ValueError, match="not a base partition"):
+            build((2, 13), (), (0, 5))  # moveables off the staircase
+        for mu, theta, bad in (
+            ((3, 3, 6, 6.0), (0, 1, 2, 2), "mu part 6.0"),  # 6.0 == 6, yet refused
+            ((3, 3, 6, 6), (0, 1, 2, 2.7), "theta part 2.7"),  # int() would truncate
+            ((3, 3, 6, 6), (False, 1, 2, 2), "theta part False"),  # bools do not count
+            (("3", 3, 6, 6), (0, 1, 2, 2), "mu part '3'"),
+        ):
+            with pytest.raises(ValueError, match="%s is not an integer" % bad):
+                build(base, mu, theta)
 
 
 # Triples with two faults, one for each pair of neighbouring checks, the
@@ -378,8 +383,9 @@ TWO_FAULT_TRIPLES = [
 def test_make_decomposition_checks_keep_their_order(base, mu, theta, message):
     if base is None:
         base = parse_structure("[1,2],[3,4],4,[6,6],[7,8],8,10,12")
-    with pytest.raises(ValueError, match=message):
-        make_decomposition(base, mu, theta)
+    for build in (make_decomposition, Decomposition):
+        with pytest.raises(ValueError, match=message):
+            build(base, mu, theta)
 
 
 def _is_base(parts) -> bool:
@@ -697,3 +703,133 @@ def test_forward_move_rejects_passing_the_pair_above():
     # which no backward move maps back
     with pytest.raises(ValueError, match="pass the pair above"):
         forward_move(TaggedPartition((1, 1, 2, 3)), 0)
+
+
+# --------------------------------------------------------- checked triples
+#
+# A Decomposition is checked once, by its constructor, and decompose builds
+# its output unchecked; compose trusts both and no longer re-tags after
+# placing theta.  These tests hold what that run-time check used to catch.
+
+
+def test_decomposition_has_no_unchecked_builder():
+    d = decompose((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))
+    assert not hasattr(Decomposition, "_make") and not hasattr(d, "_replace")
+    with pytest.raises(AttributeError, match="^Decomposition is immutable$"):
+        d.mu = (9, 9, 9, 9)
+    with pytest.raises(ValueError, match=r"^mu parts must be non-negative multiples of 3"):
+        Decomposition((1, 2), (1,), ())
+    assert d == Decomposition(d.base, d.mu, d.theta)
+    assert hash(d) == hash(Decomposition(d.base.parts, list(d.mu), list(d.theta)))
+    assert repr(d) == (
+        "Decomposition(base=TaggedPartition([1,2],[3,4],4,[6,6],[7,8],8,10,12), "
+        "mu=(3, 3, 6, 6), theta=(0, 1, 2, 2))"
+    )
+
+
+def test_decomposition_rebuilds_through_its_check():
+    # copy and pickle call the reduce tuple, so tampered arguments are refused
+    d = decompose((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))
+    build, (base, mu, theta) = d.__reduce__()
+    assert build(base, mu, theta) == d
+    for args, message in (
+        ((base, (3, 3, 6, 5), theta), "mu parts must be non-negative multiples of 3"),
+        ((base, mu, (1, 1, 2, 2)), "theta needs at least 1 zeros"),
+        ((base.parts[:-1] + (13,), mu, theta), "not a base partition"),  # off its slot
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
+
+def test_compose_refuses_a_plain_triple():
+    d = decompose((1, 4, 4, 5, 6, 6, 9, 10, 11, 12, 12, 14))
+    with pytest.raises(ValueError, match=r"^\(TaggedPartition\(.*\) is not a Decomposition$"):
+        compose((d.base, d.mu, d.theta))
+
+
+def test_decompose_asserts_that_mu_is_non_decreasing(monkeypatch):
+    # pair 0 of [1,1],[4,4] said to move once and pair 1 not at all
+    monkeypatch.setattr(moves, "_backward_run", lambda parts, starts, i, limit, trace: 1 - i)
+    with pytest.raises(AssertionError, match=r"^mu came out decreasing: \(3, 0\)$"):
+        decompose((1, 1, 4, 4))
+
+
+def _theta_placed(d):
+    """The parts compose moves its pairs in: the base with the tail of theta
+    added to its trailing singletons, largest to largest, not re-sorted."""
+    end = d.base.starts[-1] + 2 if d.base.starts else 0
+    tail = d.theta[len(d.theta) - (len(d.base.parts) - end) :]
+    return d.base.parts[:end] + tuple(s + t for s, t in zip(d.base.parts[end:], tail))
+
+
+def _check_trusted_compose(d):
+    """Placing theta keeps the parts sorted and the base's pairs, which
+    compose assumes, and the triple round-trips."""
+    placed = _theta_placed(d)
+    assert list(placed) == sorted(placed), d
+    assert tuple(moves._greedy_scan(placed)) == d.base.starts, d
+    assert decompose(compose(d)) == d
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(40, 400).flatmap(lambda w: _at_most_twice(max_weight=w)))
+def test_theta_placement_keeps_the_pairs_of_decomposed_partitions(parts):
+    _check_trusted_compose(decompose(parts))
+
+
+@functools.cache
+def _bases(m1, m2, m3):
+    return enumerate_bases(m1, m2, m3)
+
+
+def _with_staircase(structure, n12):
+    """A base structure with ``n12`` moveable singletons on their slots."""
+    k = structure.parts[structure.starts[-1]] if structure.starts else 0
+    return TaggedPartition(structure.parts + tuple(range(k + 1, k + 2 * n12, 2)))
+
+
+@st.composite
+def _checked_triples(draw):
+    """A base from `enumerate_bases` with up to 3 moveable singletons, and
+    random valid mu and theta, through the checked constructor."""
+    counts = draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)))
+    structure = draw(st.sampled_from(_bases(*counts))).structure
+    n12 = draw(st.integers(0, 3))
+    base = _with_staircase(structure, n12)
+    n2 = len(base.starts)
+    n11 = len(base.parts) - 2 * n2 - n12
+    mu = draw(st.lists(st.integers(0, 20), min_size=n2, max_size=n2))
+    tail = draw(st.lists(st.integers(0, 30), min_size=n12, max_size=n12))
+    return Decomposition(base, tuple(3 * x for x in sorted(mu)), (0,) * n11 + tuple(sorted(tail)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_checked_triples())
+def test_theta_placement_keeps_the_pairs_of_checked_triples(d):
+    _check_trusted_compose(d)
+
+
+def test_every_accepted_triple_on_small_shapes_composes():
+    # every base with m1+m2+m3 <= 3 and 0-2 moveable singletons, every
+    # non-decreasing mu over {0,3,6} and theta over {0,1,2}: the constructor
+    # refuses only a theta without its immobile zeros, and the rest round-trip
+    accepted = 0
+    for m1, m2, m3 in itertools.product(range(4), repeat=3):
+        if m1 + m2 + m3 > 3:
+            continue
+        for record in _bases(m1, m2, m3):
+            for n12 in range(3):
+                base = _with_staircase(record.structure, n12)
+                n2 = len(base.starts)
+                n1 = len(base.parts) - 2 * n2
+                n11 = n1 - n12
+                for mu in itertools.combinations_with_replacement((0, 3, 6), n2):
+                    for theta in itertools.combinations_with_replacement((0, 1, 2), n1):
+                        try:
+                            d = Decomposition(base, mu, theta)
+                        except ValueError as exc:
+                            assert n11 and theta[n11 - 1], (base, mu, theta, exc)
+                            continue
+                        _check_trusted_compose(d)
+                        accepted += 1
+    assert accepted > 10_000, accepted

@@ -288,6 +288,9 @@ _INT_ARGUMENTS = {
     "p_parity_parity": ("parity", lambda x: ppoly.p_parity(1, 0, 0, 2, x)),
     "support": ("m1", lambda x: ppoly.support(x, 0, 0, 0)),
     "closed_form": ("m1", lambda x: ppoly.closed_form(ppoly.PX00, x, 0, 0, 3)),
+    "qbinomial": ("n", lambda x: ppoly.qbinomial(x, 1)),
+    "qbinomial_k": ("k", lambda x: ppoly.qbinomial(3, x)),
+    "qbinomial_base": ("base", lambda x: ppoly.qbinomial(3, 1, x)),
     "QPoly.monomial": ("exp", lambda x: QPoly.monomial(1, x)),
     "BiSeries": ("max_q", lambda x: BiSeries(x, 2)),
     "BiSeries.coeff": ("n", lambda x: BiSeries(3, 2).coeff(x, 0)),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpartition.moves import TaggedPartition, decompose
+from qpartition.moves import Decomposition, TaggedPartition, decompose
 from qpartition.partitions import iter_partitions
 from qpartition.series import BiSeries, QPoly, add_shifted, divide_geometric
 
@@ -479,8 +479,8 @@ def _fields(value):
         return value.low, value.step, value.body
     if isinstance(value, TaggedPartition):
         return value.parts, value.starts
-    if isinstance(value, tuple):
-        return tuple(_fields(v) for v in value)
+    if isinstance(value, Decomposition):
+        return _fields(value.base), value.mu, value.theta
     return value
 
 
