@@ -424,6 +424,9 @@ class CompareReport(NamedTuple):
 
 
 def compare(a: BiSeries, b: BiSeries) -> CompareReport:
+    for x in (a, b):
+        if not isinstance(x, BiSeries):
+            raise ValueError("%r is not a BiSeries" % (x,))
     mq = min(a.max_q, b.max_q)
     mt = min(a.max_t, b.max_t)
     mismatches = []

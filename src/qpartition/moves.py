@@ -67,8 +67,8 @@ moving.  One constructor checks a triple: ``Decomposition(base, mu,
 theta)`` runs `make_decomposition`, whose base check is one pass (every
 pair's first backward move is blocked, in order, and the trailing
 singletons sit on their staircase slots).  `decompose` builds its triple
-valid and skips that check through `_decomposition`; it asserts on every
-call that mu is non-decreasing, the one invariant not true by its
+valid and skips that check through `Decomposition._wrap`; it asserts on
+every call that mu is non-decreasing, the one invariant not true by its
 construction.  So `compose` trusts any `Decomposition`, refuses anything
 else, and places theta without re-tagging.
 """
@@ -79,10 +79,10 @@ import math
 from typing import NamedTuple, Optional
 
 from .partitions import as_parts, has_triple, parse_ints
-from .series import check_ints
+from .series import Frozen, check_ints
 
 
-class TaggedPartition:
+class TaggedPartition(Frozen):
     """Sorted parts and the start indices of their greedy pairs, derived here.
 
     Raises ValueError unless the parts pass `as_parts` with no triple.
@@ -95,9 +95,6 @@ class TaggedPartition:
         if has_triple(parts):
             raise ValueError("some part appears more than twice: %s" % (parts,))
         return _tagged(parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TaggedPartition is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through the checked constructor
@@ -147,14 +144,13 @@ def _greedy_scan(parts) -> list:
 def _tagged(parts) -> TaggedPartition:
     # Internal constructor: the module built ``parts`` valid, so only the scan runs
     parts = tuple(parts)
-    tp = object.__new__(TaggedPartition)
-    object.__setattr__(tp, "parts", parts)
-    object.__setattr__(tp, "starts", tuple(_greedy_scan(parts)))
-    return tp
+    return TaggedPartition._wrap(parts, tuple(_greedy_scan(parts)))
 
 
 def parse_structure(text: str) -> TaggedPartition:
     """Parse the bracket form ``[1,2],[3,4],4,[6,6]`` (or plain parts)."""
+    if not isinstance(text, str):
+        raise ValueError("structure %r is not a string" % (text,))
     text = text.replace(" ", "")
     brackets = "".join(ch for ch in text if ch in "[]")
     if not brackets:
@@ -305,25 +301,18 @@ def forward_move(
     return _tagged(parts)
 
 
-class Decomposition:
+class Decomposition(Frozen):
     """The bijection image (base, mu, theta); the counts follow from the base.
 
     ``Decomposition(base, mu, theta)`` checks the triple through
     `make_decomposition` (ValueError on any broken invariant); `decompose`
-    builds its valid output through the unchecked `_decomposition`.
+    builds its valid output through the unchecked ``Decomposition._wrap``.
     """
 
     __slots__ = ("base", "mu", "theta")
 
     def __new__(cls, base, mu, theta) -> "Decomposition":
         return make_decomposition(base, mu, theta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Decomposition is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the checked constructor
-        return (Decomposition, (self.base, self.mu, self.theta))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Decomposition):
@@ -366,15 +355,6 @@ class Decomposition:
     @property
     def total_weight(self) -> int:
         return self.base_weight + self.mu_weight + self.theta_weight
-
-
-def _decomposition(base: TaggedPartition, mu: tuple, theta: tuple) -> Decomposition:
-    # Internal constructor: the caller checked the triple or built it valid
-    d = object.__new__(Decomposition)
-    object.__setattr__(d, "base", base)
-    object.__setattr__(d, "mu", mu)
-    object.__setattr__(d, "theta", theta)
-    return d
 
 
 def _past_last_pair(starts: tuple) -> int:
@@ -423,7 +403,7 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
     base = _tagged(base_parts)
     if base.starts != tuple(starts):
         raise AssertionError("stowing singletons disturbed the structure: %s" % base)
-    return _decomposition(base, tuple(mu), tuple(theta))
+    return Decomposition._wrap(base, tuple(mu), tuple(theta))
 
 
 def make_decomposition(base, mu, theta) -> Decomposition:
@@ -474,7 +454,7 @@ def make_decomposition(base, mu, theta) -> Decomposition:
             "theta needs at least %d zeros for the immobile singletons: %s"
             % (n11, theta)
         )
-    return _decomposition(base, mu, theta)
+    return Decomposition._wrap(base, mu, theta)
 
 
 def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
@@ -542,9 +522,9 @@ _SHAPES = (((0, 0), (0,)), ((0, 1), (0,)), ((-1, 0, 0, 2, 2), (0, 3)))
 
 def enumerate_bases(m1: int, m2: int, m3: int, max_weight: float = math.inf) -> list[BaseRecord]:
     """All bases with m1 repeating pairs, m2 consecutive pairs, m3 blocks,
-    of weight at most max_weight.  Without a cap the walk is still finite:
-    it places m1+m2+m3 shapes, each at one of five offsets from the last
-    part.
+    of weight at most max_weight (an int or ``math.inf``).  Without a cap
+    the walk is still finite: it places m1+m2+m3 shapes, each at one of
+    five offsets from the last part.
 
     A block is the locked five-part shape [k-1,k], k, [k+2,k+2].  Structures
     carry no moveable singletons; every pair must admit no backward move.
@@ -556,6 +536,8 @@ def enumerate_bases(m1: int, m2: int, m3: int, max_weight: float = math.inf) -> 
     one `TaggedPartition` per record.
     """
     check_ints(m1=m1, m2=m2, m3=m3)
+    if max_weight != math.inf:
+        check_ints(max_weight=max_weight)
     if min(m1, m2, m3) < 0:
         raise ValueError("counts must be >= 0")
     if max_weight < 0:

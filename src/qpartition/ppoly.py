@@ -21,55 +21,52 @@ recursion, so the descent returns 0 outside it at once and never stores a
 zero.  The recursion is calibrated against ``p_oracle``, an independent
 brute-force enumeration of the bases themselves.
 
-The memo tables here and ``genfun``'s kept rows of H+ (`genfun._h_plus_rows`)
-are the package's only shared state: module-level, each entry a pure
-function of its key (an H+ row grows only by a longer prefix of itself).
+The memo tables here, ``_pmemo`` and ``_oracle_memo``, and ``genfun``'s kept
+rows of H+ (`genfun._h_plus_rows`) are the package's only shared state:
+module-level, each entry a pure function of its key (an H+ row grows only
+by a longer prefix of itself), and each value frozen (`series.Frozen`).
 A ``QPoly`` stores only the lattice its terms live on, from its lowest term
 to its highest, so the shifts of the recursion copy nothing and its sums
 touch only that lattice.
 A repeating pair [k,k] weighs 2k and a consecutive pair [k,k+1] weighs
 2k+1, so P(m1, m2, 0, s) is q^c times a polynomial in q^2 and is stored as
 every second coefficient of its span; the q^3 binomials of the block shapes
-(``qbinomial(n, k, 3)``) as every third.
+(``qbinomial(n, k, 3)``) as every third; binomials come from the row kernel.
 """
 
 from __future__ import annotations
 
 from .moves import enumerate_bases
-from .series import QPOLY_ONE, QPOLY_ZERO, QPoly, check_ints
+from .series import QPOLY_ONE, QPOLY_ZERO, QPoly, add_shifted, check_ints, divide_geometric
 
 _pmemo: dict[tuple[int, int, int, int, int], QPoly] = {}
-_qbin_memo: dict[tuple[int, int, int], QPoly] = {}
 _oracle_memo: dict[tuple[int, int, int], dict[tuple[int, int], list[int]]] = {}
 
 
 def qbinomial(n: int, k: int, base: int = 1) -> QPoly:
-    """Gaussian binomial [n over k] in q^base, via the Pascal recurrence.
+    """Gaussian binomial [n over k] in q^base.
 
     Zero for k < 0, n < 0 or k > n; degree k*(n-k)*base otherwise.  The
-    arguments must be ints, checked before the memo, as in `p_parity`; the
-    recursion runs in `_qbinomial`, unchecked.
+    arguments must be ints; `_qbinomial` builds it unchecked.
     """
-    if not (type(n) is type(k) is type(base) is int):
-        check_ints(n=n, k=k, base=base)
+    check_ints(n=n, k=k, base=base)
     if base < 1:
         raise ValueError("base must be >= 1")
     return _qbinomial(n, k, base)
 
 
 def _qbinomial(n: int, k: int, base: int) -> QPoly:
+    # prod_{i<k} (1 - q^(n-i)) / (1 - q^(i+1)) on one row through q^(k(n-k)),
+    # exact as the quotient is a polynomial (Andrews, Theory of Partitions, ch. 3)
     if k < 0 or n < 0 or k > n:
         return QPOLY_ZERO
-    if k == 0:
-        return QPOLY_ONE
-    key = (n, k, base)
-    hit = _qbin_memo.get(key)
-    if hit is not None:
-        return hit
-    # [n, k] = q^{k*base} [n-1, k] + [n-1, k-1]
-    value = _qbinomial(n - 1, k, base).shifted(k * base) + _qbinomial(n - 1, k - 1, base)
-    _qbin_memo[key] = value
-    return value
+    k = min(k, n - k)
+    row = [1] + [0] * (k * (n - k))
+    for i in range(k):
+        d = n - i
+        add_shifted(row, row[:-d], d, -1)  # times 1 - q^d
+        divide_geometric(row, i + 1)
+    return QPoly._trimmed(0, base, tuple(row))
 
 
 def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
@@ -77,12 +74,17 @@ def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     The arguments must be ints, checked before the memo, which would answer
     p_parity(True, 0, 0, 2, 0) as p_parity(1, 0, 0, 2, 0); the recursion
     runs in `_p_parity`, unchecked."""
-    # the inline test keeps the helper's call off this hot path
+    _check_component(m1, m2, m3, s, parity)
+    return _p_parity(m1, m2, m3, s, parity)
+
+
+def _check_component(m1: int, m2: int, m3: int, s: int, parity: int) -> None:
+    """The guard of `p_parity` and `p_oracle`: five ints, parity 0 or 1."""
+    # the inline test keeps check_ints' call off the hot path
     if not (type(m1) is type(m2) is type(m3) is type(s) is type(parity) is int):
         check_ints(m1=m1, m2=m2, m3=m3, s=s, parity=parity)
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    return _p_parity(m1, m2, m3, s, parity)
 
 
 def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
@@ -168,8 +170,7 @@ def support(m1: int, m2: int, m3: int, parity: int) -> range:
     * P0(0, m2, 0) has neither a bracket nor a block; only the empty base
       (m2 = 0) survives.
     """
-    if not (type(m1) is type(m2) is type(m3) is type(parity) is int):  # as in `p_parity`
-        check_ints(m1=m1, m2=m2, m3=m3, parity=parity)
+    check_ints(m1=m1, m2=m2, m3=m3, parity=parity)
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     return _support(m1, m2, m3, parity)
@@ -192,9 +193,7 @@ def p_oracle(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     """Brute-force P component: enumerate the bases and read off weights.
     Every base of a shape is listed once, into one table keyed by (s,
     parity); the arguments are checked before its memo, like `p`'s."""
-    check_ints(m1=m1, m2=m2, m3=m3, s=s)
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
+    _check_component(m1, m2, m3, s, parity)
     table = _oracle_memo.get((m1, m2, m3))
     if table is None:
         table = {}
@@ -235,8 +234,7 @@ def closed_form(kind: str, m1: int = 0, m2: int = 0, m3: int = 0, s: int = 0) ->
     """
     if kind not in CLOSED_FORM_KINDS:
         raise ValueError("unknown closed form %r" % (kind,))
-    if not (type(m1) is type(m2) is type(m3) is type(s) is int):  # as in `p_parity`
-        check_ints(m1=m1, m2=m2, m3=m3, s=s)
+    check_ints(m1=m1, m2=m2, m3=m3, s=s)
     m = s - 1
     if kind == PX00:
         binom = _qbinomial(m1, m - m1, 2)

@@ -12,7 +12,8 @@ Two value types cover every series-like object in the package:
 
 Everything is exact Python integer arithmetic; no floating point anywhere.
 Values are immutable after construction (operations return new objects), so
-instances can be shared freely, as the ``ppoly`` memo does.
+instances can be shared freely, as the ``ppoly`` memo does: they and
+``moves``' two value types derive from ``Frozen``, which refuses ``del`` too.
 
 Truncation policy: combining two series shrinks to the componentwise minimum
 of the windows, so a coefficient is never reported at a degree where one of
@@ -43,7 +44,36 @@ import operator
 from typing import Iterator
 
 
-class QPoly:
+class Frozen:
+    """Base of the immutable value types: setting or deleting a field (a
+    slot) raises ``AttributeError("<Class> is immutable")``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the slots' own setters, taken once: cheaper per build than a setattr by name
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checked constructor, given the
+        # slots in order (BiSeries' copies the rows)
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    @classmethod
+    def _wrap(cls, *values):
+        """Internal constructor: one value per slot, in order, unchecked."""
+        obj = object.__new__(cls)
+        for setter, value in zip(cls._setters, values):
+            setter(obj, value)
+        return obj
+
+
+class QPoly(Frozen):
     """Polynomial in q with exact integer coefficients, stored on its
     exponent lattice.
 
@@ -58,30 +88,16 @@ class QPoly:
     may be stored on different lattices: ``==`` and ``hash`` read the terms.
     """
 
+    # ``_wrap(low, step, body)`` takes a body already trimmed at both ends,
+    # with ``step`` 0 exactly when it has at most one term
     __slots__ = ("low", "step", "body")
 
-    def __init__(self, coeffs=()):
-        poly = QPoly._trimmed(0, 1, tuple(coeffs))
-        object.__setattr__(self, "low", poly.low)
-        object.__setattr__(self, "step", poly.step)
-        object.__setattr__(self, "body", poly.body)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
+    def __new__(cls, coeffs=()):
+        return cls._trimmed(0, 1, _check_coeffs("coeffs", coeffs))
 
     def __reduce__(self):
         # copy and pickle rebuild the value on its own lattice
         return (QPoly._wrap, (self.low, self.step, self.body))
-
-    @classmethod
-    def _wrap(cls, low: int, step: int, body: tuple) -> "QPoly":
-        # Internal constructor: ``body`` is already trimmed at both ends, and
-        # ``step`` is 0 exactly when it has at most one term.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "low", low)
-        object.__setattr__(obj, "step", step)
-        object.__setattr__(obj, "body", body)
-        return obj
 
     @classmethod
     def _trimmed(cls, low: int, step: int, body: tuple) -> "QPoly":
@@ -153,6 +169,8 @@ class QPoly:
 
     def shifted(self, dq: int) -> "QPoly":
         """Multiply by q^dq (dq >= 0)."""
+        if type(dq) is not int:
+            check_ints(dq=dq)
         if dq < 0:
             raise ValueError("negative shift %d" % dq)
         if not dq or not self.body:
@@ -161,6 +179,7 @@ class QPoly:
 
     def stretched(self, k: int) -> "QPoly":
         """Substitute q -> q^k (k >= 1)."""
+        check_ints(k=k)
         if k < 1:
             raise ValueError("stretch factor must be >= 1, got %d" % k)
         if k == 1 or not self.body:
@@ -219,46 +238,31 @@ def _spread(body: tuple, k: int) -> tuple:
     return tuple(out)
 
 
-QPOLY_ZERO = QPoly()
-QPOLY_ONE = QPoly((1,))
+QPOLY_ZERO = QPoly._wrap(0, 0, ())
+QPOLY_ONE = QPoly._wrap(0, 0, (1,))
 
 
-class BiSeries:
+class BiSeries(Frozen):
     """Truncated bivariate series: coefficient of t^m q^n at ``_rows[m][n]``.
 
     The window bounds are inclusive.  Do not mutate ``_rows``; every public
-    operation builds a fresh object.
+    operation builds a fresh object.  ``_wrap(max_q, max_t, rows)`` takes
+    ownership of rows without copying.
     """
 
     __slots__ = ("max_q", "max_t", "_rows")
 
-    def __init__(self, max_q: int, max_t: int, rows=None):
+    def __new__(cls, max_q: int, max_t: int, rows=None):
         check_window(max_q, max_t)
-        object.__setattr__(self, "max_q", max_q)
-        object.__setattr__(self, "max_t", max_t)
         if rows is None:
             rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
         else:
-            rows = [list(r) for r in rows]
+            if isinstance(rows, str) or not hasattr(type(rows), "__iter__"):
+                raise ValueError("rows=%r is not a sequence of rows" % (rows,))
+            rows = [list(_check_coeffs("row", r)) for r in rows]
             if len(rows) != max_t + 1 or any(len(r) != max_q + 1 for r in rows):
                 raise ValueError("rows do not match the window bounds")
-        object.__setattr__(self, "_rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the checked constructor, which copies the rows
-        return (BiSeries, (self.max_q, self.max_t, self._rows))
-
-    @classmethod
-    def _wrap(cls, max_q: int, max_t: int, rows) -> "BiSeries":
-        # Internal constructor: takes ownership of rows without copying.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "max_q", max_q)
-        object.__setattr__(obj, "max_t", max_t)
-        object.__setattr__(obj, "_rows", rows)
-        return obj
+        return cls._wrap(max_q, max_t, rows)
 
     @classmethod
     def one(cls, max_q: int, max_t: int) -> "BiSeries":
@@ -449,6 +453,18 @@ def check_ints(**values) -> None:
     for name, x in values.items():
         if type(x) is not int:
             raise ValueError("%s=%r is not an integer" % (name, x))
+
+
+def _check_coeffs(name: str, xs) -> tuple:
+    """The sequence ``xs`` of integer coefficients as a tuple; ValueError
+    names ``xs`` if it is a str or not iterable, or an entry not an ``int``."""
+    if isinstance(xs, str) or not hasattr(type(xs), "__iter__"):
+        raise ValueError("%s=%r is not a sequence of integers" % (name, xs))
+    xs = tuple(xs)
+    for x in xs:
+        if type(x) is not int:
+            check_ints(coeff=x)
+    return xs
 
 
 def check_window(max_q: int, max_t: int) -> None:

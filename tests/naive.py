@@ -3,11 +3,15 @@
 ``check_kr_literal`` reads the class conditions (a)-(d) (see
 `qpartition.partitions`) word for word over the whole partition, with a
 multiplicity count, and shares no code with the library's prefix rule.
+``qbinomial_pascal`` builds a Gaussian binomial by the Pascal recurrence in
+``QPoly`` sums, where the library divides one Pochhammer quotient on a row.
 """
 
 from collections import Counter
+from functools import lru_cache
 
 from qpartition.partitions import KrVariant
+from qpartition.series import QPoly
 
 
 def check_kr_literal(parts, variant):
@@ -29,3 +33,16 @@ def check_kr_literal(parts, variant):
     if variant is KrVariant.DPRIME:
         return counts[1] == 0
     return counts[1] == 0 and counts[2] == 0 and counts[3] == 0
+
+
+@lru_cache(maxsize=None)
+def qbinomial_pascal(n, k, base):
+    """Gaussian binomial [n over k] in q^base by the Pascal recurrence
+    [n, k] = q^(k*base) [n-1, k] + [n-1, k-1]; zero outside 0 <= k <= n."""
+    if k < 0 or n < 0 or k > n:
+        return QPoly()
+    if k == 0:
+        return QPoly((1,))
+    return qbinomial_pascal(n - 1, k, base).shifted(k * base) + qbinomial_pascal(
+        n - 1, k - 1, base
+    )

@@ -272,6 +272,10 @@ def test_compare_reports():
     report = compare(a, b)
     assert report.mismatches == ((2, 1, 0, 3),)
     assert "mismatch at q^2 t^1" in report.lines()[0]
+    with pytest.raises(ValueError, match="^1 is not a BiSeries$"):
+        compare(1, a)
+    with pytest.raises(ValueError, match="^None is not a BiSeries$"):
+        compare(a, None)
 
 
 def test_brute_matches_explicit_membership():

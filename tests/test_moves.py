@@ -59,6 +59,8 @@ def test_parse_structure_round_trip():
         parse_structure("[1,3]")  # not a pair
     with pytest.raises(ValueError):
         parse_structure("[2,3],1")  # not the greedy tagging
+    with pytest.raises(ValueError, match=r"^structure 5 is not a string$"):
+        parse_structure(5)
 
 
 def test_backward_trace_of_the_worked_example():

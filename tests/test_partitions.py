@@ -268,9 +268,10 @@ def test_as_parts_contract(given, expected):
 
 _TWO_PAIRS = moves.TaggedPartition((1, 2, 5, 5))
 
-# (name of the checked argument, call with x in its place) for the library
-# entry points that take a window, a count, an exponent or a P argument;
-# ppoly.p has its own test in test_ppoly.py
+# (name of the checked argument, call with x in its place, and what it must
+# be if not "an integer") for the library entry points that take a window, a
+# count, an exponent, a P argument or coefficients; ppoly.p has its own test
+# in test_ppoly.py
 _INT_ARGUMENTS = {
     "kr_brute": ("max_q", lambda x: genfun.kr_brute(D, x, 3)),
     "kr_alternating": ("max_t", lambda x: genfun.kr_alternating(D, 10, x)),
@@ -283,7 +284,9 @@ _INT_ARGUMENTS = {
     "h_positive": ("max_q", lambda x: genfun.h_positive(x, 3)),
     "brute_series": ("max_q", lambda x: brute_series(at_most_twice_rule, x, 3)),
     "enumerate_bases": ("m3", lambda x: moves.enumerate_bases(0, 0, x)),
+    "enumerate_bases_max_weight": ("max_weight", lambda x: moves.enumerate_bases(1, 0, 0, x)),
     "p_oracle": ("m1", lambda x: ppoly.p_oracle(x, 0, 0, 2, 0)),
+    "p_oracle_parity": ("parity", lambda x: ppoly.p_oracle(1, 0, 0, 2, x)),
     "p_parity": ("m1", lambda x: ppoly.p_parity(x, 0, 0, 2, 0)),
     "p_parity_parity": ("parity", lambda x: ppoly.p_parity(1, 0, 0, 2, x)),
     "support": ("m1", lambda x: ppoly.support(x, 0, 0, 0)),
@@ -292,7 +295,13 @@ _INT_ARGUMENTS = {
     "qbinomial_k": ("k", lambda x: ppoly.qbinomial(3, x)),
     "qbinomial_base": ("base", lambda x: ppoly.qbinomial(3, 1, x)),
     "QPoly.monomial": ("exp", lambda x: QPoly.monomial(1, x)),
+    "QPoly": ("coeff", lambda x: QPoly((x, 0, 2))),
+    "QPoly_coeffs": ("coeffs", lambda x: QPoly(x), "a sequence of integers"),
+    "QPoly.shifted": ("dq", lambda x: QPoly((1, 2)).shifted(x)),
+    "QPoly.stretched": ("k", lambda x: QPoly((1, 2)).stretched(x)),
     "BiSeries": ("max_q", lambda x: BiSeries(x, 2)),
+    "BiSeries_coeff": ("coeff", lambda x: BiSeries(1, 0, [[0, x]])),
+    "BiSeries_rows": ("rows", lambda x: BiSeries(1, 0, x), "a sequence of rows"),
     "BiSeries.coeff": ("n", lambda x: BiSeries(3, 2).coeff(x, 0)),
     "marginal_max_t": ("max_q", lambda x: genfun.marginal_max_t(x)),
     "staircase": ("m", lambda x: seeds.staircase(x)),
@@ -306,12 +315,12 @@ _INT_ARGUMENTS = {
 def test_entry_points_refuse_non_integers(entry, bad):
     # 2.0 == 2 and True == 1 would pass a range check or hit a memo keyed by
     # the int, so the int twin is memoized first; the type test comes before
-    name, call = _INT_ARGUMENTS[entry]
+    name, call, *what = _INT_ARGUMENTS[entry]
     ppoly.p_oracle(1, 0, 0, 2, 0)
     ppoly.p(1, 0, 0, 2)
     with pytest.raises(ValueError) as info:
         call(bad)
-    assert str(info.value) == "%s=%r is not an integer" % (name, bad)
+    assert str(info.value) == "%s=%r is not %s" % (name, bad, what[0] if what else "an integer")
 
 
 # every class route and seed entry point, called with v as the variant

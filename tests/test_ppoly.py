@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from naive import qbinomial_pascal
 
 from qpartition.appendix_data import TABLE_ERRATA, parse_qpoly
 from qpartition.ppoly import (
@@ -67,9 +70,21 @@ def test_qbinomial_pascal_relation(n, k, base):
 
 
 def test_qbinomial_symmetry():
-    for n in range(8):
-        for k in range(n + 1):
-            assert qbinomial(n, k, 2) == qbinomial(n, n - k, 2)
+    # k <-> n-k, the binomial at q = 1, and a long row that does not recurse
+    for n, k in [(n, k) for n in range(41) for k in range(n + 1)] + [(1200, 3)]:
+        value = qbinomial(n, k, 2)
+        assert value == qbinomial(n, n - k, 2)
+        assert sum(value.body) == math.comb(n, k)
+        assert value.degree == 2 * k * (n - k)
+
+
+def test_qbinomial_matches_the_pascal_reference():
+    # the stored form, not only the terms: the lattice step is base
+    for base in (1, 2, 3, 5):
+        for n in range(-1, 30):
+            for k in range(-1, n + 2):
+                got, want = qbinomial(n, k, base), qbinomial_pascal(n, k, base)
+                assert (got.low, got.step, got.body) == (want.low, want.step, want.body)
 
 
 def test_p_oracle_examples():
@@ -146,6 +161,20 @@ def test_support_edges():
         support(1, 1, 1, 2)
     with pytest.raises(ValueError, match="parity must be 0 or 1"):
         p_parity(1, 1, 0, 3, 2)  # not read as P1 by the unchecked recursion
+
+
+def test_a_memo_entry_handed_out_cannot_be_damaged(monkeypatch):
+    # p_parity returns the memo's own value, which later descents read
+    from qpartition import ppoly
+
+    monkeypatch.setattr(ppoly, "_pmemo", {})
+    value = ppoly.p_parity(1, 0, 0, 2, 0)
+    with pytest.raises(AttributeError, match="^QPoly is immutable$"):
+        del value.body
+    with pytest.raises(AttributeError, match="^QPoly is immutable$"):
+        value.body = ()
+    assert ppoly._pmemo[(1, 0, 0, 2, 0)] is value
+    assert ppoly.p(2, 0, 0, 3).format_q() == "q^6"
 
 
 def test_memo_stores_no_zero_polynomial(monkeypatch):

@@ -481,7 +481,7 @@ def _fields(value):
         return value.parts, value.starts
     if isinstance(value, Decomposition):
         return _fields(value.base), value.mu, value.theta
-    return value
+    return value.max_q, value.max_t, [row[:] for row in value._rows]
 
 
 @pytest.mark.parametrize("how", sorted(_COPIES))
@@ -492,3 +492,19 @@ def test_values_copy_and_pickle(name, how):
     assert type(again) is type(value)
     assert again == value
     assert _fields(again) == _fields(value)
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_values_refuse_setattr_and_del(name):
+    # one frozen base: no slot can be set or deleted, and there is no
+    # instance dict to take a new attribute
+    value = _VALUES[name]
+    before = _fields(value)
+    message = "^%s is immutable$" % type(value).__name__
+    assert not hasattr(value, "__dict__")
+    for slot in type(value).__slots__ + ("extra",):
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, slot, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, slot)
+    assert _fields(value) == before
