@@ -3,23 +3,28 @@
 P(m1, m2, m3, s; q) counts, by weight, the bases with m1 repeating pairs,
 m2 consecutive pairs and m3 blocks whose largest pair is [s-1, s-1]
 (parity 0 component) or [s-1, s] (parity 1 component); weights of moveable
-singletons are excluded.  The two components satisfy
+singletons are excluded.  With m = s-1, a nonempty base ends in a repeating
+pair [m, m] or a block [m-3, m-2], m-2, [m, m] (parity 0), or in a
+consecutive pair [m, m+1] (parity 1).  Each shape is one row of
+``_BRANCHES[parity]``: the counts it takes away, its weight, and the
+(s offset, parity) of each child, a smaller base it can be appended to:
 
-  P0(m1,m2,m3,s) = q^{2m} [P0(m1-1,m2,m3,s-1) + P1(m1-1,m2,m3,s-2)
-                           + P0(m1-1,m2,m3,s-2)]
-                 + q^{5m-7} [P1(m1,m2,m3-1,s-4) + P0(m1,m2,m3-1,s-4)
-                           + P1(m1,m2,m3-1,s-5)]          (m = s-1)
-  P1(m1,m2,m3,s) = q^{2m+1} [P1(m1,m2-1,m3,s-1) + P0(m1,m2-1,m3,s-1)
-                           + P1(m1,m2-1,m3,s-2)]
+  parity  shape  takes away  weight   children
+  0       pair   (1, 0, 0)   2m       (1, 0), (2, 0), (2, 1)
+  0       block  (0, 0, 1)   5m - 7   (4, 0), (4, 1), (5, 1)
+  1       pair   (0, 1, 0)   2m + 1   (1, 0), (1, 1), (2, 1)
 
-with base cases: 0 whenever some count is negative; P1 = 0 whenever m2 = 0
-(a parity-1 component ends in a consecutive pair); P0(0,0,0,1) = 1 (the
-empty base).  Every recursive call strictly decreases m1+m2+m3, so the
-descent is acyclic; results are memoized.  Each component is nonzero
-exactly for s in ``support(m1, m2, m3, parity)``, proved there from the
-recursion, so the descent returns 0 outside it at once and never stores a
-zero.  The recursion is calibrated against ``p_oracle``, an independent
-brute-force enumeration of the bases themselves.
+P_parity(m1, m2, m3, s) sums, over its rows, q^weight times the children
+P_c(m1-d1, m2-d2, m3-d3, s-offset), added in the order shown, where
+(d1, d2, d3) is what the row takes away.  Base cases: 0 whenever some count
+is negative, so a row whose counts go negative adds nothing; P1 = 0 whenever
+m2 = 0 (a parity-1 component ends in a consecutive pair); P0(0,0,0,1) = 1
+(the empty base).  Every row takes a shape away, so the descent is acyclic;
+results are memoized.  Each component is nonzero exactly for s in
+``support(m1, m2, m3, parity)``, proved there from the table, so the descent
+returns 0 outside it and never stores a zero.  The recursion is calibrated
+against ``p_oracle``, an independent brute-force enumeration of the bases
+themselves.
 
 The memo tables here, ``_pmemo`` and ``_oracle_memo``, and ``genfun``'s kept
 rows of H+ (`genfun._h_plus_rows`) are the package's only shared state:
@@ -87,6 +92,16 @@ def _check_component(m1: int, m2: int, m3: int, s: int, parity: int) -> None:
         raise ValueError("parity must be 0 or 1")
 
 
+# the module docstring's table, row for row, in the order of its sums
+_BRANCHES = (
+    (
+        ("pair", (1, 0, 0), (2, 0), ((1, 0), (2, 0), (2, 1))),
+        ("block", (0, 0, 1), (5, -7), ((4, 0), (4, 1), (5, 1))),
+    ),
+    (("pair", (0, 1, 0), (2, 1), ((1, 0), (1, 1), (2, 1))),),
+)
+
+
 def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     key = (m1, m2, m3, s, parity)
     hit = _pmemo.get(key)
@@ -96,41 +111,23 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
         return QPOLY_ZERO
     if m1 == 0 and m2 == 0 and m3 == 0:
         return QPOLY_ONE
-    # a child is read only where its counts allow it to be nonzero: a
-    # bracket needs m1 >= 1, a block m3 >= 1, a P1 child m2 >= 1
-    m = s - 1
+    # the base cases are the only guards: no negative count, no P1 at m2 = 0
     value = QPOLY_ZERO
-    if parity == 0:
-        if m1:
-            bracket = _p_parity(m1 - 1, m2, m3, s - 1, 0) + _p_parity(m1 - 1, m2, m3, s - 2, 0)
-            if m2:
-                bracket = bracket + _p_parity(m1 - 1, m2, m3, s - 2, 1)
-            if bracket:
-                value = bracket.shifted(2 * m)
-        if m3:
-            block = _p_parity(m1, m2, m3 - 1, s - 4, 0)
-            if m2:
-                block = (
-                    block
-                    + _p_parity(m1, m2, m3 - 1, s - 4, 1)
-                    + _p_parity(m1, m2, m3 - 1, s - 5, 1)
+    for shape, (d1, d2, d3), (a, b), children in _BRANCHES[parity]:
+        c1, c2, c3 = m1 - d1, m2 - d2, m3 - d3
+        if c1 < 0 or c2 < 0 or c3 < 0:
+            continue
+        part = QPOLY_ZERO
+        for offset, child in children:
+            if c2 or not child:
+                part = part + _p_parity(c1, c2, c3, s - offset, child)
+        if part:
+            exp = a * (s - 1) + b
+            if exp < 0:
+                raise AssertionError(
+                    "negative %s exponent against a nonzero child at %s" % (shape, key)
                 )
-            if block:
-                if 5 * m - 7 < 0:
-                    raise AssertionError(
-                        "negative block exponent against a nonzero bracket at %s" % (key,)
-                    )
-                value = value + block.shifted(5 * m - 7)
-    else:
-        bracket = _p_parity(m1, m2 - 1, m3, s - 1, 0)
-        if m2 > 1:
-            bracket = (
-                bracket
-                + _p_parity(m1, m2 - 1, m3, s - 1, 1)
-                + _p_parity(m1, m2 - 1, m3, s - 2, 1)
-            )
-        if bracket:
-            value = bracket.shifted(2 * m + 1)
+            value = value + part.shifted(exp)
     if not value.is_nonnegative():
         raise AssertionError("negative coefficient in P at %s" % (key,))
     _pmemo[key] = value
@@ -152,23 +149,23 @@ def support(m1: int, m2: int, m3: int, parity: int) -> range:
 
     Empty when a count is negative.  Proof, by induction over m1+m2+m3: no
     coefficient is negative, so nothing cancels and a component's support
-    is the union of its children's supports, each shifted by its step.
+    is the union, over the children (offset, c) of its rows in the module
+    docstring's table, of each child's support shifted by its offset.
 
-    * P1 reads P1(m1, m2-1, m3) at s-1 and s-2 and P0(m1, m2-1, m3) at
-      s-1.  For m2 >= 2 the P1 child alone gives [n+4m3+1, 2n+4m3] and the
-      P0 child lies inside.  For m2 = 1 the P0 child P0(m1, 0, m3), which
-      is [n+4m3, 2n+4m3-1] (or {1} at n = 1, m3 = 0), gives it by itself.
-    * P0's block reads P1 and P0 of (m1, m2, m3-1) at s-4 and P1 at s-5:
-      [n+4m3+1, 2n+4m3+1] from the P1 child when m2 >= 1, else from the P0
-      child, and the P0 child lies inside in either case.  Its bracket
-      (m1 >= 1) reads P0(m1-1, m2, m3) at s-1 and s-2 and P1 at s-2, all
-      inside that interval when m3 >= 1.  When m3 = 0 the bracket is all:
+    * P1's pair row reads P0(m1, m2-1, m3) at 1 and P1 of it at 1 and 2.
+      For m2 >= 2 the P1 children alone give [n+4m3+1, 2n+4m3] and the P0
+      child lies inside.  For m2 = 1 the P1 children are skipped and the P0
+      child, [n+4m3, 2n+4m3-1] (or {1} at n = 1, m3 = 0), gives it alone.
+    * P0's block row (m3 >= 1) reads P0(m1, m2, m3-1) at 4 and P1 of it at
+      4 and 5: [n+4m3+1, 2n+4m3+1] from the P1 children when m2 >= 1, else
+      from the P0 child, which lies inside in either case.  P0's pair row
+      (m1 >= 1) reads P0(m1-1, m2, m3) at 1 and 2 and P1 of it at 2, all
+      inside that interval when m3 >= 1.  When m3 = 0 the pair row is all:
       m2 = 0 gives [m1+1, 2m1+1] from P0(m1-1, 0, 0) = [m1, 2m1-1]; m2 >= 1
-      gives [n+2, 2n] from P1(m1-1, m2, 0) = [n, 2n-2] at s-2, and P0(m1-1,
-      m2, 0) = [n+1, 2n-2], read at s-1 and s-2, stays inside (it is empty
-      at m1 = 1).
-    * P0(0, m2, 0) has neither a bracket nor a block; only the empty base
-      (m2 = 0) survives.
+      gives [n+2, 2n] from P1(m1-1, m2, 0) = [n, 2n-2] at 2, and P0(m1-1,
+      m2, 0) = [n+1, 2n-2], read at 1 and 2, stays inside (it is empty at
+      m1 = 1).
+    * P0(0, m2, 0) reads neither row; only the empty base (m2 = 0) survives.
     """
     check_ints(m1=m1, m2=m2, m3=m3, parity=parity)
     if parity not in (0, 1):
@@ -235,6 +232,8 @@ def closed_form(kind: str, m1: int = 0, m2: int = 0, m3: int = 0, s: int = 0) ->
     if kind not in CLOSED_FORM_KINDS:
         raise ValueError("unknown closed form %r" % (kind,))
     check_ints(m1=m1, m2=m2, m3=m3, s=s)
+    if min(m1, m2, m3) < 0:  # as for p: no base has a negative count
+        return QPOLY_ZERO
     m = s - 1
     if kind == PX00:
         binom = _qbinomial(m1, m - m1, 2)

@@ -271,6 +271,8 @@ class BiSeries(Frozen):
     @classmethod
     def monomial(cls, c: int, dq: int, dt: int, max_q: int, max_t: int) -> "BiSeries":
         """Single term c * t^dt q^dq; degrees must lie inside the window."""
+        check_window(max_q, max_t)
+        check_ints(c=c, dq=dq, dt=dt)
         if not (0 <= dq <= max_q) or not (0 <= dt <= max_t):
             raise ValueError(
                 "monomial degree (dq=%d, dt=%d) outside window (max_q=%d, max_t=%d)"
@@ -283,6 +285,8 @@ class BiSeries(Frozen):
     @classmethod
     def from_qpoly(cls, poly: QPoly, max_q: int, max_t: int, dt: int = 0) -> "BiSeries":
         """Lift a q-polynomial onto the t^dt slice; overflow degrees drop."""
+        check_window(max_q, max_t)
+        check_ints(dt=dt)
         if not (0 <= dt <= max_t):
             raise ValueError("t-degree %d outside window" % dt)
         rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
@@ -352,6 +356,7 @@ class BiSeries(Frozen):
 
     def mul_monomial(self, c: int, dq: int, dt: int) -> "BiSeries":
         """Multiply by c * t^dt q^dq; overflow degrees fall off the window."""
+        check_ints(c=c, dq=dq, dt=dt)
         if dq < 0 or dt < 0:
             raise ValueError("monomial shift degrees must be >= 0")
         rows = [[0] * (self.max_q + 1) for _ in range(self.max_t + 1)]
@@ -369,6 +374,7 @@ class BiSeries(Frozen):
 
         (dt, dq) = (0, 0) would annihilate the constant term and is rejected.
         """
+        check_ints(dt=dt, dq=dq)
         if dt < 0 or dq < 0 or (dt, dq) == (0, 0):
             raise ValueError("geometric factor needs (dt, dq) != (0, 0), both >= 0")
         rows = [row[:] for row in self._rows]

@@ -303,6 +303,13 @@ _INT_ARGUMENTS = {
     "BiSeries_coeff": ("coeff", lambda x: BiSeries(1, 0, [[0, x]])),
     "BiSeries_rows": ("rows", lambda x: BiSeries(1, 0, x), "a sequence of rows"),
     "BiSeries.coeff": ("n", lambda x: BiSeries(3, 2).coeff(x, 0)),
+    "BiSeries.monomial": ("c", lambda x: BiSeries.monomial(x, 1, 0, 3, 2)),
+    "BiSeries.monomial_dq": ("dq", lambda x: BiSeries.monomial(1, x, 0, 3, 2)),
+    "BiSeries.mul_monomial": ("c", lambda x: BiSeries.one(3, 2).mul_monomial(x, 0, 0)),
+    "BiSeries.mul_geometric_inverse": (
+        "dt", lambda x: BiSeries.one(3, 2).mul_geometric_inverse(x, 1)
+    ),
+    "BiSeries.from_qpoly": ("dt", lambda x: BiSeries.from_qpoly(QPoly((1, 2)), 3, 2, dt=x)),
     "marginal_max_t": ("max_q", lambda x: genfun.marginal_max_t(x)),
     "staircase": ("m", lambda x: seeds.staircase(x)),
     "backward_move": ("pair_index", lambda x: moves.backward_move(_TWO_PAIRS, x)),

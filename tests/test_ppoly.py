@@ -1,10 +1,16 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from naive import qbinomial_pascal
 
 from qpartition.appendix_data import TABLE_ERRATA, parse_qpoly
+from qpartition.moves import enumerate_bases
 from qpartition.ppoly import (
+    _BRANCHES,
+    CLOSED_FORM_KINDS,
     P00X,
     P0X0,
     P0XX,
@@ -152,6 +158,35 @@ def test_support_matches_the_set_recursion():
         assert set(support(m1, m2, m3, parity)) == found, (m1, m2, m3, parity)
 
 
+def test_every_base_strips_to_one_row_of_the_table():
+    # independent of the recursion: take the last shape off each enumerated
+    # base and find the row, child and weight the table claims for it
+    bases = {}
+    for m1 in range(7):
+        for m2 in range(7 - m1):
+            for m3 in range(7 - m1 - m2):
+                records = enumerate_bases(m1, m2, m3)
+                bases[m1, m2, m3] = {rec.structure.parts: rec for rec in records}
+    for (m1, m2, m3), records in bases.items():
+        for parts, rec in records.items():
+            if not parts:  # the empty base ends in no shape
+                continue
+            # a block when parts[-3] is a singleton: no pair starts on it or just below
+            n = len(parts)
+            if n >= 5 and n - 4 not in rec.structure.starts and n - 3 not in rec.structure.starts:
+                prefix, shape, takes = parts[:-5], "block", (0, 0, 1)
+            else:
+                prefix, shape = parts[:-2], "pair"
+                takes = (1, 0, 0) if parts[-1] == parts[-2] else (0, 1, 0)
+            s = rec.largest_pair_index + 1
+            rows = [row for row in _BRANCHES[rec.parity] if row[:2] == (shape, takes)]
+            assert len(rows) == 1, parts
+            [(_, (d1, d2, d3), (a, b), children)] = rows
+            child = bases[m1 - d1, m2 - d2, m3 - d3][prefix]
+            assert (s - child.largest_pair_index - 1, child.parity) in children, parts
+            assert sum(parts) - sum(prefix) == a * (s - 1) + b, parts
+
+
 def test_support_edges():
     assert support(0, 0, 0, 0) == range(1, 2)
     assert not support(0, 0, 0, 1)
@@ -177,7 +212,8 @@ def test_a_memo_entry_handed_out_cannot_be_damaged(monkeypatch):
     assert ppoly.p(2, 0, 0, 3).format_q() == "q^6"
 
 
-def test_memo_stores_no_zero_polynomial(monkeypatch):
+def _sweep_from_an_empty_memo(monkeypatch):
+    """A fixed grid of p calls from an empty memo; returns the memo."""
     from qpartition import ppoly
 
     monkeypatch.setattr(ppoly, "_pmemo", {})
@@ -191,8 +227,26 @@ def test_memo_stores_no_zero_polynomial(monkeypatch):
             for m3 in range(5):
                 for s in range(1, 2 * (m1 + m2) + 5 * m3 + 3):
                     p(m1, m2, m3, s)
-    assert ppoly._pmemo
-    assert all(value != QPoly() for value in ppoly._pmemo.values())
+    return ppoly._pmemo
+
+
+def test_memo_stores_no_zero_polynomial(monkeypatch):
+    memo = _sweep_from_an_empty_memo(monkeypatch)
+    assert memo
+    assert all(value != QPoly() for value in memo.values())
+
+
+def test_memo_after_a_fixed_sweep_is_pinned(monkeypatch):
+    # the keys the descent stores and each value's stored form (low, step,
+    # body), not just its terms, as computed before the recursion became a
+    # table: a refactor of it must store the same keys in the same forms
+    memo = _sweep_from_an_empty_memo(monkeypatch)
+    digest = hashlib.sha256()
+    for key in sorted(memo):
+        value = memo[key]
+        digest.update(repr((key, value.low, value.step, value.body)).encode())
+    assert len(memo) == 5478
+    assert digest.hexdigest() == "37054b619c52e14ec17d4a04d5c200af14bf541c8bd0d52c33bf952094cc963a"
 
 
 def test_memo_stores_only_the_nonzero_span(monkeypatch):
@@ -247,6 +301,44 @@ def test_negative_block_exponent_guard_fires(monkeypatch):
         p_parity(0, 0, 1, 2, 0)
 
 
+@st.composite
+def _component(draw):
+    """A shape with m1+m2+m3 <= 5, an s around its support, a parity."""
+    m1 = draw(st.integers(0, 5))
+    m2 = draw(st.integers(0, 5 - m1))
+    m3 = draw(st.integers(0, 5 - m1 - m2))
+    s = draw(st.integers(-1, 2 * (m1 + m2) + 5 * m3 + 3))
+    return m1, m2, m3, s, draw(st.sampled_from((0, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_component())
+def test_recursion_matches_oracle_property(args):
+    assert p_parity(*args) == p_oracle(*args)
+
+
+# the counts each closed form reads; the others must be 0 for it to be P
+_READS = {PX00: (1, 0, 0), P0X0: (0, 1, 0), P00X: (0, 0, 1), PX0X: (1, 0, 1), P0XX: (0, 1, 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(CLOSED_FORM_KINDS),
+    st.tuples(st.integers(-3, 8), st.integers(-3, 8), st.integers(-3, 8)),
+    st.one_of(st.integers(-3, 40), st.none()),
+)
+def test_closed_forms_match_recursion_property(kind, counts, s):
+    m1, m2, m3 = (count * read for count, read in zip(counts, _READS[kind]))
+    if s is None:  # the one s the two-parameter forms accept
+        s = m1 + m2 + 4 * m3 + 1
+    try:
+        value = closed_form(kind, m1, m2, m3, s)
+    except ValueError:
+        assert kind in (PX0X, P0XX) and s != m1 + m2 + 4 * m3 + 1
+        return
+    assert value == p(m1, m2, m3, s), (kind, m1, m2, m3, s)
+
+
 def test_closed_forms_match_recursion_past_the_oracle():
     # m = 60 is far beyond what enumerate_bases can list; the closed forms
     # are the independent check there
@@ -269,6 +361,8 @@ def test_closed_form_examples():
         assert closed_form(PX00, m1=m, s=m + 1) == QPoly.monomial(1, m * m + m)
     assert closed_form(P00X, m3=2, s=9).format_q() == "q^46"
     assert closed_form(P00X, m3=2, s=8) == QPoly()  # out of shape: zero
+    assert closed_form(P00X, 0, 0, -1, -3) == QPoly()  # a negative count, as for p
+    assert closed_form(P0XX, 0, -1, 0, 0) == QPoly()  # before the rule on s
     assert closed_form(PX0X, m1=1, m3=1, s=6).format_q() == "q^23 + q^20"
     with pytest.raises(ValueError):
         closed_form(PX0X, m1=1, m3=1, s=7)
