@@ -26,10 +26,17 @@ returns 0 outside it and never stores a zero.  The recursion is calibrated
 against ``p_oracle``, an independent brute-force enumeration of the bases
 themselves.
 
-The memo tables here, ``_pmemo`` and ``_oracle_memo``, and ``genfun``'s kept
-rows of H+ (`genfun._h_plus_rows`) are the package's only shared state:
-module-level, each entry a pure function of its key (an H+ row grows only
-by a longer prefix of itself), and each value frozen (`series.Frozen`).
+The memo tables here, ``_pmemo`` and ``_oracle_memo``, the table of bodies
+``_pbodies``, and ``genfun``'s kept rows of H+ (`genfun._h_plus_rows`) are
+the package's only shared state: module-level, each entry a pure function
+of its key (an H+ row grows only by a longer prefix of itself), and each
+value frozen (`series.Frozen`).  ``_pbodies`` maps each distinct body of
+``_pmemo``'s values to the one copy of it that they all hold: Gaussian
+binomials are symmetric and the pair families are shifts of the same
+q^2-binomials, so many values differ only in ``low``.  A value joins the
+table after its nonnegativity check, as it enters the memo; sums on the
+way never do.  Sharing a tuple is safe because a tuple cannot change and a
+``QPoly`` cannot be rebound, so no holder can alter another's value.
 A ``QPoly`` stores only the lattice its terms live on, from its lowest term
 to its highest, so the shifts of the recursion copy nothing and its sums
 touch only that lattice.
@@ -45,6 +52,8 @@ from .moves import enumerate_bases
 from .series import QPOLY_ONE, QPOLY_ZERO, QPoly, add_shifted, check_ints, divide_geometric
 
 _pmemo: dict[tuple[int, int, int, int, int], QPoly] = {}
+# the one stored copy of each distinct body among _pmemo's values
+_pbodies: dict[tuple[int, ...], tuple[int, ...]] = {}
 _oracle_memo: dict[tuple[int, int, int], dict[tuple[int, int], list[int]]] = {}
 
 
@@ -130,6 +139,9 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
             value = value + part.shifted(exp)
     if not value.is_nonnegative():
         raise AssertionError("negative coefficient in P at %s" % (key,))
+    body = _pbodies.setdefault(value.body, value.body)
+    if body is not value.body:  # an equal body is stored: keep only that copy
+        value = QPoly._wrap(value.low, value.step, body)
     _pmemo[key] = value
     return value
 

@@ -285,6 +285,8 @@ class BiSeries(Frozen):
     @classmethod
     def from_qpoly(cls, poly: QPoly, max_q: int, max_t: int, dt: int = 0) -> "BiSeries":
         """Lift a q-polynomial onto the t^dt slice; overflow degrees drop."""
+        if not isinstance(poly, QPoly):
+            raise ValueError("poly=%r is not a QPoly" % (poly,))
         check_window(max_q, max_t)
         check_ints(dt=dt)
         if not (0 <= dt <= max_t):
@@ -319,6 +321,9 @@ class BiSeries(Frozen):
         return all(c >= 0 for row in self._rows for c in row)
 
     def _common_window(self, other: "BiSeries") -> tuple[int, int]:
+        """The window of a sum or product; `add` and `mul` check their operand here."""
+        if not isinstance(other, BiSeries):
+            raise ValueError("other=%r is not a BiSeries" % (other,))
         return min(self.max_q, other.max_q), min(self.max_t, other.max_t)
 
     def add(self, other: "BiSeries") -> "BiSeries":

@@ -463,10 +463,12 @@ def test_h_positive_skips_cores_that_cannot_fit(monkeypatch):
     # with H+'s rows kept, a warm call would read no P at all
     monkeypatch.setattr(genfun, "_h_plus_memo", [])
     monkeypatch.setattr(ppoly, "_pmemo", {})
+    monkeypatch.setattr(ppoly, "_pbodies", {})
     h_positive(30, 12)
     entries = len(ppoly._pmemo)
     monkeypatch.setattr(genfun, "_h_plus_memo", [])
     monkeypatch.setattr(ppoly, "_pmemo", {})
+    monkeypatch.setattr(ppoly, "_pbodies", {})
     h_positive(30, 30)
     assert len(ppoly._pmemo) <= entries
 

@@ -270,8 +270,8 @@ _TWO_PAIRS = moves.TaggedPartition((1, 2, 5, 5))
 
 # (name of the checked argument, call with x in its place, and what it must
 # be if not "an integer") for the library entry points that take a window, a
-# count, an exponent, a P argument or coefficients; ppoly.p has its own test
-# in test_ppoly.py
+# count, an exponent, a P argument, coefficients or a series operand; ppoly.p
+# has its own test in test_ppoly.py
 _INT_ARGUMENTS = {
     "kr_brute": ("max_q", lambda x: genfun.kr_brute(D, x, 3)),
     "kr_alternating": ("max_t", lambda x: genfun.kr_alternating(D, 10, x)),
@@ -310,6 +310,9 @@ _INT_ARGUMENTS = {
         "dt", lambda x: BiSeries.one(3, 2).mul_geometric_inverse(x, 1)
     ),
     "BiSeries.from_qpoly": ("dt", lambda x: BiSeries.from_qpoly(QPoly((1, 2)), 3, 2, dt=x)),
+    "BiSeries.from_qpoly_poly": ("poly", lambda x: BiSeries.from_qpoly(x, 3, 2), "a QPoly"),
+    "BiSeries.add": ("other", lambda x: BiSeries.one(3, 2).add(x), "a BiSeries"),
+    "BiSeries.mul": ("other", lambda x: BiSeries.one(3, 2).mul(x), "a BiSeries"),
     "marginal_max_t": ("max_q", lambda x: genfun.marginal_max_t(x)),
     "staircase": ("m", lambda x: seeds.staircase(x)),
     "backward_move": ("pair_index", lambda x: moves.backward_move(_TWO_PAIRS, x)),
@@ -328,6 +331,23 @@ def test_entry_points_refuse_non_integers(entry, bad):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value) == "%s=%r is not %s" % (name, bad, what[0] if what else "an integer")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BiSeries.from_qpoly("x", 3, 2), "poly='x' is not a QPoly"),
+        (lambda: BiSeries.one(3, 2) * 5, "other=5 is not a BiSeries"),
+        (lambda: BiSeries.one(3, 2) + QPoly((1,)), "other=QPoly(1) is not a BiSeries"),
+    ],
+    ids=["from_qpoly", "mul", "add"],
+)
+def test_series_operations_refuse_a_foreign_operand(call, message):
+    # these used to die with AttributeError on the operand's missing fields;
+    # the table above calls add and mul by name, these through + and *
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # every class route and seed entry point, called with v as the variant

@@ -198,11 +198,19 @@ def test_support_edges():
         p_parity(1, 1, 0, 3, 2)  # not read as P1 by the unchecked recursion
 
 
-def test_a_memo_entry_handed_out_cannot_be_damaged(monkeypatch):
-    # p_parity returns the memo's own value, which later descents read
+def _cold_memo(monkeypatch):
+    """Swap in an empty P memo and an empty body table, so that what the
+    test computes starts cold; returns the ppoly module."""
     from qpartition import ppoly
 
     monkeypatch.setattr(ppoly, "_pmemo", {})
+    monkeypatch.setattr(ppoly, "_pbodies", {})
+    return ppoly
+
+
+def test_a_memo_entry_handed_out_cannot_be_damaged(monkeypatch):
+    # p_parity returns the memo's own value, which later descents read
+    ppoly = _cold_memo(monkeypatch)
     value = ppoly.p_parity(1, 0, 0, 2, 0)
     with pytest.raises(AttributeError, match="^QPoly is immutable$"):
         del value.body
@@ -214,9 +222,7 @@ def test_a_memo_entry_handed_out_cannot_be_damaged(monkeypatch):
 
 def _sweep_from_an_empty_memo(monkeypatch):
     """A fixed grid of p calls from an empty memo; returns the memo."""
-    from qpartition import ppoly
-
-    monkeypatch.setattr(ppoly, "_pmemo", {})
+    ppoly = _cold_memo(monkeypatch)
     p(40, 0, 0, 60)
     for m in range(31):
         for s in range(1, 2 * m + 3):
@@ -249,10 +255,27 @@ def test_memo_after_a_fixed_sweep_is_pinned(monkeypatch):
     assert digest.hexdigest() == "37054b619c52e14ec17d4a04d5c200af14bf541c8bd0d52c33bf952094cc963a"
 
 
-def test_memo_stores_only_the_nonzero_span(monkeypatch):
+def test_memo_keeps_one_copy_of_each_distinct_body(monkeypatch):
+    # Gaussian binomials are symmetric and the pair families are shifts of
+    # the same q^2-binomials, so many values share a body: equal bodies are
+    # one tuple
+    memo = _sweep_from_an_empty_memo(monkeypatch)
+    bodies = [value.body for value in memo.values()]
+    assert len(set(bodies)) == len({id(body) for body in bodies}) == 3231
+
+
+def test_body_table_holds_exactly_the_memo_bodies(monkeypatch):
+    # each stored copy is its own key and some memo value's body: no
+    # intermediate sum of the descent enters the table
     from qpartition import ppoly
 
-    monkeypatch.setattr(ppoly, "_pmemo", {})
+    memo = _sweep_from_an_empty_memo(monkeypatch)
+    assert all(key is body for key, body in ppoly._pbodies.items())
+    assert {id(body) for body in ppoly._pbodies.values()} == {id(v.body) for v in memo.values()}
+
+
+def test_memo_stores_only_the_nonzero_span(monkeypatch):
+    ppoly = _cold_memo(monkeypatch)
     p(40, 0, 0, 60)
     assert ppoly._pmemo
     for value in ppoly._pmemo.values():
@@ -264,9 +287,7 @@ def test_memo_stores_the_pair_families_on_the_even_lattice(monkeypatch):
     # a repeating pair [k,k] weighs 2k and a consecutive pair [k,k+1] weighs
     # 2k+1, so P(m1, m2, 0, s) is q^c times a polynomial in q^2: the memo
     # holds every second coefficient of the dense span
-    from qpartition import ppoly
-
-    monkeypatch.setattr(ppoly, "_pmemo", {})
+    ppoly = _cold_memo(monkeypatch)
     for m in range(31):
         for s in range(m + 1, 2 * m + 2):
             p(m, 0, 0, s)
@@ -280,9 +301,8 @@ def test_memo_stores_the_pair_families_on_the_even_lattice(monkeypatch):
 @pytest.mark.parametrize("planted", [QPoly((0, 0, -1)), QPoly((1, -1)).stretched(2)])
 def test_negative_coefficient_guard_fires_on_any_lattice(monkeypatch, planted):
     # a negative child, planted in the memo, reaches its parent's bracket
-    from qpartition import ppoly
-
-    monkeypatch.setattr(ppoly, "_pmemo", {(1, 0, 0, 2, 0): planted})
+    ppoly = _cold_memo(monkeypatch)
+    ppoly._pmemo[(1, 0, 0, 2, 0)] = planted
     with pytest.raises(AssertionError, match=r"negative coefficient in P at \(2, 0, 0, 3, 0\)"):
         p_parity(2, 0, 0, 3, 0)
 
@@ -290,12 +310,10 @@ def test_negative_coefficient_guard_fires_on_any_lattice(monkeypatch, planted):
 def test_negative_block_exponent_guard_fires(monkeypatch):
     # support rules out a block below s = 5; widened, the empty base at
     # s = -2 reaches P0(0, 0, 1, 2), whose block exponent would be -2
-    from qpartition import ppoly
-
     def widened(m1, m2, m3, parity):
         return range(-10, 100) if min(m1, m2 - parity, m3) >= 0 else range(0)
 
-    monkeypatch.setattr(ppoly, "_pmemo", {})
+    ppoly = _cold_memo(monkeypatch)
     monkeypatch.setattr(ppoly, "_support", widened)
     with pytest.raises(AssertionError, match="negative block exponent"):
         p_parity(0, 0, 1, 2, 0)
@@ -315,6 +333,23 @@ def _component(draw):
 @given(_component())
 def test_recursion_matches_oracle_property(args):
     assert p_parity(*args) == p_oracle(*args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_component())
+def test_values_on_a_shared_body_match_the_oracle(args):
+    # a stored value sits on the table's copy of its body, and every small
+    # stored value on that same tuple (this one too), whichever key stored
+    # it first, is its own component; test_recursion_matches_oracle_property
+    # covers the values the memo never stores
+    from qpartition import ppoly
+
+    value = p_parity(*args)
+    if args in ppoly._pmemo:
+        assert ppoly._pbodies[value.body] is value.body
+        for key, other in list(ppoly._pmemo.items()):
+            if other.body is value.body and sum(key[:3]) <= 5:
+                assert other == p_oracle(*key)
 
 
 # the counts each closed form reads; the others must be 0 for it to be P
