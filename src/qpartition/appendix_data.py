@@ -33,7 +33,7 @@ _TERM = re.compile(r"^(\d*)(?:q(?:\^(\d+))?)?$")
 
 def parse_qpoly(text: str) -> QPoly:
     """Parse ``q^30 + 2q^28 + ... + 3`` (descending or any order) exactly."""
-    text = text.strip()
+    given, text = text, text.strip()
     if text == "0":
         return QPoly()
     terms = {}
@@ -53,6 +53,8 @@ def parse_qpoly(text: str) -> QPoly:
         else:
             exp = int(m.group(2)) if m.group(2) else 1
         terms[exp] = terms.get(exp, 0) + (-coeff if neg else coeff)
+    if not terms:
+        raise ValueError("cannot parse %r: no terms" % (given,))
     out = [0] * (max(terms) + 1)
     for e, c in terms.items():
         out[e] = c

@@ -432,6 +432,8 @@ def compare(a: BiSeries, b: BiSeries) -> CompareReport:
     mismatches = []
     for m in range(mt + 1):
         ra, rb = a._rows[m], b._rows[m]
+        if ra[: mq + 1] == rb[: mq + 1]:
+            continue
         for n in range(mq + 1):
             if ra[n] != rb[n]:
                 mismatches.append((n, m, ra[n], rb[n]))

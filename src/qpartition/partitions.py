@@ -29,7 +29,10 @@ neighbour inside the window, and the smallest part is the first.
 the enumeration oracle every generating-function identity in this package
 is checked against.  It is one depth-first walk: parts are appended in
 non-decreasing order, and each node the rule admits (weight <= max_q,
-length <= max_t) is counted, so one pass covers every weight.
+length <= max_t) is counted where it is found, so one pass covers every
+weight.  The walk enters a node only when a further part fits, so most
+nodes, the leaves, cost no call of their own; ``admits`` still sees the
+same prefixes in the same order as a walk that enters every node.
 """
 
 from __future__ import annotations
@@ -202,18 +205,28 @@ def iter_partitions(n: int, max_len: Optional[int] = None) -> Iterator[tuple[int
 
 def brute_series(admits: Rule, max_q: int, max_t: int) -> BiSeries:
     """Counting series sum_{n,m} #{partitions of n into m parts} q^n t^m over
-    the partitions whose every nonempty prefix ``admits`` passes."""
+    the partitions whose every nonempty prefix ``admits`` passes.
+
+    Each admitted node is counted where its parent's loop finds it, and
+    entered only when a further part fits: it is shorter than ``max_t`` and
+    its weight plus its last part again is at most ``max_q`` (every later
+    part is at least that last part).  A node that fails either test would
+    loop over no candidate, so ``admits`` sees the same prefixes, in the same
+    order, as a walk that enters every admitted node."""
     check_window(max_q, max_t)
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
+    rows[0][0] = 1  # the empty partition
 
     def visit(parts: tuple[int, ...], weight: int) -> None:
-        rows[len(parts)][weight] += 1
-        if len(parts) == max_t:
-            return
+        row = rows[len(parts) + 1]
+        deeper = len(parts) + 1 < max_t
         for x in range(parts[-1] if parts else 1, max_q - weight + 1):
             child = parts + (x,)
             if admits(child):
-                visit(child, weight + x)
+                row[weight + x] += 1
+                if deeper and weight + 2 * x <= max_q:
+                    visit(child, weight + x)
 
-    visit((), 0)
+    if max_t:
+        visit((), 0)
     return BiSeries._wrap(max_q, max_t, rows)

@@ -277,6 +277,36 @@ def test_compare_reports():
     with pytest.raises(ValueError, match="^None is not a BiSeries$"):
         compare(a, None)
 
+    def cell_by_cell(a, b):
+        mq, mt = min(a.max_q, b.max_q), min(a.max_t, b.max_t)
+        cells = ((n, m) for m in range(mt + 1) for n in range(mq + 1))
+        return tuple(
+            (n, m, a.coeff(n, m), b.coeff(n, m))
+            for n, m in cells
+            if a.coeff(n, m) != b.coeff(n, m)
+        )
+
+    # mismatches in several rows, the first and the last cell among them
+    rows = [[n * m + 1 for n in range(7)] for m in range(3)]
+    a = BiSeries(6, 2, rows)
+    b = a + BiSeries(6, 2, [[5, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, -2]])
+    report = compare(a, b)
+    assert report.mismatches == cell_by_cell(a, b)
+    assert report.mismatches == ((0, 0, 1, 6), (2, 2, 5, 6), (6, 2, 13, 11))
+    assert compare(b, a).mismatches == cell_by_cell(b, a)
+    # different windows: only the common one is compared, and a difference
+    # past it (a q^7 cell, a t^3 row) is not reported
+    wide = BiSeries(8, 3, [[n * m + 1 for n in range(9)] for m in range(4)])
+    assert compare(a, wide).equal
+    assert compare(a, wide) == (6, 2, ())
+    wider = wide + BiSeries.monomial(4, 7, 1, 8, 3) + BiSeries.monomial(9, 0, 3, 8, 3)
+    assert compare(wider, a).equal
+    shifted = wider + BiSeries.monomial(1, 6, 1, 8, 3)
+    assert compare(shifted, b).mismatches == cell_by_cell(shifted, b)
+    assert compare(shifted, b).mismatches == (
+        (0, 0, 1, 6), (6, 1, 8, 7), (2, 2, 5, 6), (6, 2, 13, 11),
+    )
+
 
 def test_brute_matches_explicit_membership():
     # spot check: the listed class-1 partitions all pass the predicate

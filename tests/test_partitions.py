@@ -3,7 +3,7 @@ import enum
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from naive import check_kr_literal
+from naive import brute_series_walk, check_kr_literal
 
 from qpartition import genfun, moves, ppoly, seeds
 from qpartition.partitions import (
@@ -15,6 +15,7 @@ from qpartition.partitions import (
     check_kr,
     format_parts,
     iter_partitions,
+    kr_rule,
     parse_parts,
 )
 from qpartition.series import BiSeries, QPoly
@@ -176,15 +177,23 @@ def test_series_and_brute_walk_share_the_window_check(max_q, max_t):
             build(max_q, max_t)
 
 
-@pytest.mark.parametrize(
-    "rule",
-    [
-        lambda parts: len(parts) < 2 or parts[-2] < parts[-1],
-        lambda parts: sum(parts) % 5 != 2,
-    ],
-    ids=["distinct", "no-prefix-weighs-2-mod-5"],
-)
-def test_brute_series_counts_the_partitions_whose_prefixes_all_pass(rule):
+# Rules for the walk: the class rules, rules that read only the last parts,
+# one that reads the whole prefix, and one that admits everything.
+_RULES = {
+    "kr-d": kr_rule(D),
+    "kr-d'": kr_rule(DP),
+    "kr-d''": kr_rule(DPP),
+    "at-most-twice": at_most_twice_rule,
+    "distinct": lambda parts: len(parts) < 2 or parts[-2] < parts[-1],
+    "no-prefix-weighs-2-mod-5": lambda parts: sum(parts) % 5 != 2,
+    "always": lambda parts: True,
+    "gap-two": lambda parts: len(parts) < 2 or parts[-1] - parts[-2] >= 2,
+}
+
+
+@pytest.mark.parametrize("name", ["distinct", "no-prefix-weighs-2-mod-5"])
+def test_brute_series_counts_the_partitions_whose_prefixes_all_pass(name):
+    rule = _RULES[name]
     max_q, max_t = 16, 6
     counts = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     for n in range(max_q + 1):
@@ -195,6 +204,37 @@ def test_brute_series_counts_the_partitions_whose_prefixes_all_pass(rule):
     assert [[s.coeff(n, m) for n in range(max_q + 1)] for m in range(max_t + 1)] == counts
     with pytest.raises(ValueError):
         brute_series(rule, -1, 3)
+
+
+def _recorded(rule):
+    """``rule`` and the list of prefixes it is asked about, in order."""
+    asked = []
+
+    def admits(parts):
+        asked.append(parts)
+        return rule(parts)
+
+    return admits, asked
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_RULES)), st.integers(0, 30), st.integers(0, 10))
+def test_brute_series_asks_what_the_reference_walk_asks(name, max_q, max_t):
+    # counting leaves in place changes neither the series nor the prefixes
+    # the rule sees, nor their order
+    admits, asked = _recorded(_RULES[name])
+    reference, reference_asked = _recorded(_RULES[name])
+    s = brute_series(admits, max_q, max_t)
+    assert s == brute_series_walk(reference, max_q, max_t)
+    assert asked == reference_asked
+
+
+@pytest.mark.parametrize("max_q", [0, 1, 7, 30])
+def test_brute_series_without_parts_counts_only_the_empty_partition(max_q):
+    admits, asked = _recorded(lambda parts: True)
+    s = brute_series(admits, max_q, 0)
+    assert s._rows == [[1] + [0] * max_q]
+    assert asked == []
 
 
 @pytest.mark.parametrize("variant", [D, DP, DPP])

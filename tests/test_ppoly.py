@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -446,6 +447,9 @@ def test_parse_qpoly():
     assert parse_qpoly("2q + 1").coeffs == (1, 2)
     with pytest.raises(ValueError):
         parse_qpoly("qq^2")
+    for text in ("", " ", "+"):
+        with pytest.raises(ValueError, match="^cannot parse %s: no terms$" % re.escape(repr(text))):
+            parse_qpoly(text)
 
 
 def test_table_errata_are_independently_confirmed():
