@@ -38,12 +38,13 @@ def parse_qpoly(text: str) -> QPoly:
         return QPoly()
     terms = {}
     for raw in text.replace("-", "+-").split("+"):
-        tok = raw.strip().replace(" ", "")
+        # spaces may pad a term and follow its sign, never split it
+        tok = raw.strip()
         if not tok:
             continue
         neg = tok.startswith("-")
         if neg:
-            tok = tok[1:]
+            tok = tok[1:].lstrip()
         m = _TERM.match(tok)
         if not m or (not m.group(1) and "q" not in tok):
             raise ValueError("cannot parse term %r in %r" % (raw, text))

@@ -39,7 +39,11 @@ way never do.  Sharing a tuple is safe because a tuple cannot change and a
 ``QPoly`` cannot be rebound, so no holder can alter another's value.
 A ``QPoly`` stores only the lattice its terms live on, from its lowest term
 to its highest, so the shifts of the recursion copy nothing and its sums
-touch only that lattice.
+touch only that lattice.  A node builds one ``QPoly``, the value it stores:
+each child's shift q^weight goes into the child's lowest exponent, the
+children are summed in table order as raw (low, step, body) triples
+(`series.lattice_sum`), and the sum is trimmed once, checked for
+nonnegativity and looked up in ``_pbodies`` before the build.
 A repeating pair [k,k] weighs 2k and a consecutive pair [k,k+1] weighs
 2k+1, so P(m1, m2, 0, s) is q^c times a polynomial in q^2 and is stored as
 every second coefficient of its span; the q^3 binomials of the block shapes
@@ -49,7 +53,16 @@ every second coefficient of its span; the q^3 binomials of the block shapes
 from __future__ import annotations
 
 from .moves import enumerate_bases
-from .series import QPOLY_ONE, QPOLY_ZERO, QPoly, add_shifted, check_ints, divide_geometric
+from .series import (
+    QPOLY_ONE,
+    QPOLY_ZERO,
+    QPoly,
+    add_shifted,
+    check_ints,
+    divide_geometric,
+    lattice_sum,
+    trim,
+)
 
 _pmemo: dict[tuple[int, int, int, int, int], QPoly] = {}
 # the one stored copy of each distinct body among _pmemo's values
@@ -80,7 +93,7 @@ def _qbinomial(n: int, k: int, base: int) -> QPoly:
         d = n - i
         add_shifted(row, row[:-d], d, -1)  # times 1 - q^d
         divide_geometric(row, i + 1)
-    return QPoly._trimmed(0, base, tuple(row))
+    return QPoly._wrap(*trim(0, base, tuple(row)))
 
 
 def p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
@@ -120,28 +133,30 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
         return QPOLY_ZERO
     if m1 == 0 and m2 == 0 and m3 == 0:
         return QPOLY_ONE
-    # the base cases are the only guards: no negative count, no P1 at m2 = 0
-    value = QPOLY_ZERO
+    # the base cases are the only guards: no negative count, no P1 at m2 = 0.
+    # Each child's shift goes into its low, and the sum runs on raw
+    # (low, step, body) triples: the stored value is the one QPoly built here
+    low, step, body = 0, 0, ()
     for shape, (d1, d2, d3), (a, b), children in _BRANCHES[parity]:
         c1, c2, c3 = m1 - d1, m2 - d2, m3 - d3
         if c1 < 0 or c2 < 0 or c3 < 0:
             continue
-        part = QPOLY_ZERO
+        exp = a * (s - 1) + b
         for offset, child in children:
             if c2 or not child:
-                part = part + _p_parity(c1, c2, c3, s - offset, child)
-        if part:
-            exp = a * (s - 1) + b
-            if exp < 0:
-                raise AssertionError(
-                    "negative %s exponent against a nonzero child at %s" % (shape, key)
-                )
-            value = value + part.shifted(exp)
-    if not value.is_nonnegative():
+                term = _p_parity(c1, c2, c3, s - offset, child)
+                if not term.body:
+                    continue
+                if exp < 0:
+                    raise AssertionError(
+                        "negative %s exponent against a nonzero child at %s" % (shape, key)
+                    )
+                raw = term.low + exp, term.step, term.body
+                low, step, body = lattice_sum(low, step, body, *raw) if body else raw
+    low, step, body = trim(low, step, body)
+    if body and min(body) < 0:
         raise AssertionError("negative coefficient in P at %s" % (key,))
-    body = _pbodies.setdefault(value.body, value.body)
-    if body is not value.body:  # an equal body is stored: keep only that copy
-        value = QPoly._wrap(value.low, value.step, body)
+    value = QPoly._wrap(low, step, _pbodies.setdefault(body, body))
     _pmemo[key] = value
     return value
 

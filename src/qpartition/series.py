@@ -14,6 +14,11 @@ Everything is exact Python integer arithmetic; no floating point anywhere.
 Values are immutable after construction (operations return new objects), so
 instances can be shared freely, as the ``ppoly`` memo does: they and
 ``moves``' two value types derive from ``Frozen``, which refuses ``del`` too.
+``Frozen`` also gives each class its internal constructor ``_wrap``, a
+builder generated from the class's slots that takes one value per slot and
+sets each through the slot's own setter, so a build runs no loop.
+``lattice_sum`` is the one sum of two ``QPoly`` bodies: ``+`` trims its
+result, and ``ppoly`` chains it on raw bodies and trims once per value.
 
 Truncation policy: combining two series shrinks to the componentwise minimum
 of the windows, so a coefficient is never reported at a degree where one of
@@ -46,13 +51,28 @@ from typing import Iterator
 
 class Frozen:
     """Base of the immutable value types: setting or deleting a field (a
-    slot) raises ``AttributeError("<Class> is immutable")``."""
+    slot) raises ``AttributeError("<Class> is immutable")``.
+
+    Each subclass gets ``_wrap``, its internal constructor: one value per
+    slot, positional and in slot order, unchecked."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # the slots' own setters, taken once: cheaper per build than a setattr by name
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        # _wrap is generated once per class, as namedtuple generates its
+        # __new__: a build calls each slot's own setter, with no loop
+        n = len(cls.__slots__)
+        lines = ["def _wrap(%s):" % ", ".join("v%d" % i for i in range(n)), "    obj = new(cls)"]
+        lines += ["    set%d(obj, v%d)" % (i, i) for i in range(n)]
+        lines.append("    return obj")
+        namespace = {"cls": cls, "new": object.__new__}
+        for i, name in enumerate(cls.__slots__):
+            namespace["set%d" % i] = cls.__dict__[name].__set__
+        exec("\n".join(lines), namespace)
+        wrap = namespace["_wrap"]
+        # pickle finds a builder by this name (QPoly.__reduce__ names QPoly._wrap)
+        wrap.__module__, wrap.__qualname__ = cls.__module__, cls.__qualname__ + "._wrap"
+        cls._wrap = staticmethod(wrap)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -63,14 +83,6 @@ class Frozen:
         # copy and pickle rebuild through the checked constructor, given the
         # slots in order (BiSeries' copies the rows)
         return (type(self), tuple(getattr(self, name) for name in self.__slots__))
-
-    @classmethod
-    def _wrap(cls, *values):
-        """Internal constructor: one value per slot, in order, unchecked."""
-        obj = object.__new__(cls)
-        for setter, value in zip(cls._setters, values):
-            setter(obj, value)
-        return obj
 
 
 class QPoly(Frozen):
@@ -93,25 +105,11 @@ class QPoly(Frozen):
     __slots__ = ("low", "step", "body")
 
     def __new__(cls, coeffs=()):
-        return cls._trimmed(0, 1, _check_coeffs("coeffs", coeffs))
+        return cls._wrap(*trim(0, 1, _check_coeffs("coeffs", coeffs)))
 
     def __reduce__(self):
         # copy and pickle rebuild the value on its own lattice
         return (QPoly._wrap, (self.low, self.step, self.body))
-
-    @classmethod
-    def _trimmed(cls, low: int, step: int, body: tuple) -> "QPoly":
-        """The polynomial sum body[i] q^(low + step*i); zeros at either end go."""
-        if body and body[0] and body[-1]:
-            return cls._wrap(low, step if len(body) > 1 else 0, body)
-        start, stop = 0, len(body)
-        while stop and not body[stop - 1]:
-            stop -= 1
-        if not stop:
-            return cls._wrap(0, 0, ())
-        while not body[start]:
-            start += 1
-        return cls._wrap(low + start * step, step if stop - start > 1 else 0, body[start:stop])
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "QPoly":
@@ -150,22 +148,8 @@ class QPoly(Frozen):
             return self
         if not self.body:
             return other
-        first, second = (self, other) if self.low <= other.low else (other, self)
-        a, b = first.body, second.body
-        # the common lattice: the coarsest that holds the terms of both
-        step = math.gcd(first.step, second.step, second.low - first.low)
-        if not step:  # two monomials on one exponent
-            return QPoly._trimmed(first.low, 0, (a[0] + b[0],))
-        if first.step != step and len(a) > 1:
-            a = _spread(a, first.step // step)
-        if second.step != step and len(b) > 1:
-            b = _spread(b, second.step // step)
-        off = (second.low - first.low) // step
-        if off >= len(a):  # disjoint spans: zeros fill the gap
-            return QPoly._wrap(first.low, step, a + (0,) * (off - len(a)) + b)
-        top = min(len(a), off + len(b))  # the overlap is a[off:top]
-        body = a[:off] + tuple(map(operator.add, a[off:top], b)) + a[top:] + b[top - off :]
-        return QPoly._trimmed(first.low, step, body)
+        raw = lattice_sum(self.low, self.step, self.body, other.low, other.step, other.body)
+        return QPoly._wrap(*trim(*raw))
 
     def shifted(self, dq: int) -> "QPoly":
         """Multiply by q^dq (dq >= 0)."""
@@ -229,6 +213,43 @@ class QPoly(Frozen):
 
     def __repr__(self) -> str:
         return "QPoly(%s)" % self.format_q()
+
+
+def lattice_sum(low: int, step: int, body: tuple, low2: int, step2: int, body2: tuple) -> tuple:
+    """The sum of two nonzero polynomials in their stored form, each given
+    as (low, step, body), as one (low, step, body) on their common lattice,
+    the coarsest that holds the terms of both.  Nothing is trimmed, so the
+    bodies need not be either, and the result can be summed again."""
+    if low2 < low:
+        low, step, body, low2, step2, body2 = low2, step2, body2, low, step, body
+    common = math.gcd(step, step2, low2 - low)
+    if not common:  # two monomials on one exponent
+        return low, 0, (body[0] + body2[0],)
+    if step != common and len(body) > 1:
+        body = _spread(body, step // common)
+    if step2 != common and len(body2) > 1:
+        body2 = _spread(body2, step2 // common)
+    off = (low2 - low) // common
+    if off >= len(body):  # disjoint spans: zeros fill the gap
+        return low, common, body + (0,) * (off - len(body)) + body2
+    top = min(len(body), off + len(body2))  # the overlap is body[off:top]
+    overlap = tuple(map(operator.add, body[off:top], body2))
+    return low, common, body[:off] + overlap + body[top:] + body2[top - off :]
+
+
+def trim(low: int, step: int, body: tuple) -> tuple:
+    """(low, step, body) with the zeros at either end of ``body`` gone, and
+    ``step`` 0 if at most one term is left: the stored form of a `QPoly`."""
+    if body and body[0] and body[-1]:
+        return low, step if len(body) > 1 else 0, body
+    start, stop = 0, len(body)
+    while stop and not body[stop - 1]:
+        stop -= 1
+    if not stop:
+        return 0, 0, ()
+    while not body[start]:
+        start += 1
+    return low + start * step, step if stop - start > 1 else 0, body[start:stop]
 
 
 def _spread(body: tuple, k: int) -> tuple:

@@ -320,6 +320,54 @@ def test_negative_block_exponent_guard_fires(monkeypatch):
         p_parity(0, 0, 1, 2, 0)
 
 
+def test_a_cold_sweep_builds_each_stored_value_once(monkeypatch):
+    # a node sums its children on raw bodies and builds one QPoly, the one
+    # it stores; the shifts and partial sums build nothing
+    ppoly = _cold_memo(monkeypatch)
+    builds = []
+    wrap = QPoly._wrap
+
+    def counted(*values):
+        builds.append(values)
+        return wrap(*values)
+
+    monkeypatch.setattr(QPoly, "_wrap", counted)
+    for m1 in range(6):
+        for m2 in range(6):
+            for m3 in range(4):
+                for s in range(1, 2 * (m1 + m2) + 5 * m3 + 3):
+                    p_parity(m1, m2, m3, s, 0)
+                    p_parity(m1, m2, m3, s, 1)
+    assert len(ppoly._pmemo) > 500
+    assert len(builds) == len(ppoly._pmemo)
+
+
+@pytest.mark.parametrize(
+    "planted, outcome",
+    [
+        # -q^4 + q^6 cancels its sibling P0(1,0,0,3) = q^4: the sum is q^6,
+        # stored as q^12 on no lattice, as the per-child QPoly sums store it
+        (QPoly((0, 0, 0, 0, -1, 0, 1)), (12, 0, (1,))),
+        (QPoly((-1, 1, 2)).stretched(2).shifted(4), (12, 2, (1, 2))),
+        # the cancellation leaves a negative term behind
+        (QPoly((0, 0, 0, 0, -1, -1)), None),
+        (QPoly((0, 0, 0, 0, -2, 0, 1)), None),
+    ],
+)
+def test_a_cancelled_lowest_term_is_trimmed_or_refused(monkeypatch, planted, outcome):
+    # P0(2,0,0,4) = q^6 (P0(1,0,0,3) + P0(1,0,0,2)); plant the second child
+    ppoly = _cold_memo(monkeypatch)
+    ppoly._pmemo[(1, 0, 0, 2, 0)] = planted
+    if outcome is None:
+        with pytest.raises(AssertionError, match=r"negative coefficient in P at \(2, 0, 0, 4, 0\)"):
+            p_parity(2, 0, 0, 4, 0)
+        return
+    value = p_parity(2, 0, 0, 4, 0)
+    assert (value.low, value.step, value.body) == outcome
+    assert value == (p_parity(1, 0, 0, 3, 0) + planted).shifted(6)
+    assert ppoly._pmemo[(2, 0, 0, 4, 0)] is value
+
+
 @st.composite
 def _component(draw):
     """A shape with m1+m2+m3 <= 5, an s around its support, a parity."""
@@ -447,6 +495,12 @@ def test_parse_qpoly():
     assert parse_qpoly("2q + 1").coeffs == (1, 2)
     with pytest.raises(ValueError):
         parse_qpoly("qq^2")
+    # a space pads a term or follows its sign, but never joins two digits
+    assert parse_qpoly(" - q^3 +  2 ") == parse_qpoly("-q^3+2")
+    for text in ("2 3", "q^1 0", "1 2q^3"):
+        quoted = re.escape(repr(text))
+        with pytest.raises(ValueError, match="^cannot parse term %s in %s$" % (quoted, quoted)):
+            parse_qpoly(text)
     for text in ("", " ", "+"):
         with pytest.raises(ValueError, match="^cannot parse %s: no terms$" % re.escape(repr(text))):
             parse_qpoly(text)

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from qpartition.moves import Decomposition, TaggedPartition, decompose
 from qpartition.partitions import iter_partitions
-from qpartition.series import BiSeries, QPoly, add_shifted, divide_geometric
+from qpartition.series import (
+    BiSeries,
+    Frozen,
+    QPoly,
+    add_shifted,
+    divide_geometric,
+    lattice_sum,
+    trim,
+)
 
 
 def inv_product(x_dt, x_dq, base, max_q, max_t):
@@ -429,6 +437,22 @@ def test_qpoly_on_different_lattices_matches_dense_reference(pair, c, k1, k2, d1
         _assert_matches(QPoly(rest) + pa + pb.stretched(2), _ref_add(one, _ref_lattice(db, 2, 0)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_dense, st.integers(1, 4), st.integers(0, 5)), min_size=1, max_size=4))
+def test_raw_lattice_sums_trimmed_once_match_dense_reference(summands):
+    # the P recursion's pattern: nonzero operands summed raw, one after
+    # another, without trimming the partial sums, then trimmed once
+    expected, total = [], None
+    for dense, k, d in summands:
+        expected = _ref_add(expected, _ref_lattice(dense, k, d))
+        poly = QPoly(dense).stretched(k).shifted(d)
+        if not poly:
+            continue
+        raw = (poly.low, poly.step, poly.body)
+        total = raw if total is None else lattice_sum(*total, *raw)
+    _assert_matches(QPoly._wrap(*trim(*total)) if total else QPoly(), expected)
+
+
 def test_qpoly_equality_reads_terms_across_lattices():
     dense, strided = QPoly((1, 0, 1)), QPoly((1, 1)).stretched(2)
     assert (strided.step, strided.body) == (2, (1, 1))
@@ -461,6 +485,7 @@ def test_qpoly_add_into_matches_the_naive_loop(dense, step, low, row, shift):
 _VALUES = {
     "qpoly-dense": QPoly((0, 2, 0, 1)),
     "qpoly-strided": QPoly((1,)).shifted(3) + QPoly((0, 0, 5)).shifted(7),
+    "qpoly-step-2": QPoly((1, 3, 0, 2)).stretched(2).shifted(1),
     "qpoly-zero": QPoly(),
     "biseries": BiSeries(3, 1, [[1, 0, 2, 0], [0, 1, 0, 4]]),
     "tagged": TaggedPartition((1, 2, 4, 6, 6, 9)),
@@ -508,3 +533,34 @@ def test_values_refuse_setattr_and_del(name):
         with pytest.raises(AttributeError, match=message):
             delattr(value, slot)
     assert _fields(value) == before
+
+
+_BUILT = {
+    QPoly: (5, 2, (1, 0, 3)),
+    BiSeries: (2, 0, [[1, 0, 4]]),
+    TaggedPartition: ((1, 2, 4), (0,)),
+    Decomposition: (TaggedPartition((1, 2)), (3,), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_BUILT), ids=lambda cls: cls.__name__)
+def test_each_value_type_has_a_positional_builder(cls):
+    # _wrap takes one value per slot, in slot order, and stores each as given
+    values = _BUILT[cls]
+    built = cls._wrap(*values)
+    assert type(built) is cls
+    assert all(getattr(built, name) is value for name, value in zip(cls.__slots__, values))
+    with pytest.raises(TypeError):
+        cls._wrap(*values, None)
+
+
+@pytest.mark.parametrize("slots", [("only",), ("a", "b", "c", "d")])
+def test_any_frozen_subclass_gets_a_builder(slots):
+    cls = type("Throwaway", (Frozen,), {"__slots__": slots, "__module__": __name__})
+    values = [object() for _ in slots]
+    built = cls._wrap(*values)
+    assert type(built) is cls
+    assert [getattr(built, name) for name in slots] == values
+    assert cls._wrap.__qualname__ == "Throwaway._wrap"
+    with pytest.raises(AttributeError, match="^Throwaway is immutable$"):
+        setattr(built, slots[0], None)
