@@ -26,24 +26,41 @@ returns 0 outside it and never stores a zero.  The recursion is calibrated
 against ``p_oracle``, an independent brute-force enumeration of the bases
 themselves.
 
-The memo tables here, ``_pmemo`` and ``_oracle_memo``, the table of bodies
-``_pbodies``, and ``genfun``'s kept rows of H+ (`genfun._h_plus_rows`) are
-the package's only shared state: module-level, each entry a pure function
-of its key (an H+ row grows only by a longer prefix of itself), and each
-value frozen (`series.Frozen`).  ``_pbodies`` maps each distinct body of
-``_pmemo``'s values to the one copy of it that they all hold: Gaussian
-binomials are symmetric and the pair families are shifts of the same
-q^2-binomials, so many values differ only in ``low``.  A value joins the
-table after its nonnegativity check, as it enters the memo; sums on the
-way never do.  Sharing a tuple is safe because a tuple cannot change and a
-``QPoly`` cannot be rebound, so no holder can alter another's value.
+The recursion's three tables here (``_pmemo``, the values; ``_pbodies``,
+their bodies; ``_psums``, the sums), ``_oracle_memo``, and ``genfun``'s
+kept rows of H+ (`genfun._h_plus_rows`) are the package's only shared
+state: module-level, each entry a pure function of its key (an H+ row
+grows only by a longer prefix of itself), and each value frozen
+(`series.Frozen`).  ``_pbodies`` maps each distinct body of ``_pmemo``'s
+values to the one copy of it that they all hold: Gaussian binomials are
+symmetric and the pair families are shifts of the same q^2-binomials, so
+many values differ only in ``low``.  A value joins the table after its
+nonnegativity check, as it enters the memo; sums on the way never do.  A
+palindromic body is stored as its first half followed by that half's own
+ints reversed, so each coefficient past the small-int cache is held once.
+Sharing a tuple is safe because a tuple cannot change and a ``QPoly``
+cannot be rebound, so no holder can alter another's value.
+``_psums`` is a computed table (Bryant, IEEE Trans. Comput. 35, 1986) for
+the nodes of one or two nonzero children.  Its key is each child's step
+and id(body) in table order, and the second child's low less the first's;
+its entry is the trimmed sum's low less the first child's, its step and
+its stored body.  A sum depends only on the bodies, their steps and their
+relative places, so a hit is exact (most are P1(0, m+1, 0, s+1), whose
+children hold the bodies of P0(m, 0, 0, s)'s at the same relative places),
+and its body was checked and entered in ``_pbodies`` when it was first
+summed: a hit skips the sum, the trim, the check and the body lookup.  An
+entry holds the children's bodies its key names, so no id in a key can be
+reused while it lives, even once ``_pmemo`` or ``_pbodies`` is replaced.
+Wider sums almost never repeat (574 of 28,504 in ``kr_positive(D, 2500,
+50)``), so they are not kept.
 A ``QPoly`` stores only the lattice its terms live on, from its lowest term
 to its highest, so the shifts of the recursion copy nothing and its sums
 touch only that lattice.  A node builds one ``QPoly``, the value it stores:
-each child's shift q^weight goes into the child's lowest exponent, the
-children are summed in table order as raw (low, step, body) triples
-(`series.lattice_sum`), and the sum is trimmed once, checked for
-nonnegativity and looked up in ``_pbodies`` before the build.
+each child's shift q^weight goes into the child's lowest exponent, and,
+unless ``_psums`` knows the sum, the children are summed in table order as
+raw (low, step, body) triples (`series.lattice_sum`), and the sum is
+trimmed once, checked for nonnegativity and looked up in ``_pbodies``
+before the build.
 A repeating pair [k,k] weighs 2k and a consecutive pair [k,k+1] weighs
 2k+1, so P(m1, m2, 0, s) is q^c times a polynomial in q^2 and is stored as
 every second coefficient of its span; the q^3 binomials of the block shapes
@@ -67,6 +84,10 @@ from .series import (
 _pmemo: dict[tuple[int, int, int, int, int], QPoly] = {}
 # the one stored copy of each distinct body among _pmemo's values
 _pbodies: dict[tuple[int, ...], tuple[int, ...]] = {}
+# the sums of nodes with one or two nonzero children (module docstring):
+# (step, id(body)) of the first child [+ (low - first low, step, id(body))
+# of the second] -> (low - first low, step, stored body, *children's bodies)
+_psums: dict[tuple[int, ...], tuple] = {}
 _oracle_memo: dict[tuple[int, int, int], dict[tuple[int, int], list[int]]] = {}
 
 
@@ -136,7 +157,7 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
     # the base cases are the only guards: no negative count, no P1 at m2 = 0.
     # Each child's shift goes into its low, and the sum runs on raw
     # (low, step, body) triples: the stored value is the one QPoly built here
-    low, step, body = 0, 0, ()
+    terms = []
     for shape, (d1, d2, d3), (a, b), children in _BRANCHES[parity]:
         c1, c2, c3 = m1 - d1, m2 - d2, m3 - d3
         if c1 < 0 or c2 < 0 or c3 < 0:
@@ -151,13 +172,33 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
                     raise AssertionError(
                         "negative %s exponent against a nonzero child at %s" % (shape, key)
                     )
-                raw = term.low + exp, term.step, term.body
-                low, step, body = lattice_sum(low, step, body, *raw) if body else raw
+                terms.append((term.low + exp, term.step, term.body))
+    sig = None
+    if 0 < len(terms) < 3:  # the sums that repeat (module docstring)
+        first, step, body = terms[0]
+        sig = (step, id(body))
+        if len(terms) == 2:
+            low, step, body = terms[1]
+            sig += (low - first, step, id(body))
+        known = _psums.get(sig)
+        if known is not None:  # checked and stored when it was first summed
+            value = _pmemo[key] = QPoly._wrap(first + known[0], known[1], known[2])
+            return value
+    low, step, body = 0, 0, ()
+    for raw in terms:
+        low, step, body = lattice_sum(low, step, body, *raw) if body else raw
     low, step, body = trim(low, step, body)
     if body and min(body) < 0:
         raise AssertionError("negative coefficient in P at %s" % (key,))
-    value = QPoly._wrap(low, step, _pbodies.setdefault(body, body))
-    _pmemo[key] = value
+    stored = _pbodies.get(body)
+    if stored is None:  # a palindrome is stored on its first half's ints
+        half = len(body) // 2
+        if half and body == body[::-1]:
+            body = body[: len(body) - half] + body[half - 1 :: -1]
+        stored = _pbodies[body] = body
+    if sig:
+        _psums[sig] = (low - first, step, stored, *[raw[2] for raw in terms])
+    value = _pmemo[key] = QPoly._wrap(low, step, stored)
     return value
 
 

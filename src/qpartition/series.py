@@ -66,11 +66,11 @@ class Frozen:
         lines += ["    set%d(obj, v%d)" % (i, i) for i in range(n)]
         lines.append("    return obj")
         namespace = {"cls": cls, "new": object.__new__}
-        for i, name in enumerate(cls.__slots__):
-            namespace["set%d" % i] = cls.__dict__[name].__set__
+        for i, name in enumerate(cls.__slots__):  # a subclass may inherit them
+            namespace["set%d" % i] = getattr(cls, name).__set__
         exec("\n".join(lines), namespace)
         wrap = namespace["_wrap"]
-        # pickle finds a builder by this name (QPoly.__reduce__ names QPoly._wrap)
+        # pickle finds a builder by this name (QPoly.__reduce__ names its class's)
         wrap.__module__, wrap.__qualname__ = cls.__module__, cls.__qualname__ + "._wrap"
         cls._wrap = staticmethod(wrap)
 
@@ -108,8 +108,8 @@ class QPoly(Frozen):
         return cls._wrap(*trim(0, 1, _check_coeffs("coeffs", coeffs)))
 
     def __reduce__(self):
-        # copy and pickle rebuild the value on its own lattice
-        return (QPoly._wrap, (self.low, self.step, self.body))
+        # copy and pickle rebuild the value on its own lattice, as its class
+        return (type(self)._wrap, (self.low, self.step, self.body))
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "QPoly":

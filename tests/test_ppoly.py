@@ -1,5 +1,8 @@
+import functools
+import gc
 import hashlib
 import math
+import random
 import re
 
 import pytest
@@ -200,12 +203,13 @@ def test_support_edges():
 
 
 def _cold_memo(monkeypatch):
-    """Swap in an empty P memo and an empty body table, so that what the
+    """Swap in an empty P memo, body table and sum table, so that what the
     test computes starts cold; returns the ppoly module."""
     from qpartition import ppoly
 
     monkeypatch.setattr(ppoly, "_pmemo", {})
     monkeypatch.setattr(ppoly, "_pbodies", {})
+    monkeypatch.setattr(ppoly, "_psums", {})
     return ppoly
 
 
@@ -273,6 +277,117 @@ def test_body_table_holds_exactly_the_memo_bodies(monkeypatch):
     memo = _sweep_from_an_empty_memo(monkeypatch)
     assert all(key is body for key, body in ppoly._pbodies.items())
     assert {id(body) for body in ppoly._pbodies.values()} == {id(v.body) for v in memo.values()}
+
+
+def test_a_cold_sweep_pins_its_lattice_sum_calls(monkeypatch):
+    # a node of one or two children whose sum is already in the sum table
+    # sums nothing: the fixed sweep made 12,635 lattice sums without it
+    from qpartition import ppoly
+
+    calls = []
+    summed = ppoly.lattice_sum
+
+    def counted(*raw):
+        calls.append(None)
+        return summed(*raw)
+
+    monkeypatch.setattr(ppoly, "lattice_sum", counted)
+    memo = _sweep_from_an_empty_memo(monkeypatch)
+    assert len(memo) == 5478
+    assert len(ppoly._psums) == 1016
+    assert len(calls) == 11963
+
+
+def test_a_stored_palindrome_holds_each_int_once(monkeypatch):
+    # a palindromic body is stored as its first half followed by that half's
+    # own ints reversed, so no value past the small-int cache is held twice
+    ppoly = _cold_memo(monkeypatch)
+    p(40, 0, 0, 60)
+    palindromes = [body for body in ppoly._pbodies if body == body[::-1]]
+    assert any(max(body) > 256 for body in palindromes)
+    for body in palindromes:
+        assert all(body[i] is body[-1 - i] for i in range(len(body)))
+
+
+# every component with m1, m2 <= 6 and m3 <= 3, at every s around its support
+_GRID = [
+    (m1, m2, m3, s, parity)
+    for m1 in range(7)
+    for m2 in range(7)
+    for m3 in range(4)
+    for s in range(2 * (m1 + m2) + 5 * m3 + 3)
+    for parity in (0, 1)
+]
+
+
+def _form(value):
+    return value.low, value.step, value.body
+
+
+class _Forgetful(dict):
+    """A sum table that keeps nothing, so every node sums its children."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@functools.cache
+def _grid_without_sum_table():
+    """The stored form of each `_GRID` component, built from cold in grid
+    order with no sum table."""
+    with pytest.MonkeyPatch.context() as mp:
+        ppoly = _cold_memo(mp)
+        mp.setattr(ppoly, "_psums", _Forgetful())
+        return {key: _form(p_parity(*key)) for key in _GRID}
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2**32))
+def test_a_cold_memo_in_any_call_order_matches_the_references(seed):
+    # a sum-table hit must not depend on which key first stored that sum:
+    # from cold, in a random order, each stored form equals the build with
+    # no sum table, and each value whose bases can be enumerated quickly
+    # (p_oracle takes 10 s over the shapes of m1 + m2 + m3 = 9) equals p_oracle
+    reference = _grid_without_sum_table()
+    order = list(_GRID)
+    random.Random(seed).shuffle(order)
+    with pytest.MonkeyPatch.context() as mp:
+        ppoly = _cold_memo(mp)
+        for key in order:
+            value = p_parity(*key)
+            assert _form(value) == reference[key], key
+            if sum(key[:3]) <= 5:
+                assert value == p_oracle(*key), key
+        assert ppoly._psums
+
+
+def test_a_kept_sum_table_outlives_the_memo_it_was_filled_from(monkeypatch):
+    # the sum table keys on ids of bodies and holds those bodies, so once
+    # the memo and the body table are swapped out and their values freed, no
+    # id in a key can name a new body: a second sweep equals a cold build
+    ppoly = _cold_memo(monkeypatch)
+    for key in _GRID:
+        p_parity(*key)
+    assert ppoly._psums
+    ppoly._pmemo, ppoly._pbodies = {}, {}  # no undo list keeps the old ones
+    gc.collect()
+    reference = _grid_without_sum_table()
+    for key in reversed(_GRID):
+        assert _form(p_parity(*key)) == reference[key], key
+
+
+def test_a_sum_table_key_never_names_a_freed_body(monkeypatch):
+    # P0(2,0,0,4) = q^6 (P0(1,0,0,3) + P0(1,0,0,2)): plant both children on
+    # one fresh body and sum; then drop the memo and plant a new body of the
+    # same size, which the allocator tends to place where the freed one was
+    ppoly = _cold_memo(monkeypatch)
+    for start in (1, 2):
+        ppoly._pmemo, ppoly._pbodies = {}, {}
+        child = QPoly._wrap(4, 1, tuple(range(start, start + 100)))
+        ppoly._pmemo[(1, 0, 0, 3, 0)] = ppoly._pmemo[(1, 0, 0, 2, 0)] = child
+        del child
+        value = p_parity(2, 0, 0, 4, 0)
+        assert _form(value) == (10, 1, tuple(range(2 * start, 2 * start + 200, 2)))
 
 
 def test_memo_stores_only_the_nonzero_span(monkeypatch):

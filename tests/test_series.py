@@ -564,3 +564,27 @@ def test_any_frozen_subclass_gets_a_builder(slots):
     assert cls._wrap.__qualname__ == "Throwaway._wrap"
     with pytest.raises(AttributeError, match="^Throwaway is immutable$"):
         setattr(built, slots[0], None)
+
+
+@pytest.mark.parametrize("cls", list(_BUILT), ids=lambda cls: cls.__name__)
+def test_a_value_type_can_be_subclassed(cls):
+    # a subclass that declares no slots reads its parent's slot setters
+    # through the MRO, and its own _wrap builds instances of the subclass
+    sub = type("Sub", (cls,), {"__module__": __name__})
+    values = _BUILT[cls]
+    built = sub._wrap(*values)
+    assert type(built) is sub
+    assert all(getattr(built, name) is value for name, value in zip(cls.__slots__, values))
+    assert sub._wrap.__qualname__ == "Sub._wrap"
+    with pytest.raises(AttributeError, match="^Sub is immutable$"):
+        setattr(built, cls.__slots__[0], None)
+
+
+def test_a_qpoly_subclass_builds_through_the_checked_constructor():
+    class P2(QPoly):
+        pass
+
+    value = P2((0, 1, 2))
+    assert type(value) is P2 and type(copy.copy(value)) is P2
+    assert (value.low, value.step, value.body) == (1, 1, (1, 2))
+    assert value == QPoly((0, 1, 2))
