@@ -30,11 +30,12 @@ part to the singleton below, and then its top is at least 2 below the part
 above the write.  The scan is back in step, and only the moving pair's start
 changes; any other outcome trips an assertion.  While pair i moves, the
 pairs below and above it stay put, so one kernel call per pair keeps its
-floor, the scan's resume index and pair i+1's start in locals:
-`_backward_run` moves it until blocked (or ``limit`` moves) and
-`_forward_run` makes ``count`` moves, each move with every check (rules
-(i)-(iii) through `_backward_put`, the forward ValueErrors, put between its
-neighbours, the scan).  A traced move records the pair before the write and
+floor, the scan's resume index and pair i+1's start in locals.  The one
+kernel, `_run`, serves both directions: it moves the pair until blocked or
+``limit`` moves, and its ``forward`` flag picks only the put rule (rules
+(i)-(iii) through `_backward_put`, or the forward regroup and ValueErrors).
+The order check (put between its neighbours), the write, the scan and the
+trace event are shared.  A traced move records the pair before the write and
 what was written; it regrouped iff the pair's start changed.
 
 Backward moves.  A pair rewrites [k,k+1] -> [k-1,k-1] or [k,k] -> [k-2,k-1],
@@ -183,65 +184,44 @@ def _backward_put(parts, j: int, floor: int) -> Optional[tuple[int, int]]:
     return put
 
 
-def _backward_run(parts: list, starts: list, i: int, limit: float, trace: Optional[list]) -> int:
-    """Move pair i of ``(parts, starts)`` backward in place (weight -3 each)
-    until it is blocked or has made ``limit`` moves; return the count."""
-    n, count = len(parts), 0
+def _run(
+    parts: list, starts: list, i: int, limit: float, forward: bool, trace: Optional[list]
+) -> int:
+    """Move pair i of ``(parts, starts)`` in place, forward (weight +3 each)
+    or backward (weight -3 each), until it is blocked or has made ``limit``
+    moves; return the count.  ``forward`` picks only the put rule: backward
+    moves stop where `_backward_put` blocks them; a forward move regroups
+    first when a singleton trails the pair within 1, and one that would put
+    a value thrice or pass the pair above raises ValueError before writing."""
+    n, count, op = len(parts), 0, "forward" if forward else "backward"
     floor, resume = (parts[starts[i - 1] + 1], starts[i - 1] + 2) if i else (1, 0)
     above = starts[i + 1] if i + 1 < len(starts) else n
     while count < limit:
-        j = starts[i]
-        put = _backward_put(parts, j, floor)
-        if put is None:
-            break
-        if (j and put[0] < parts[j - 1]) or (j + 2 < n and put[1] > parts[j + 2]):
-            raise AssertionError(
-                "move put %s out of order at index %d of %s" % (put, j, _tagged(parts))
-            )
-        old = parts[j : j + 2]
-        parts[j], parts[j + 1] = put
-        k, stop, found = (j - 1 if j > resume else resume), (j + 2 if j + 2 < n else n - 1), 0
-        while k < stop:  # the greedy scan, restarted just below the write
-            if parts[k + 1] - parts[k] <= 1:
-                new, found = k, found + 1
-                k += 2
-            else:
-                k += 1
-        if j < resume or found != 1 or k > above:
-            _unsynced(parts, j, resume, old)
-        starts[i] = new
-        if trace is not None:
-            trace.append({"op": "backward", "pair": old, "result": list(put), "regroup": new != j})
-        count += 1
-    return count
-
-
-def _forward_run(parts: list, starts: list, i: int, count: int, trace: Optional[list]) -> None:
-    """Make ``count`` forward moves (weight +3 each) of pair i in place, each
-    regrouping first when a singleton trails the pair within 1; a move that
-    would put a value thrice or pass the pair above raises ValueError."""
-    n = len(parts)
-    resume = starts[i - 1] + 2 if i else 0
-    above = starts[i + 1] if i + 1 < len(starts) else n
-    for _ in range(count):
         s = j = starts[i]
-        # a,[b,s] regrouping when a singleton s trails [a,b]: a stays behind
-        if j + 2 < n and parts[j + 2] - parts[j + 1] <= 1 and above != j + 2:
-            j += 1
-        a, b = parts[j], parts[j + 1]
-        put = (a + 1, a + 2) if a == b else (b + 1, b + 1)
-        # put's values differ from the pair's, so only they can reach 3, and
-        # all their copies sit in the four parts above it (module docstring)
-        window = parts[j + 2 : j + 6]
-        if window.count(put[0]) + (put[0] == put[1]) > 1 or window.count(put[1]) > 1:
-            raise ValueError(
-                "forward move on [%d,%d] of %s would repeat a part more than twice"
-                % (a, b, _tagged(parts))
-            )
-        if j + 2 < n and put[1] > parts[j + 2]:
-            raise ValueError(
-                "forward move on [%d,%d] of %s would pass the pair above" % (a, b, _tagged(parts))
-            )
+        if forward:
+            # a,[b,s] regrouping when a singleton s trails [a,b]: a stays behind
+            if j + 2 < n and parts[j + 2] - parts[j + 1] <= 1 and above != j + 2:
+                j += 1
+            a, b = parts[j], parts[j + 1]
+            put = (a + 1, a + 2) if a == b else (b + 1, b + 1)
+            # put's values differ from the pair's, so only they can reach 3, and
+            # all their copies sit in the four parts above it (module docstring)
+            window = parts[j + 2 : j + 6]
+            if window.count(put[0]) + (put[0] == put[1]) > 1 or window.count(put[1]) > 1:
+                raise ValueError(
+                    "forward move on [%d,%d] of %s would repeat a part more than twice"
+                    % (a, b, _tagged(parts))
+                )
+            if j + 2 < n and put[1] > parts[j + 2]:
+                raise ValueError(
+                    "forward move on [%d,%d] of %s would pass the pair above"
+                    % (a, b, _tagged(parts))
+                )
+        else:
+            put = _backward_put(parts, j, floor)
+            if put is None:
+                break
+            a, b = parts[j], parts[j + 1]
         if (j and put[0] < parts[j - 1]) or (j + 2 < n and put[1] > parts[j + 2]):
             raise AssertionError(
                 "move put %s out of order at index %d of %s" % (put, j, _tagged(parts))
@@ -258,9 +238,9 @@ def _forward_run(parts: list, starts: list, i: int, count: int, trace: Optional[
             _unsynced(parts, j, resume, [a, b])
         starts[i] = new
         if trace is not None:
-            trace.append(
-                {"op": "forward", "pair": [a, b], "result": list(put), "regroup": new != s}
-            )
+            trace.append({"op": op, "pair": [a, b], "result": list(put), "regroup": new != s})
+        count += 1
+    return count
 
 
 def _unsynced(parts: list, j: int, resume: int, old: list):
@@ -288,16 +268,16 @@ def backward_move(
     Returns the re-tagged partition, or None when the move is blocked.
     """
     parts, starts = _move_lists(tp, pair_index)
-    return _tagged(parts) if _backward_run(parts, starts, pair_index, 1, trace) else None
+    return _tagged(parts) if _run(parts, starts, pair_index, 1, False, trace) else None
 
 
 def forward_move(
     tp: TaggedPartition, pair_index: int, trace: Optional[list] = None
 ) -> TaggedPartition:
     """One weight+3 forward move on the pair with the given ordinal; see
-    `_forward_run` for the regroup and the ValueErrors."""
+    `_run` (with ``forward`` set) for the regroup and the ValueErrors."""
     parts, starts = _move_lists(tp, pair_index)
-    _forward_run(parts, starts, pair_index, 1, trace)
+    _run(parts, starts, pair_index, 1, True, trace)
     return _tagged(parts)
 
 
@@ -385,7 +365,7 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
     """
     tp = TaggedPartition(p)
     parts, starts = list(tp.parts), list(tp.starts)
-    mu = [3 * _backward_run(parts, starts, i, math.inf, trace) for i in range(len(starts))]
+    mu = [3 * _run(parts, starts, i, math.inf, False, trace) for i in range(len(starts))]
     if mu != sorted(mu):
         raise AssertionError("mu came out decreasing: %s" % (tuple(mu),))
 
@@ -469,7 +449,7 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
     keeps them at least 2 apart and at least k+1, so the parts stay sorted,
     no new pair forms, and the prefix through the last pair, whose greedy
     tagging depends on it alone, is untouched.  Every forward move is then
-    checked in `_forward_run`.
+    checked in `_run`.
     """
     if not isinstance(d, Decomposition):
         raise ValueError("%r is not a Decomposition" % (d,))
@@ -485,7 +465,7 @@ def compose(d: Decomposition, trace: Optional[list] = None) -> tuple[int, ...]:
 
     # forward moves on pairs, largest first with the largest mu part (its zeros lead)
     for i in reversed(range(d.mu.count(0), d.n2)):
-        _forward_run(parts, starts, i, d.mu[i] // 3, trace)
+        _run(parts, starts, i, d.mu[i] // 3, True, trace)
     parts = tuple(parts)
     if has_triple(parts):
         raise AssertionError("composition left the at-most-twice class: %s" % (parts,))

@@ -28,13 +28,14 @@ themselves.
 
 The recursion's three tables here (``_pmemo``, the values; ``_pbodies``,
 their bodies; ``_psums``, the sums), ``_oracle_memo``, and ``genfun``'s
-kept rows of H+ (`genfun._h_plus_rows`) are the package's only shared
-state: module-level, each entry a pure function of its key (an H+ row
-grows only by a longer prefix of itself), and each value frozen
-(`series.Frozen`).  ``_pbodies`` maps each distinct body of ``_pmemo``'s
-values to the one copy of it that they all hold: Gaussian binomials are
-symmetric and the pair families are shifts of the same q^2-binomials, so
-many values differ only in ``low``.  A value joins the table after its
+kept rows of H+ (`genfun._h_plus_rows`) are the package's shared values:
+module-level, each entry a pure function of its key (an H+ row grows only
+by a longer prefix of itself), and each value frozen (`series.Frozen`).
+The only other process-wide state is `cli._parser`, a `functools.cache`
+holding the argument parser, which parsing never changes.  ``_pbodies``
+maps each distinct body of ``_pmemo``'s values to the one copy of it that
+they all hold: Gaussian binomials are symmetric and the pair families are
+shifts of the same q^2-binomials, so many values differ only in ``low``.  A value joins the table after its
 nonnegativity check, as it enters the memo; sums on the way never do.  A
 palindromic body is stored as its first half followed by that half's own
 ints reversed, so each coefficient past the small-int cache is held once.

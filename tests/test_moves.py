@@ -11,8 +11,7 @@ from qpartition import moves
 from qpartition.moves import (
     Decomposition,
     TaggedPartition,
-    _backward_run,
-    _forward_run,
+    _run,
     backward_move,
     compose,
     decompose,
@@ -298,6 +297,12 @@ def test_tagging_and_move_inverse_property(parts):
         moved = backward_move(tp, i)
         if moved is not None:
             assert forward_move(moved, i) == tp, (parts, i)
+        # and the other way: a forward move it allows is undone by one backward move
+        try:
+            moved = forward_move(tp, i)
+        except ValueError:
+            continue
+        assert backward_move(moved, i) == tp, (parts, i)
 
 
 def test_singleton_classification_roles():
@@ -572,23 +577,20 @@ def _naive_forward(tp, pair_index):
 
 
 def _checked_move(kind, parts, starts, pair_index, trace):
-    """One move of pair ``pair_index`` through its kernel, held to the naive
+    """One move of pair ``pair_index`` through the kernel, held to the naive
     reference: the parts, starts and traced event it leaves, or nothing
     changed when the reference blocks it.  Returns whether it moved."""
     tp = TaggedPartition(parts)
     assert tuple(starts) == tp.starts, (kind, tp)  # the running tagging is exact
     events = len(trace)
-    if kind == "backward":
-        ref = _naive_backward(tp, pair_index)
-        moved = _backward_run(parts, starts, pair_index, 1, trace)
-        if ref is None:
-            after = (moved, tuple(parts), tuple(starts), len(trace))
-            assert after == (0, tp.parts, tp.starts, events), (kind, tp, pair_index)
-            return False
-        assert moved == 1, (kind, tp, pair_index)
-    else:
-        ref = _naive_forward(tp, pair_index)
-        _forward_run(parts, starts, pair_index, 1, trace)
+    forward = kind == "forward"
+    ref = (_naive_forward if forward else _naive_backward)(tp, pair_index)
+    moved = _run(parts, starts, pair_index, 1, forward, trace)
+    if ref is None:
+        after = (moved, tuple(parts), tuple(starts), len(trace))
+        assert after == (0, tp.parts, tp.starts, events), (kind, tp, pair_index)
+        return False
+    assert moved == 1, (kind, tp, pair_index)
     new, j = ref
     assert (tuple(parts), tuple(starts)) == (new.parts, new.starts), (kind, tp, pair_index)
     event = {
@@ -667,22 +669,22 @@ def test_out_of_order_put_trips_the_sortedness_assertion(monkeypatch):
     # [2,2] has 6 above it; a put past 6 would need the re-sort it no longer gets
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (7, 8))
     with pytest.raises(AssertionError, match="out of order"):
-        _backward_run([2, 2, 6], [0], 0, 1, None)
+        _run([2, 2, 6], [0], 0, 1, False, None)
     # and below: 1 sits under [4,4]
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (0, 0))
     with pytest.raises(AssertionError, match="out of order"):
-        _backward_run([1, 4, 4], [1], 0, 1, None)
+        _run([1, 4, 4], [1], 0, 1, False, None)
 
 
 def test_stability_check_fires(monkeypatch):
     # [1,2],[4,5] with pair 1 rewritten to 4,7: the rescan finds no pair there
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (4, 7))
     with pytest.raises(AssertionError, match="changed the pair count"):
-        _backward_run([1, 2, 4, 5], [0, 2], 1, 1, None)
+        _run([1, 2, 4, 5], [0, 2], 1, 1, False, None)
     # a pair 1 said to start inside pair 0 would write below the rescan point
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (2, 2))
     with pytest.raises(AssertionError, match=r"disturbed a finalized pair: \[1,2\],3,5 ->"):
-        _backward_run([1, 2, 3, 5], [0, 1], 1, 1, None)
+        _run([1, 2, 3, 5], [0, 1], 1, 1, False, None)
 
 
 def test_unsynced_local_scan_trips_the_stability_check(monkeypatch):
@@ -691,7 +693,7 @@ def test_unsynced_local_scan_trips_the_stability_check(monkeypatch):
     # (a fresh tagging would read 1,[4,4],[5,5])
     monkeypatch.setattr(moves, "_backward_put", lambda parts, j, below: (1, 4))
     with pytest.raises(AssertionError, match=r"changed the pair count: \[1,1\],\[4,5\],5 ->"):
-        _backward_run([1, 1, 4, 5, 5], [0, 2], 0, 1, None)
+        _run([1, 1, 4, 5, 5], [0, 2], 0, 1, False, None)
 
 
 @pytest.mark.parametrize("move", [backward_move, forward_move])
@@ -705,6 +707,25 @@ def test_forward_move_rejects_passing_the_pair_above():
     # which no backward move maps back
     with pytest.raises(ValueError, match="pass the pair above"):
         forward_move(TaggedPartition((1, 1, 2, 3)), 0)
+
+
+def test_refused_forward_moves_leave_the_lists_untouched():
+    # both refusals are raised before the kernel writes, so the caller's
+    # parts, starts and trace are as they were
+    refused = set()
+    for n in range(19):
+        for p in iter_partitions(n):
+            if not check_at_most_twice(p):
+                continue
+            tp = TaggedPartition(p)
+            for i in range(len(tp.starts)):
+                parts, starts, trace = list(tp.parts), list(tp.starts), []
+                try:
+                    _run(parts, starts, i, 1, True, trace)
+                except ValueError as exc:
+                    refused.add(str(exc).rsplit(" would ", 1)[1])
+                    assert (parts, starts, trace) == (list(tp.parts), list(tp.starts), []), (tp, i)
+    assert refused == {"repeat a part more than twice", "pass the pair above"}, refused
 
 
 # --------------------------------------------------------- checked triples
@@ -751,7 +772,7 @@ def test_compose_refuses_a_plain_triple():
 
 def test_decompose_asserts_that_mu_is_non_decreasing(monkeypatch):
     # pair 0 of [1,1],[4,4] said to move once and pair 1 not at all
-    monkeypatch.setattr(moves, "_backward_run", lambda parts, starts, i, limit, trace: 1 - i)
+    monkeypatch.setattr(moves, "_run", lambda parts, starts, i, limit, forward, trace: 1 - i)
     with pytest.raises(AssertionError, match=r"^mu came out decreasing: \(3, 0\)$"):
         decompose((1, 1, 4, 4))
 
