@@ -5,7 +5,8 @@ for coefficient on any shared window:
 
 * ``kr_brute``       -- count partitions directly (`partitions.brute_series`
                         walking the class's prefix rule `partitions.kr_rule`);
-* ``kr_alternating`` -- the triple sum over (i, j, k) with a (-1)^k sign;
+* ``kr_alternating`` -- Kanade and Russell's triple sum over (i, j, k) with
+                        a (-1)^k sign;
 * ``kr_positive``    -- the evidently positive multi-sum built from the base
                         polynomials P(m1,m2,m3,s;q^2); every term is
                         nonnegative, which is asserted during accumulation;
@@ -23,32 +24,36 @@ No class condition looks more than two parts back, so a partition is in
 its class iff each part passes the prefix rule after the parts before it
 (`partitions`), and the brute walk enters members only.
 
-Every term of both sums is homogeneous in t, so it is built on one q-row
+Every term of every sum is homogeneous in t, so it is built on one q-row
 and added into its t-row.  Division by 1 - q^d is causal (coefficient n
 depends only on coefficients <= n), so it commutes with multiplication by
 q^e on a window truncated from above: a row divided on the first
 max_q + 1 - e coefficients and then shifted by e equals the row shifted
-first and divided on the whole window.  The alternating sum uses this
-directly: the index loops extend a parent row by one division on a copy
-(`_divided`), and `series.add_shifted` adds the row at its shift.  The
-exponent grows with every index, so each loop stops at the first term past
-the window and rows shrink as it grows.
+first and divided on the whole window.  So each sum extends a row by one
+division on a copy cut to the window it is shifted into (`_divided`), and
+`series.add_shifted` adds the copy at its shift.  The exponent grows with
+every index, so each sum stops at the first term past the window and rows
+shrink as it grows.
 
 The positive sums follow the paper's construction.  H+ is a sum over
 cores (m1, m2, m3, n12) at t-degree L = 2(m1+m2) + 5m3 + n12: the sum over
 s of P, q-shifted, over (q;q)_{n12} (q^3;q^3)_{m1+m2+2m3}.  Every P added
-is asserted nonnegative.  `_h_plus_row` builds H+ one t-degree row at a
-time.  The denominators nest, so it sums over n12 and over
-K = m1+m2+2m3 in Horner form, one division per index step, and
-``h_positive`` is those rows at full width.  By the causality above, a
-row's prefix does not depend on how far the row was built, so H+ is built
-once per process and shared by all four positive routes (``h_positive``
-and ``kr_positive`` for each class): `_h_plus_rows` keeps each row at the
-longest prefix asked for so far and hands every caller a copy of a slice
-of it.  Only this shared numerator is kept; no route's output is.
+is asserted nonnegative; the sum over s runs, one parity at a time, over
+``ppoly.support``, exactly the s where that component of P is nonzero.
+`_h_plus_row` builds H+ one t-degree row at a time.  The denominators
+nest, so it sums over n12 and over K = m1+m2+2m3 in Horner form, one
+division per index step, and ``h_positive`` is those rows at full width.
+By the causality above, a row's prefix does not depend on how far the row
+was built, so H+ is built once per process and shared by all four
+positive routes (``h_positive`` and ``kr_positive`` for each class):
+`_h_plus_rows` keeps each row at the longest prefix asked for so far and
+hands every caller a copy of a slice of it.  Only this shared numerator
+is kept; no route's output is.
 
-Each class series is a numerator N(t;q) over Euler denominators, then the
-staircase t^M -> t^M q^{M^2} (`_class_series`):
+Every class series is a numerator N(t;q) times Euler factors, then a
+staircase t^M -> t^M q^{M^2 + extra*M}.  One engine, `_class_series`,
+builds them all and takes the staircase and the factors as data; the
+positive and marker sums read theirs from `_CLASSES`:
 
 * D:   N / (tq;q^2)_inf (t^2q^4;q^4)_inf (1 - t);
 * D':  N / (tq;q^2)_inf (t^2;q^4)_inf;
@@ -58,25 +63,34 @@ staircase t^M -> t^M q^{M^2} (`_class_series`):
 prod (1 + t q^{2n} + (a-1) t^2 q^{4n}), built in place by `_pair_product`
 like ``h_product``; at a = 2 it is H(t;q^2).
 
+Kanade and Russell's alternating sum is the same engine on another
+staircase.  Its (i, j, k) term is
+
+    (-1)^k t^s q^{s(s-1) + a*i + b*j + 3k^2 + c*k} / (q;q)_i (q^4;q^4)_j (q^6;q^6)_k,
+
+s = i + 2j + 3k, with (a, b, c) = (1, 6, 6) for D, (2, 2, 6) for D' and
+(4, 6, 12) for D'' (`_ALTERNATING`).  The part s(s-1) is the staircase
+t^M -> t^M q^{M(M-1)} (extra = -1); the sums over i and j are the Euler
+factors 1/(t q^a; q)_inf and 1/(t^2 q^b; q^4)_inf; and the sum over k is
+the numerator sum_k (-1)^k t^{3k} q^{3k^2 + ck} / (q^6;q^6)_k, one division
+per k.  That numerator is zero off the t-degrees 0, 3, 6, ..., and
+`_euler_sum` skips a zero row, so the t-degree-1 factor goes first: it
+fills the rows the t^2 factor then reads.
+
 Each 1/(x;q^b)_inf is expanded by Euler's sum_k x^k/(q^b;q^b)_k (Andrews,
 *The Theory of Partitions*, 1976, ch. 2), `_euler_sum`: row L reaches row
-L + k*deg_t(x) through k divisions on a copy.  For D these are the sums
-over the multi-sum's indices i and j, and 1/(1 - t), its k index, adds
-each t-row into the next, in ascending order.  Truncating each t-degree
-on its own is exact.  Before the staircase, row M is needed
-only on its first size_M = max_q + 1 - M^2 - extra*M coefficients (extra
-is 2 for D'' and 0 otherwise).  Every factor raises the t-degree and never
-lowers the q-degree, so row M depends only on rows L <= M, on the same
-prefix, and size_L >= size_M.  So the numerator's row L is built on its
-first size_L coefficients (H+'s on ceil(size_L / 2), which q -> q^2
-stretches to size_L).  ``kr_positive`` asserts every row nonnegative again
-after the Euler sums.
-
-The alternating sums stop at t-degree max_t and at the first q-exponent
-past max_q.  The class series bound the t-degree M by M^2 <= max_q (a
-class partition with M parts weighs at least M^2), and the inner sum over s
-runs, one parity at a time, over ``ppoly.support``, exactly the s where
-that component of P is nonzero.
+L + k*deg_t(x) through k divisions on a copy.  For the positive sum of D
+these are the sums over the multi-sum's indices i and j, and 1/(1 - t),
+its k index, adds each t-row into the next, in ascending order.
+Truncating each t-degree on its own is exact.  Before the staircase, row M
+is needed only on its first size_M = max_q + 1 - M^2 - extra*M
+coefficients.  Every factor raises the t-degree and never lowers the
+q-degree, so row M depends only on rows L <= M, on the same prefix, and
+size_L >= size_M.  So the numerator's row L is built on its first size_L
+coefficients (H+'s on ceil(size_L / 2), which q -> q^2 stretches to
+size_L).  The t-degree M is bounded by M^2 <= max_q; `_class_series`
+proves the bound for each sum.  ``kr_positive`` asserts every row
+nonnegative again after the Euler sums.
 """
 
 from __future__ import annotations
@@ -133,52 +147,89 @@ def _pair_product(sizes: list, c2: int, b: int) -> list:
     return rows
 
 
+def _euler_sum(rows: list, dt: int, dq: int, b: int) -> None:
+    """rows times 1/(t^dt q^dq; q^b)_inf in place, as Euler's sum
+    sum_k t^{dt k} q^{dq k} / (q^b; q^b)_k: row L reaches row L + dt*k
+    through k divisions.  Rows are taken from the top down, so each is read
+    before anything is added into it; an all-zero row adds nothing and is
+    skipped, and each row's window bounds the copies added into it.  b = 0
+    stands for 1/(1 - t^dt q^dq): each row is added into the row dt above
+    it, from the bottom up, so it is final when it is read."""
+    if not b:
+        for L in range(dt, len(rows)):
+            add_shifted(rows[L], rows[L - dt], dq)
+        return
+    for L in range(len(rows) - 1 - dt, -1, -1):
+        term = rows[L]
+        if not any(term):
+            continue
+        for k in range(1, (len(rows) - 1 - L) // dt + 1):
+            dst = rows[L + dt * k]
+            size = len(dst) - dq * k
+            if size <= 0:
+                break
+            term = _divided(term, b * k, size)
+            add_shifted(dst, term, dq * k)
+
+
+def _class_series(max_q: int, max_t: int, numerator, extra: int, factors) -> BiSeries:
+    """The numerator N times the Euler ``factors``, each `_euler_sum`'s
+    (dt, dq, b) and summed in order, on the staircase
+    t^M -> t^M q^{M^2 + extra*M} (see the module docstring).
+
+    Row M is needed only on its first size_M = max_q + 1 - M^2 - extra*M
+    coefficients, so ``numerator(sizes)`` returns N's t-rows, row M exactly
+    sizes[M] long, and the staircase puts M^2 + extra*M zeros before it.
+    Rows with M^2 > max_q are zero and are not built.  For extra >= 0 the
+    staircase alone moves them past the window.  For the alternating sum
+    (extra = -1) every term has q-exponent at least s^2: in
+    s(s-1) + a*i + b*j + 3k^2 + c*k, a >= 1, b >= 2 and 3k^2 + ck >= 3k,
+    so the linear part is at least i + 2j + 3k = s."""
+    check_window(max_q, max_t)
+    shifts = [m * (m + extra) for m in range(min(max_t, math.isqrt(max_q)) + 1)]
+    rows = numerator([max_q + 1 - shift for shift in shifts if shift <= max_q])
+    for factor in factors:
+        _euler_sum(rows, *factor)
+    out = [[0] * shift + row for shift, row in zip(shifts, rows)]
+    out += [[0] * (max_q + 1) for _ in range(max_t + 1 - len(out))]
+    return BiSeries._wrap(max_q, max_t, out)
+
+
 # ----------------------------------------------------------- alternating
 
-def _alternating_q_exponent(variant: KrVariant, i: int, j: int, k: int) -> int:
-    s = i + 2 * j + 3 * k
-    base = s * (s - 1)
-    if variant is KrVariant.D:
-        return base + i + 6 * j + 3 * k * k + 6 * k
-    if variant is KrVariant.DPRIME:
-        return base + 2 * i + 2 * j + 3 * k * k + 6 * k
-    return base + 4 * i + 6 * j + 3 * k * k + 12 * k
+# the linear exponents (a, b, c) of the alternating term's q-exponent
+# s(s-1) + a*i + b*j + 3k^2 + c*k, s = i + 2j + 3k
+_ALTERNATING = {
+    KrVariant.D: (1, 6, 6),
+    KrVariant.DPRIME: (2, 2, 6),
+    KrVariant.DPRIMEPRIME: (4, 6, 12),
+}
 
 
 def kr_alternating(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
-    """The signed triple sum over (i, j, k); t-degree is i + 2j + 3k.
-
-    The (i, j, k) term is (-1)^k q^e / (q^6;q^6)_k (q^4;q^4)_j (q;q)_i with
-    e = ``_alternating_q_exponent``, which grows with each index, so each
-    loop stops at the first term past the window and extends its parent's
-    row by one division.
-    """
+    """The signed triple sum over (i, j, k) of
+    (-1)^k t^s q^{s(s-1) + a*i + b*j + 3k^2 + c*k} / (q;q)_i (q^4;q^4)_j (q^6;q^6)_k,
+    s = i + 2j + 3k, as `_class_series` on the staircase t^M -> t^M q^{M(M-1)}:
+    the sums over i and j are 1/(t q^a; q)_inf and 1/(t^2 q^b; q^4)_inf,
+    and the numerator is the sum over k, one division per k."""
     check_variant(variant)
-    check_window(max_q, max_t)
-    rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
-    row_k = [1] + [0] * max_q
-    for k in range(max_t // 3 + 1):
-        size = max_q + 1 - _alternating_q_exponent(variant, 0, 0, k)
-        if size <= 0:
-            break
-        if k:
-            row_k = _divided(row_k, 6 * k, size)
-        row_j = row_k
-        for j in range((max_t - 3 * k) // 2 + 1):
-            size = max_q + 1 - _alternating_q_exponent(variant, 0, j, k)
+    a, b, c = _ALTERNATING[variant]
+
+    def numerator(sizes):
+        rows = [[0] * size for size in sizes]
+        rows[0][0] = 1
+        term = rows[0]
+        for k in range(1, (len(rows) + 2) // 3):
+            shift = 3 * k * k + c * k
+            size = sizes[3 * k] - shift
             if size <= 0:
                 break
-            if j:
-                row_j = _divided(row_j, 4 * j, size)
-            row = row_j
-            for i in range(max_t - 3 * k - 2 * j + 1):
-                exp = _alternating_q_exponent(variant, i, j, k)
-                if exp > max_q:
-                    break
-                if i:
-                    row = _divided(row, i, max_q + 1 - exp)
-                add_shifted(rows[i + 2 * j + 3 * k], row, exp, -1 if k % 2 else 1)
-    return BiSeries._wrap(max_q, max_t, rows)
+            term = _divided(term, 6 * k, size)
+            add_shifted(rows[3 * k], term, shift, -1 if k % 2 else 1)
+        return rows
+
+    # the t-degree-1 factor first: it skips the numerator's zero rows
+    return _class_series(max_q, max_t, numerator, -1, ((1, a, 1), (2, b, 4)))
 
 
 # --------------------------------------------------------------- positive
@@ -256,47 +307,13 @@ def _h_plus_rows(sizes: list) -> list:
     return rows
 
 
-def _euler_sum(rows: list, dt: int, dq: int, b: int) -> None:
-    """rows times 1/(t^dt q^dq; q^b)_inf in place, as Euler's sum
-    sum_k t^{dt k} q^{dq k} / (q^b; q^b)_k: row L reaches row L + dt*k
-    through k divisions.  Rows are taken from the top down, so each is read
-    before anything is added into it, and each row's window bounds the
-    copies added into it."""
-    for L in range(len(rows) - 1 - dt, -1, -1):
-        term = rows[L]
-        for k in range(1, (len(rows) - 1 - L) // dt + 1):
-            dst = rows[L + dt * k]
-            size = len(dst) - dq * k
-            if size <= 0:
-                break
-            term = _divided(term, b * k, size)
-            add_shifted(dst, term, dq * k)
-
-
-def _class_series(variant: KrVariant, max_q: int, max_t: int, numerator) -> BiSeries:
-    """The class series of the numerator N (see the module docstring).
-
-    ``numerator(sizes)`` returns N's t-rows, row M on its first sizes[M]
-    coefficients: before its staircase shift q^{M^2 + extra*M} (extra = 2
-    for D'', else 0), row M is needed only up to q^{max_q - M^2 - extra*M}."""
-    check_variant(variant)
-    check_window(max_q, max_t)
-    extra = 2 if variant is KrVariant.DPRIMEPRIME else 0  # t -> t q^2
-    sizes = [
-        max_q + 1 - m * (m + extra) for m in range(min(max_t, math.isqrt(max_q)) + 1)
-    ]
-    rows = numerator([size for size in sizes if size > 0])  # decreasing, so a prefix
-    _euler_sum(rows, 1, 1, 2)  # 1/(t q; q^2)_inf
-    if variant is KrVariant.D:
-        _euler_sum(rows, 2, 4, 4)  # 1/(t^2 q^4; q^4)_inf
-        for m in range(1, len(rows)):  # 1/(1 - t), ascending: row m - 1 is final
-            add_shifted(rows[m], rows[m - 1], 0)
-    else:
-        _euler_sum(rows, 2, 0, 4)  # 1/(t^2; q^4)_inf
-    out = [[0] * (max_q + 1) for _ in range(max_t + 1)]
-    for m, row in enumerate(rows):
-        add_shifted(out[m], row, m * (m + extra))
-    return BiSeries._wrap(max_q, max_t, out)
+# each class's staircase t^M -> t^M q^{M^2 + extra*M} and Euler factors
+# (dt, dq, b), as `_class_series` takes them
+_CLASSES = {
+    KrVariant.D: (0, ((1, 1, 2), (2, 4, 4), (1, 0, 0))),  # (tq;q^2) (t^2q^4;q^4) (1-t)
+    KrVariant.DPRIME: (0, ((1, 1, 2), (2, 0, 4))),  # (tq;q^2) (t^2;q^4)
+    KrVariant.DPRIMEPRIME: (2, ((1, 1, 2), (2, 0, 4))),  # D' at t -> t q^2
+}
 
 
 def _h_plus_stretched(sizes: list) -> list:
@@ -312,7 +329,8 @@ def _h_plus_stretched(sizes: list) -> list:
 def kr_positive(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
     """The evidently positive multi-sum: `_class_series` of H+(t; q^2), with
     every P and every t-degree row after the Euler sums checked nonnegative."""
-    series = _class_series(variant, max_q, max_t, _h_plus_stretched)
+    check_variant(variant)
+    series = _class_series(max_q, max_t, _h_plus_stretched, *_CLASSES[variant])
     for m, row in enumerate(series._rows):
         if min(row) < 0:
             raise AssertionError("negative coefficient in the positive-sum t-degree row %s" % m)
@@ -325,7 +343,10 @@ def kr_marker(variant: KrVariant, a: int, max_q: int, max_t: int) -> BiSeries:
     the staircase.  It counts each seed a^{#toggle groups} (`seeds`), so at
     a = 2 it is the class series."""
     check_ints(a=a)
-    return _class_series(variant, max_q, max_t, lambda sizes: _pair_product(sizes, a - 1, 2))
+    check_variant(variant)
+    return _class_series(
+        max_q, max_t, lambda sizes: _pair_product(sizes, a - 1, 2), *_CLASSES[variant]
+    )
 
 
 def _h_series(max_q: int, max_t: int, build) -> BiSeries:

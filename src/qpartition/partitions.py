@@ -42,7 +42,7 @@ from enum import Enum
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
-from .series import BiSeries, check_window
+from .series import BiSeries, check_ints, check_window
 
 Rule = Callable[[tuple[int, ...]], bool]
 
@@ -185,10 +185,12 @@ def at_most_twice_rule(parts: tuple[int, ...]) -> bool:
 
 def iter_partitions(n: int, max_len: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """All partitions of n as non-decreasing tuples, lexicographic order: the
-    unpruned enumeration the tests hold ``brute_series`` to."""
-    if n < 0:
-        raise ValueError("weight must be >= 0")
+    unpruned enumeration the tests hold ``brute_series`` to.  ``n`` and
+    ``max_len`` must be ints, neither negative."""
     limit = n if max_len is None else max_len
+    check_ints(n=n, max_len=limit)
+    if n < 0 or limit < 0:
+        raise ValueError("weight and length must be >= 0")
 
     def gen(remaining: int, min_part: int, room: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:

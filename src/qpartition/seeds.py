@@ -35,8 +35,10 @@ from .series import check_ints
 
 
 def staircase(m: int) -> tuple[int, ...]:
-    """The base partition 1, 3, 5, ..., 2m-1."""
+    """The base partition 1, 3, 5, ..., 2m-1; m must be an int >= 0."""
     check_ints(m=m)
+    if m < 0:
+        raise ValueError("staircase length must be >= 0, got %d" % m)
     return tuple(range(1, 2 * m, 2))
 
 

@@ -60,6 +60,22 @@ def test_kr_positive_divides_by_t_degree(monkeypatch):
     assert 0 < len(calls) <= 1500
 
 
+def test_kr_alternating_divides_by_t_degree(monkeypatch):
+    # one division per (i, j, k) term of the triple sum is 1,029 on this
+    # window.  As a numerator over two Euler sums it makes 420; summing the
+    # t^2 factor first makes 559, and dividing all-zero rows makes 741
+    calls = []
+    real = genfun.divide_geometric
+
+    def counted(row, d):
+        calls.append(d)
+        real(row, d)
+
+    monkeypatch.setattr(genfun, "divide_geometric", counted)
+    kr_alternating(D, 1000, 31)
+    assert 0 < len(calls) <= 450
+
+
 _ROUTES = {
     "kr_brute": functools.partial(kr_brute, D),
     "kr_alternating": functools.partial(kr_alternating, D),
@@ -204,8 +220,9 @@ def test_pair_product_matches_the_dense_product(widths, c2, b):
 def test_product_routes_on_a_wide_window():
     assert h_product(200, 40) == h_positive(200, 40)
     for variant in (D, DP, DPP):
-        marg = kr_alternating(variant, 400, marginal_max_t(400)).t_marginal()
-        assert product_side(variant, 400) == marg
+        # the products share no Euler-sum code with the alternating route
+        marg = kr_alternating(variant, 1000, marginal_max_t(1000)).t_marginal()
+        assert product_side(variant, 1000) == marg
     assert product_side_mod12(DP, 400) == product_side(DP, 400)
 
 

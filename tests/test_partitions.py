@@ -355,6 +355,8 @@ _INT_ARGUMENTS = {
     "BiSeries.mul": ("other", lambda x: BiSeries.one(3, 2).mul(x), "a BiSeries"),
     "marginal_max_t": ("max_q", lambda x: genfun.marginal_max_t(x)),
     "staircase": ("m", lambda x: seeds.staircase(x)),
+    "iter_partitions": ("n", lambda x: iter_partitions(x)),
+    "iter_partitions_max_len": ("max_len", lambda x: iter_partitions(3, x)),
     "backward_move": ("pair_index", lambda x: moves.backward_move(_TWO_PAIRS, x)),
     "forward_move": ("pair_index", lambda x: moves.forward_move(_TWO_PAIRS, x)),
 }
@@ -371,6 +373,22 @@ def test_entry_points_refuse_non_integers(entry, bad):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value) == "%s=%r is not %s" % (name, bad, what[0] if what else "an integer")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the length bound stopped only at 0, so -1 yielded every partition
+        (lambda: iter_partitions(6, -1), "weight and length must be >= 0"),
+        (lambda: iter_partitions(-1), "weight and length must be >= 0"),
+        (lambda: seeds.staircase(-2), "staircase length must be >= 0, got -2"),
+    ],
+    ids=["iter_partitions_max_len", "iter_partitions", "staircase"],
+)
+def test_negative_lengths_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
