@@ -26,42 +26,65 @@ returns 0 outside it and never stores a zero.  The recursion is calibrated
 against ``p_oracle``, an independent brute-force enumeration of the bases
 themselves.
 
-The recursion's three tables here (``_pmemo``, the values; ``_pbodies``,
-their bodies; ``_psums``, the sums), ``_oracle_memo``, and ``genfun``'s
-kept rows of H+ (`genfun._h_plus_rows`) are the package's shared values:
-module-level, each entry a pure function of its key (an H+ row grows only
-by a longer prefix of itself), and each value frozen (`series.Frozen`).
-The only other process-wide state is `cli._parser`, a `functools.cache`
-holding the argument parser, which parsing never changes.  ``_pbodies``
-maps each distinct body of ``_pmemo``'s values to the one copy of it that
-they all hold: Gaussian binomials are symmetric and the pair families are
-shifts of the same q^2-binomials, so many values differ only in ``low``.  A value joins the table after its
-nonnegativity check, as it enters the memo; sums on the way never do.  A
+A component with no repeating pair is a shift of one with no consecutive
+pair.  With m1 = 0, every component other than the empty base is read off
+its twin with m2 = 0:
+
+  (I)   P1(0, m2, m3, s) = q^(3m2 + 8m3) P0(m2 - 1, 0, m3, s - 1),  m2 >= 1;
+  (II)  P0(0, m2, m3, s) = q^(3m2 + 8m3 + 3s - 10) P0(m2, 0, m3 - 1, s - 4),
+        m3 >= 1.
+
+Proof, by induction on m3 and then on m2, over three readings of the
+table.  A P1 child of a component with m2 = 0 is zero, and a component with
+m1 = 0 has no pair row of parity 0, so
+
+  P1(0,m2,m3,s) = q^(2s-1) [P0(0,m2-1,m3,s-1) + P1(0,m2-1,m3,s-1)
+                            + P1(0,m2-1,m3,s-2)],
+  P0(0,m2,m3,s) = q^(5s-12) [P0(0,m2,m3-1,s-4) + P1(0,m2,m3-1,s-4)
+                             + P1(0,m2,m3-1,s-5)],
+  P0(M,0,m3,S)  = q^(2S-2) [P0(M-1,0,m3,S-1) + P0(M-1,0,m3,S-2)]
+                  + q^(5S-12) P0(M,0,m3-1,S-4).
+
+For (I), expand its right side by the third line at M = m2 - 1, S = s - 1,
+and its left side's children by (I) at m2 - 1 and (II) at (m2 - 1, m3);
+each term then meets its match: 2s-1 + 3(m2-1) + 8m3 = 3m2 + 8m3 +
+2(s-1) - 2 for the two pair terms, and 2s-1 + 3(m2-1) + 8m3 + 3(s-1) - 10
+= 3m2 + 8m3 + 5(s-1) - 12 for the block term.  For (II), expand the right
+side at M = m2, S = s - 4 and the left side's children by (I) and (II) at
+m3 - 1: 5s-12 + 3m2 + 8(m3-1) = 3m2 + 8m3 + 3s-10 + 2(s-4) - 2 for the
+pair terms and 5s-12 + 3m2 + 8(m3-1) + 3(s-4) - 10 = 3m2 + 8m3 + 3s-10 +
+5(s-4) - 12 for the block term.  Where the induction would name a P1 with
+m2 = 0 or a negative count, both sides are zero.  No row gives P0(0, m2,
+0, S): it is 0 but for the empty base P0(0,0,0,1), a child of both sides
+of (I) at m2 = 1, m3 = 0 (q^3 at s = 2) and of (II) at m2 = 0, m3 = 1
+(q^13 at s = 5).  Inside a support s >= m2 + 4m3 + 1, so both shifts are
+positive.  The descent stores the twin shifted, on the twin's own body,
+and sums only the components with m1 >= 1; a twin, like a row's child,
+has one shape fewer, so the descent stays acyclic.
+
+The recursion's two tables here (``_pmemo``, the values; ``_pbodies``,
+their bodies), ``_oracle_memo``, and ``genfun``'s kept rows of H+
+(`genfun._h_plus_rows`) are the package's shared values: module-level,
+each entry a pure function of its key (an H+ row grows only by a longer
+prefix of itself), and each value frozen (`series.Frozen`).  The only
+other process-wide state is `cli._parser`, a `functools.cache` holding the
+argument parser, which parsing never changes.  ``_pbodies`` maps each
+distinct body of ``_pmemo``'s values to the one copy of it that they all
+hold: Gaussian binomials are symmetric and the pair families are shifts of
+the same q^2-binomials, so many values differ only in ``low``.  A value
+joins the table after its nonnegativity check, as it enters the memo; sums
+on the way never do, and a shifted twin already holds a stored body.  A
 palindromic body is stored as its first half followed by that half's own
 ints reversed, so each coefficient past the small-int cache is held once.
 Sharing a tuple is safe because a tuple cannot change and a ``QPoly``
 cannot be rebound, so no holder can alter another's value.
-``_psums`` is a computed table (Bryant, IEEE Trans. Comput. 35, 1986) for
-the nodes of one or two nonzero children.  Its key is each child's step
-and id(body) in table order, and the second child's low less the first's;
-its entry is the trimmed sum's low less the first child's, its step and
-its stored body.  A sum depends only on the bodies, their steps and their
-relative places, so a hit is exact (most are P1(0, m+1, 0, s+1), whose
-children hold the bodies of P0(m, 0, 0, s)'s at the same relative places),
-and its body was checked and entered in ``_pbodies`` when it was first
-summed: a hit skips the sum, the trim, the check and the body lookup.  An
-entry holds the children's bodies its key names, so no id in a key can be
-reused while it lives, even once ``_pmemo`` or ``_pbodies`` is replaced.
-Wider sums almost never repeat (574 of 28,504 in ``kr_positive(D, 2500,
-50)``), so they are not kept.
 A ``QPoly`` stores only the lattice its terms live on, from its lowest term
 to its highest, so the shifts of the recursion copy nothing and its sums
-touch only that lattice.  A node builds one ``QPoly``, the value it stores:
-each child's shift q^weight goes into the child's lowest exponent, and,
-unless ``_psums`` knows the sum, the children are summed in table order as
-raw (low, step, body) triples (`series.lattice_sum`), and the sum is
-trimmed once, checked for nonnegativity and looked up in ``_pbodies``
-before the build.
+touch only that lattice.  A node builds one ``QPoly``, the value it stores.
+With m1 >= 1, each child's shift q^weight goes into the child's lowest
+exponent, the children are summed in table order as raw (low, step, body)
+triples (`series.lattice_sum`), and the sum is trimmed once, checked for
+nonnegativity and looked up in ``_pbodies`` before the build.
 A repeating pair [k,k] weighs 2k and a consecutive pair [k,k+1] weighs
 2k+1, so P(m1, m2, 0, s) is q^c times a polynomial in q^2 and is stored as
 every second coefficient of its span; the q^3 binomials of the block shapes
@@ -85,10 +108,6 @@ from .series import (
 _pmemo: dict[tuple[int, int, int, int, int], QPoly] = {}
 # the one stored copy of each distinct body among _pmemo's values
 _pbodies: dict[tuple[int, ...], tuple[int, ...]] = {}
-# the sums of nodes with one or two nonzero children (module docstring):
-# (step, id(body)) of the first child [+ (low - first low, step, id(body))
-# of the second] -> (low - first low, step, stored body, *children's bodies)
-_psums: dict[tuple[int, ...], tuple] = {}
 _oracle_memo: dict[tuple[int, int, int], dict[tuple[int, int], list[int]]] = {}
 
 
@@ -155,6 +174,14 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
         return QPOLY_ZERO
     if m1 == 0 and m2 == 0 and m3 == 0:
         return QPOLY_ONE
+    if m1 == 0:  # (I) or (II) of the module docstring: a shifted twin
+        if parity:
+            twin, shift = _p_parity(m2 - 1, 0, m3, s - 1, 0), 3 * m2 + 8 * m3
+        else:
+            twin = _p_parity(m2, 0, m3 - 1, s - 4, 0)
+            shift = 3 * m2 + 8 * m3 + 3 * s - 10
+        value = _pmemo[key] = QPoly._wrap(twin.low + shift, twin.step, twin.body)
+        return value
     # the base cases are the only guards: no negative count, no P1 at m2 = 0.
     # Each child's shift goes into its low, and the sum runs on raw
     # (low, step, body) triples: the stored value is the one QPoly built here
@@ -174,17 +201,6 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
                         "negative %s exponent against a nonzero child at %s" % (shape, key)
                     )
                 terms.append((term.low + exp, term.step, term.body))
-    sig = None
-    if 0 < len(terms) < 3:  # the sums that repeat (module docstring)
-        first, step, body = terms[0]
-        sig = (step, id(body))
-        if len(terms) == 2:
-            low, step, body = terms[1]
-            sig += (low - first, step, id(body))
-        known = _psums.get(sig)
-        if known is not None:  # checked and stored when it was first summed
-            value = _pmemo[key] = QPoly._wrap(first + known[0], known[1], known[2])
-            return value
     low, step, body = 0, 0, ()
     for raw in terms:
         low, step, body = lattice_sum(low, step, body, *raw) if body else raw
@@ -197,8 +213,6 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
         if half and body == body[::-1]:
             body = body[: len(body) - half] + body[half - 1 :: -1]
         stored = _pbodies[body] = body
-    if sig:
-        _psums[sig] = (low - first, step, stored, *[raw[2] for raw in terms])
     value = _pmemo[key] = QPoly._wrap(low, step, stored)
     return value
 

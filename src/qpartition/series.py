@@ -144,6 +144,8 @@ class QPoly(Frozen):
         return [(low + step * i, c) for i, c in enumerate(self.body) if c]
 
     def __add__(self, other: "QPoly") -> "QPoly":
+        if not isinstance(other, QPoly):
+            raise ValueError("other=%r is not a QPoly" % (other,))
         if not other.body:
             return self
         if not self.body:

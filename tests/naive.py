@@ -9,6 +9,9 @@ their parent's loop; it is the reference for both the series and the order
 of the prefixes ``admits`` is asked about.
 ``qbinomial_pascal`` builds a Gaussian binomial by the Pascal recurrence in
 ``QPoly`` sums, where the library divides one Pochhammer quotient on a row.
+``p_table`` is the recursion table of `qpartition.ppoly`'s docstring on
+dense coefficient lists, its rows written out by hand: no recursion table,
+no shifted twins and no lattice sums.
 """
 
 from collections import Counter
@@ -68,3 +71,52 @@ def qbinomial_pascal(n, k, base):
     return qbinomial_pascal(n - 1, k, base).shifted(k * base) + qbinomial_pascal(
         n - 1, k - 1, base
     )
+
+
+def p_table(m1, m2, m3, s, parity):
+    """P_parity(m1, m2, m3, s) by the module docstring's table of
+    `qpartition.ppoly`, every row read at every s."""
+    return QPoly(_p_dense(m1, m2, m3, s, parity))
+
+
+@lru_cache(maxsize=None)
+def _p_dense(m1, m2, m3, s, parity):
+    # dense coefficients from q^0; no base has s < 1, as every row lowers s
+    if min(m1, m2, m3) < 0 or s < 1 or (parity and not m2):
+        return ()
+    if not parity and m1 == m2 == m3 == 0:
+        return (1,) if s == 1 else ()
+    m = s - 1
+    if parity:  # a consecutive pair [m, m+1]
+        return _shifted_sum(
+            2 * m + 1,
+            _p_dense(m1, m2 - 1, m3, s - 1, 0),
+            _p_dense(m1, m2 - 1, m3, s - 1, 1),
+            _p_dense(m1, m2 - 1, m3, s - 2, 1),
+        )
+    pair = _shifted_sum(  # a repeating pair [m, m]
+        2 * m,
+        _p_dense(m1 - 1, m2, m3, s - 1, 0),
+        _p_dense(m1 - 1, m2, m3, s - 2, 0),
+        _p_dense(m1 - 1, m2, m3, s - 2, 1),
+    )
+    block = _shifted_sum(  # a block [m-3, m-2], m-2, [m, m]
+        5 * m - 7,
+        _p_dense(m1, m2, m3 - 1, s - 4, 0),
+        _p_dense(m1, m2, m3 - 1, s - 4, 1),
+        _p_dense(m1, m2, m3 - 1, s - 5, 1),
+    )
+    return _shifted_sum(0, pair, block)
+
+
+def _shifted_sum(exp, *polys):
+    """q^exp times the sum of the dense ``polys``; () if they are all zero."""
+    width = max(map(len, polys))
+    if not width:
+        return ()
+    assert exp >= 0, "negative exponent against a nonzero child"
+    out = [0] * (exp + width)
+    for poly in polys:
+        for e, c in enumerate(poly):
+            out[exp + e] += c
+    return tuple(out)

@@ -511,13 +511,11 @@ def test_h_positive_skips_cores_that_cannot_fit(monkeypatch):
     monkeypatch.setattr(genfun, "_h_plus_memo", [])
     monkeypatch.setattr(ppoly, "_pmemo", {})
     monkeypatch.setattr(ppoly, "_pbodies", {})
-    monkeypatch.setattr(ppoly, "_psums", {})
     h_positive(30, 12)
     entries = len(ppoly._pmemo)
     monkeypatch.setattr(genfun, "_h_plus_memo", [])
     monkeypatch.setattr(ppoly, "_pmemo", {})
     monkeypatch.setattr(ppoly, "_pbodies", {})
-    monkeypatch.setattr(ppoly, "_psums", {})
     h_positive(30, 30)
     assert len(ppoly._pmemo) <= entries
 

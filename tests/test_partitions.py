@@ -397,8 +397,13 @@ def test_negative_lengths_are_refused(call, message):
         (lambda: BiSeries.from_qpoly("x", 3, 2), "poly='x' is not a QPoly"),
         (lambda: BiSeries.one(3, 2) * 5, "other=5 is not a BiSeries"),
         (lambda: BiSeries.one(3, 2) + QPoly((1,)), "other=QPoly(1) is not a BiSeries"),
+        (lambda: QPoly((1, 2)) + 5, "other=5 is not a QPoly"),
+        (
+            lambda: QPoly((1,)) + BiSeries.one(2, 2),
+            "other=BiSeries(max_q=2, max_t=2: 1*t^0*q^0) is not a QPoly",
+        ),
     ],
-    ids=["from_qpoly", "mul", "add"],
+    ids=["from_qpoly", "mul", "add", "qpoly_add_int", "qpoly_add_biseries"],
 )
 def test_series_operations_refuse_a_foreign_operand(call, message):
     # these used to die with AttributeError on the operand's missing fields;

@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from naive import qbinomial_pascal
+from naive import p_table, qbinomial_pascal
 
 from qpartition.appendix_data import TABLE_ERRATA, parse_qpoly
 from qpartition.moves import enumerate_bases
@@ -203,13 +203,12 @@ def test_support_edges():
 
 
 def _cold_memo(monkeypatch):
-    """Swap in an empty P memo, body table and sum table, so that what the
-    test computes starts cold; returns the ppoly module."""
+    """Swap in an empty P memo and body table, so that what the test
+    computes starts cold; returns the ppoly module."""
     from qpartition import ppoly
 
     monkeypatch.setattr(ppoly, "_pmemo", {})
     monkeypatch.setattr(ppoly, "_pbodies", {})
-    monkeypatch.setattr(ppoly, "_psums", {})
     return ppoly
 
 
@@ -280,8 +279,8 @@ def test_body_table_holds_exactly_the_memo_bodies(monkeypatch):
 
 
 def test_a_cold_sweep_pins_its_lattice_sum_calls(monkeypatch):
-    # a node of one or two children whose sum is already in the sum table
-    # sums nothing: the fixed sweep made 12,635 lattice sums without it
+    # a component with m1 = 0 is its twin shifted and sums nothing: the
+    # fixed sweep made 12,635 lattice sums when every node summed
     from qpartition import ppoly
 
     calls = []
@@ -294,8 +293,7 @@ def test_a_cold_sweep_pins_its_lattice_sum_calls(monkeypatch):
     monkeypatch.setattr(ppoly, "lattice_sum", counted)
     memo = _sweep_from_an_empty_memo(monkeypatch)
     assert len(memo) == 5478
-    assert len(ppoly._psums) == 1016
-    assert len(calls) == 11963
+    assert len(calls) == 11872
 
 
 def test_a_stored_palindrome_holds_each_int_once(monkeypatch):
@@ -324,54 +322,45 @@ def _form(value):
     return value.low, value.step, value.body
 
 
-class _Forgetful(dict):
-    """A sum table that keeps nothing, so every node sums its children."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 @functools.cache
-def _grid_without_sum_table():
+def _grid_in_order():
     """The stored form of each `_GRID` component, built from cold in grid
-    order with no sum table."""
+    order."""
     with pytest.MonkeyPatch.context() as mp:
-        ppoly = _cold_memo(mp)
-        mp.setattr(ppoly, "_psums", _Forgetful())
+        _cold_memo(mp)
         return {key: _form(p_parity(*key)) for key in _GRID}
 
 
 @settings(max_examples=5, deadline=None)
 @given(st.integers(0, 2**32))
 def test_a_cold_memo_in_any_call_order_matches_the_references(seed):
-    # a sum-table hit must not depend on which key first stored that sum:
-    # from cold, in a random order, each stored form equals the build with
-    # no sum table, and each value whose bases can be enumerated quickly
-    # (p_oracle takes 10 s over the shapes of m1 + m2 + m3 = 9) equals p_oracle
-    reference = _grid_without_sum_table()
+    # a stored form must not depend on which key reached it first: from
+    # cold, in a random order, each stored form equals the grid-order build,
+    # each value equals the dense table, and each value whose bases can be
+    # enumerated quickly (p_oracle takes 10 s over the shapes of
+    # m1 + m2 + m3 = 9) equals p_oracle
+    reference = _grid_in_order()
     order = list(_GRID)
     random.Random(seed).shuffle(order)
     with pytest.MonkeyPatch.context() as mp:
-        ppoly = _cold_memo(mp)
+        _cold_memo(mp)
         for key in order:
             value = p_parity(*key)
             assert _form(value) == reference[key], key
+            assert value == p_table(*key), key
             if sum(key[:3]) <= 5:
                 assert value == p_oracle(*key), key
-        assert ppoly._psums
 
 
 def test_a_kept_sum_table_outlives_the_memo_it_was_filled_from(monkeypatch):
-    # the sum table keys on ids of bodies and holds those bodies, so once
-    # the memo and the body table are swapped out and their values freed, no
-    # id in a key can name a new body: a second sweep equals a cold build
+    # no table outlives the memo: once the memo and the body table are
+    # swapped out and their values freed, a second sweep equals a cold build
     ppoly = _cold_memo(monkeypatch)
     for key in _GRID:
         p_parity(*key)
-    assert ppoly._psums
     ppoly._pmemo, ppoly._pbodies = {}, {}  # no undo list keeps the old ones
     gc.collect()
-    reference = _grid_without_sum_table()
+    reference = _grid_in_order()
     for key in reversed(_GRID):
         assert _form(p_parity(*key)) == reference[key], key
 
@@ -424,15 +413,49 @@ def test_negative_coefficient_guard_fires_on_any_lattice(monkeypatch, planted):
 
 
 def test_negative_block_exponent_guard_fires(monkeypatch):
-    # support rules out a block below s = 5; widened, the empty base at
-    # s = -2 reaches P0(0, 0, 1, 2), whose block exponent would be -2
+    # support rules out a block below s = 5.  Widened, the empty base at
+    # s < 1 trips a pair guard first, so a nonzero P0(1, 0, 0, -2) is
+    # planted: P0(1, 0, 1, 2) reads it at block exponent -2
     def widened(m1, m2, m3, parity):
         return range(-10, 100) if min(m1, m2 - parity, m3) >= 0 else range(0)
 
     ppoly = _cold_memo(monkeypatch)
     monkeypatch.setattr(ppoly, "_support", widened)
-    with pytest.raises(AssertionError, match="negative block exponent"):
-        p_parity(0, 0, 1, 2, 0)
+    ppoly._pmemo[(1, 0, 0, -2, 0)] = QPoly((1,))
+    with pytest.raises(AssertionError, match=r"negative block exponent .* \(1, 0, 1, 2, 0\)"):
+        p_parity(1, 0, 1, 2, 0)
+
+
+def test_the_recursion_matches_the_dense_table(monkeypatch):
+    # every component with m1 <= 3, m2 <= 10 and m3 <= 4, at every s around
+    # its support, equals the table read row by row on dense coefficients
+    _cold_memo(monkeypatch)
+    for m1 in range(4):
+        for m2 in range(11):
+            for m3 in range(5):
+                for s in range(-1, 2 * (m1 + m2) + 5 * m3 + 3):
+                    for parity in (0, 1):
+                        key = (m1, m2, m3, s, parity)
+                        assert p_parity(*key) == p_table(*key), key
+
+
+def test_a_component_with_no_repeating_pair_is_a_shifted_twin(monkeypatch):
+    # (I) and (II) of the ppoly docstring hold for the dense table at every
+    # s, and the recursion stores the left side
+    _cold_memo(monkeypatch)
+    for m2 in range(13):
+        for m3 in range(6):
+            for s in range(-1, 2 * m2 + 5 * m3 + 3):
+                if m2:
+                    twin = p_table(m2 - 1, 0, m3, s - 1, 0)
+                    value = twin.shifted(3 * m2 + 8 * m3) if twin else twin
+                    assert p_table(0, m2, m3, s, 1) == value, (m2, m3, s)
+                    assert p_parity(0, m2, m3, s, 1) == value, (m2, m3, s)
+                if m3:
+                    twin = p_table(m2, 0, m3 - 1, s - 4, 0)
+                    value = twin.shifted(3 * m2 + 8 * m3 + 3 * s - 10) if twin else twin
+                    assert p_table(0, m2, m3, s, 0) == value, (m2, m3, s)
+                    assert p_parity(0, m2, m3, s, 0) == value, (m2, m3, s)
 
 
 def test_a_cold_sweep_builds_each_stored_value_once(monkeypatch):
