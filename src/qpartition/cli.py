@@ -21,15 +21,21 @@ import sys
 
 from . import genfun, moves, ppoly, seeds, verify
 from .partitions import KrVariant, format_parts, parse_ints, parse_parts
+from .series import check_window
+
+
+def _kr_product(variant, max_q, max_t):
+    check_window(max_q, max_t)
+    return genfun.product_side(variant, max_q)
 
 
 # the kr routes by --form, in the order --help lists them; the product is
-# the t = 1 identity and ignores --max-t
+# the t = 1 identity and reads no --max-t
 _KR_FORMS = {
     "brute": genfun.kr_brute,
     "alternating": genfun.kr_alternating,
     "positive": genfun.kr_positive,
-    "product": lambda variant, max_q, max_t: genfun.product_side(variant, max_q),
+    "product": _kr_product,
 }
 
 

@@ -60,8 +60,8 @@ positive and marker sums read theirs from `_CLASSES`:
 * D'': D' at t -> t q^2, so its staircase is M^2 + 2M.
 
 ``kr_positive`` takes N = H+(t;q^2) and ``kr_marker`` the marker numerator
-prod (1 + t q^{2n} + (a-1) t^2 q^{4n}), built in place by `_pair_product`
-like ``h_product``; at a = 2 it is H(t;q^2).
+prod (1 + t q^{2n} + (a-1) t^2 q^{4n}), built by `_pair_product` like
+``h_product``; at a = 2 it is H(t;q^2).
 
 Kanade and Russell's alternating sum is the same engine on another
 staircase.  Its (i, j, k) term is
@@ -123,27 +123,23 @@ def _divided(row: list, d: int, size: int) -> list:
 
 
 def _pair_product(sizes: list, c2: int, b: int) -> list:
-    """The t-rows of prod_{n>=1} (1 + t q^{bn} + c2 t^2 q^{2bn}), row m on its
-    first sizes[m] coefficients (non-increasing).  Each factor is added in
-    from the top row down, so rows m - 1 and m - 2 are read before they
-    change.  Row m - 1 holds parts b, 2b, ..., each at most twice, so it is
-    zero below b * (m^2 // 4), and the adds start there.  Once the t term of
-    factor n starts past row m's window, the rest of the product does too:
-    the t^2 term starts no lower (row m - 2 is zero before factor n unless
-    m <= 2n), and later factors start higher.  So rows drop off the top."""
-    rows = [[0] * size for size in sizes]
-    rows[0][0] = 1
-    top = len(rows) - 1
-    n = 1
-    while top:
-        shift = b * n
-        while top and shift + b * (top * top // 4) >= sizes[top]:
-            top -= 1
-        for m in range(top, 0, -1):
-            add_shifted(rows[m], rows[m - 1], shift, 1, b * (m * m // 4))
-            if m > 1 and c2:
-                add_shifted(rows[m], rows[m - 2], 2 * shift, c2, b * ((m - 1) ** 2 // 4))
-        n += 1
+    """The t-rows p_m of P(t) = prod_{n>=1} (1 + t q^{bn} + c2 t^2 q^{2bn}),
+    row m on its first sizes[m] >= 1 coefficients (non-increasing), from
+    P(t) = (1 + t q^b + c2 t^2 q^{2b}) P(t q^b) (Andrews, ch. 2).  Its t^m
+    coefficient is (1 - q^{bm}) p_m = q^{bm} (p_{m-1} + c2 p_{m-2}), p_0 = 1;
+    1 - q^{bm} is a unit for m >= 1, so the rows are unique, hence the
+    product's.  Division is causal, so row m on its window reads rows m - 1
+    and m - 2 only on theirs, which are no shorter: each row is exact.  Row
+    k has parts b, 2b, ..., each at most twice, so it is zero below
+    b * ((k+1)^2 // 4), and the adds start there."""
+    rows = [[1] + [0] * (sizes[0] - 1)]
+    for m in range(1, len(sizes)):
+        row = [0] * sizes[m]
+        add_shifted(row, rows[m - 1], b * m, 1, b * (m * m // 4))
+        if m > 1 and c2:
+            add_shifted(row, rows[m - 2], b * m, c2, b * ((m - 1) ** 2 // 4))
+        divide_geometric(row, b * m)
+        rows.append(row)
     return rows
 
 

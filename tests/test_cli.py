@@ -198,10 +198,10 @@ def test_kr_dispatches_to_the_routes(capsys):
             )
             assert (code, err) == (0, ""), (variant, form)
             assert json.loads(out) == route(variant, 14, 5).to_json_dict(), (variant, form)
-    # the product is the t = 1 identity: --max-t, even a negative one, is ignored
+    # the product is the t = 1 identity: a valid --max-t is not read
     product = ("kr", "--variant", "2", "--form", "product", "--max-q", "20")
-    negative, zero = (run_cli(capsys, *product, "--max-t", t) for t in ("-2", "0"))
-    assert negative == zero and zero[0] == 0
+    zero, five = (run_cli(capsys, *product, "--max-t", t) for t in ("0", "5"))
+    assert zero == five and zero[0] == 0
 
 
 def test_kr_table_rows_are_sorted(capsys):
@@ -311,11 +311,11 @@ def test_invalid_variant_exits_two(capsys):
 def test_negative_window_exits_two(capsys, form):
     code, out, err = run_cli(capsys, "kr", "--variant", "1", "--form", form, "--max-q", "-1")
     assert (code, out) == (2, "") and "error" in err
-    if form != "product":  # the product form ignores --max-t
-        code, out, err = run_cli(
-            capsys, "kr", "--variant", "1", "--form", form, "--max-t", "-2"
-        )
-        assert (code, out) == (2, "") and "error" in err
+    # the product form reads no --max-t, but refuses a negative one too
+    code, out, err = run_cli(
+        capsys, "kr", "--variant", "1", "--form", form, "--max-q", "3", "--max-t", "-5"
+    )
+    assert (code, out, err) == (2, "", "error: max_q and max_t must be >= 0\n")
 
 
 @pytest.mark.parametrize("suite", ("products", "forms", "corollary"))

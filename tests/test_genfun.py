@@ -76,6 +76,28 @@ def test_kr_alternating_divides_by_t_degree(monkeypatch):
     assert 0 < len(calls) <= 450
 
 
+def test_pair_product_builds_each_row_by_its_q_difference(monkeypatch):
+    # adding every factor into every t-row took thousands of adds on this
+    # window; the q-difference equation builds t-row m from rows m - 1 and
+    # m - 2 with at most two adds and one division
+    calls = {"add": 0, "divide": 0}
+    real_add, real_divide = genfun.add_shifted, genfun.divide_geometric
+
+    def add(*args):
+        calls["add"] += 1
+        real_add(*args)
+
+    def divide(row, d):
+        calls["divide"] += 1
+        real_divide(row, d)
+
+    monkeypatch.setattr(genfun, "add_shifted", add)
+    monkeypatch.setattr(genfun, "divide_geometric", divide)
+    h_product(800, 60)
+    built = math.isqrt(4 * 800 + 3) - 1  # t-rows 1..built; past them H is zero
+    assert 0 < calls["divide"] <= built and calls["add"] <= 2 * built
+
+
 _ROUTES = {
     "kr_brute": functools.partial(kr_brute, D),
     "kr_alternating": functools.partial(kr_alternating, D),
@@ -166,7 +188,8 @@ def test_listed_partitions_have_the_right_counts():
 def test_staircase_assembles_the_marker_products():
     # at a = 2 the marker numerator is H(t; q^2), so the class series
     for variant in (D, DP, DPP):
-        assert kr_marker(variant, 2, 200, 14) == kr_alternating(variant, 200, 14)
+        for window in ((200, 14), (1000, 31)):
+            assert kr_marker(variant, 2, *window) == kr_alternating(variant, *window)
 
 
 def test_class3_is_class2_shifted():
