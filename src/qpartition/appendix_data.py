@@ -33,6 +33,8 @@ _TERM = re.compile(r"^(\d*)(?:q(?:\^(\d+))?)?$")
 
 def parse_qpoly(text: str) -> QPoly:
     """Parse ``q^30 + 2q^28 + ... + 3`` (descending or any order) exactly."""
+    if not isinstance(text, str):
+        raise ValueError("cannot parse %r: not a str" % (text,))
     given, text = text, text.strip()
     if text == "0":
         return QPoly()

@@ -62,6 +62,31 @@ positive.  The descent stores the twin shifted, on the twin's own body,
 and sums only the components with m1 >= 1; a twin, like a row's child,
 has one shape fewer, so the descent stays acyclic.
 
+A component with repeating pairs alone is symmetric about the middle of
+its support: for m1 >= 1 and 2(s - 1) > 3m1,
+
+  (III) P0(m1, 0, 0, s) = q^((2s-2-3m1)(m1+1)) P0(m1, 0, 0, 3m1 + 2 - s).
+
+Proof, from the table's third reading at m3 = 0, where no block row is
+left: P0(M,0,0,S) = q^(2S-2) [P0(M-1,0,0,S-1) + P0(M-1,0,0,S-2)].  With
+m = S - 1 and e(M, m) = 2M^2 - 2mM + m^2 + m, induction on M from
+P0(0,0,0,S) = [S = 1] gives the px00 form P0(M,0,0,S) = q^e(M,m)
+[M, m-M] in x = q^2: the children read at m - 1 and m - 2 carry
+2m + e(M-1, m-1) = e(M, m) + 2(m - M) and 2m + e(M-1, m-2) = e(M, m),
+the two terms of the q-Pascal rule [M,k] = x^k [M-1,k] + [M-1,k-1] at
+k = m - M.  Gaussian symmetry [M,k] = [M,M-k] (Andrews, Theory of
+Partitions, ch. 3) sends m to 3M - m, that is s to 3M + 2 - s, and
+e(M, m) - e(M, 3M - m) = (2m - 3M)(M + 1), which is (III).  The map
+sends the support [m1+1, 2m1+1] onto itself and each s outside it to an
+s outside it, where both binomials are 0.  The mirror lies strictly
+below the middle, so it is never mirrored again.  The descent sums the
+mirror in the frame that asked for the upper key, with s rewritten
+before the table loop, and stores both keys, the upper one shifted onto
+the mirror's body; a call into the mirror's own frame would add one frame
+at every second level of a chain that crosses the middle.  Shapes with
+m2 >= 1 keep summing both halves: their P0 reflects the same way on every
+case checked, but that is not proved.
+
 The recursion's two tables here (``_pmemo``, the values; ``_pbodies``,
 their bodies), ``_oracle_memo``, and ``genfun``'s kept rows of H+
 (`genfun._h_plus_rows`) are the package's shared values: module-level,
@@ -73,9 +98,10 @@ distinct body of ``_pmemo``'s values to the one copy of it that they all
 hold: Gaussian binomials are symmetric and the pair families are shifts of
 the same q^2-binomials, so many values differ only in ``low``.  A value
 joins the table after its nonnegativity check, as it enters the memo; sums
-on the way never do, and a shifted twin already holds a stored body.  A
-palindromic body is stored as its first half followed by that half's own
-ints reversed, so each coefficient past the small-int cache is held once.
+on the way never do, and a shifted twin or mirror already holds a stored
+body.  A palindromic body is stored as its first half followed by that
+half's own ints reversed, so each coefficient past the small-int cache is
+held once.
 Sharing a tuple is safe because a tuple cannot change and a ``QPoly``
 cannot be rebound, so no holder can alter another's value.
 A ``QPoly`` stores only the lattice its terms live on, from its lowest term
@@ -182,6 +208,15 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
             shift = 3 * m2 + 8 * m3 + 3 * s - 10
         value = _pmemo[key] = QPoly._wrap(twin.low + shift, twin.step, twin.body)
         return value
+    mirror = None
+    if not (parity or m2 or m3) and 2 * (s - 1) > 3 * m1:  # (III): sum the mirror
+        mirror, shift = key, (2 * s - 2 - 3 * m1) * (m1 + 1)
+        s = 3 * m1 + 2 - s  # summed in this frame, so the descent is no deeper
+        key = (m1, 0, 0, s, 0)
+        hit = _pmemo.get(key)
+        if hit is not None:
+            value = _pmemo[mirror] = QPoly._wrap(hit.low + shift, hit.step, hit.body)
+            return value
     # the base cases are the only guards: no negative count, no P1 at m2 = 0.
     # Each child's shift goes into its low, and the sum runs on raw
     # (low, step, body) triples: the stored value is the one QPoly built here
@@ -214,6 +249,8 @@ def _p_parity(m1: int, m2: int, m3: int, s: int, parity: int) -> QPoly:
             body = body[: len(body) - half] + body[half - 1 :: -1]
         stored = _pbodies[body] = body
     value = _pmemo[key] = QPoly._wrap(low, step, stored)
+    if mirror is not None:
+        value = _pmemo[mirror] = QPoly._wrap(low + shift, step, stored)
     return value
 
 
@@ -306,7 +343,8 @@ def _m3_exponent(m3: int) -> int:
 def closed_form(kind: str, m1: int = 0, m2: int = 0, m3: int = 0, s: int = 0) -> QPoly:
     """Closed formulas for P on the special parameter shapes.
 
-    * px00: P(m1, 0, 0, s), any s.
+    * px00: P(m1, 0, 0, s), any s; proved from the table in the module
+      docstring, on the way to (III).
     * p0x0: P(0, m2, 0, s), any s.
     * p00x: P(0, 0, m3, s); zero unless s = 4*m3 + 1.
     * px0x: P(m1, 0, m3, s) only at s = m1 + 4*m3 + 1 (error otherwise).

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 from . import genfun, moves, ppoly, seeds
 from .appendix_data import TABLE_ERRATA, golden_entries
 from .partitions import KrVariant, format_parts
-from .series import QPoly
+from .series import QPoly, check_window
 
 
 class CheckResult(NamedTuple):
@@ -190,15 +190,16 @@ def suite_examples(max_q: Optional[int] = None) -> SuiteResult:
 
 def suite_products(max_q: Optional[int] = None) -> SuiteResult:
     max_q = 60 if max_q is None else max_q
-    checks = []
+    check_window(max_q, 0)
+    checks, products = [], {}
     for variant in KrVariant:
         series = genfun.kr_alternating(variant, max_q, genfun.marginal_max_t(max_q))
-        report = genfun.compare(series.t_marginal(), genfun.product_side(variant, max_q))
+        products[variant] = genfun.product_side(variant, max_q)
+        report = genfun.compare(series.t_marginal(), products[variant])
         name = "class %d series at t = 1 equals its product to q^%d" % (variant.index, max_q)
         checks.append(CheckResult(name, report.equal, tuple(report.lines("series", "product"))))
     report = genfun.compare(
-        genfun.product_side(KrVariant.DPRIME, max_q),
-        genfun.product_side_mod12(KrVariant.DPRIME, max_q),
+        products[KrVariant.DPRIME], genfun.product_side_mod12(KrVariant.DPRIME, max_q)
     )
     name = "the two printings of the class 2 product agree"
     checks.append(CheckResult(name, report.equal, tuple(report.lines("mod 6", "mod 12"))))

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -248,15 +249,18 @@ def test_memo_stores_no_zero_polynomial(monkeypatch):
 
 def test_memo_after_a_fixed_sweep_is_pinned(monkeypatch):
     # the keys the descent stores and each value's stored form (low, step,
-    # body), not just its terms, as computed before the recursion became a
-    # table: a refactor of it must store the same keys in the same forms
+    # body), not just its terms: a refactor of it must store the same keys
+    # in the same forms.  The digest was computed, over these keys, from
+    # the forms stored before (III) of the ppoly docstring, when the sweep
+    # also stored 12 intermediate P0(m1,0,0,s) under P(40,0,0,60) (5,478
+    # keys, digest 37054b61...963a); each key kept has the same form
     memo = _sweep_from_an_empty_memo(monkeypatch)
     digest = hashlib.sha256()
     for key in sorted(memo):
         value = memo[key]
         digest.update(repr((key, value.low, value.step, value.body)).encode())
-    assert len(memo) == 5478
-    assert digest.hexdigest() == "37054b619c52e14ec17d4a04d5c200af14bf541c8bd0d52c33bf952094cc963a"
+    assert len(memo) == 5466
+    assert digest.hexdigest() == "1a35683e5f3116ac3376eaed310379faac0003f10ce4e792e437fa52f2c6163a"
 
 
 def test_memo_keeps_one_copy_of_each_distinct_body(monkeypatch):
@@ -279,8 +283,10 @@ def test_body_table_holds_exactly_the_memo_bodies(monkeypatch):
 
 
 def test_a_cold_sweep_pins_its_lattice_sum_calls(monkeypatch):
-    # a component with m1 = 0 is its twin shifted and sums nothing: the
-    # fixed sweep made 12,635 lattice sums when every node summed
+    # a component with m1 = 0 is its twin shifted and sums nothing, and so
+    # does a P0(m1,0,0,s) above the middle of its support, by (III): the
+    # fixed sweep made 12,635 lattice sums when every node summed, and
+    # 11,872 with the twins alone
     from qpartition import ppoly
 
     calls = []
@@ -292,8 +298,8 @@ def test_a_cold_sweep_pins_its_lattice_sum_calls(monkeypatch):
 
     monkeypatch.setattr(ppoly, "lattice_sum", counted)
     memo = _sweep_from_an_empty_memo(monkeypatch)
-    assert len(memo) == 5478
-    assert len(calls) == 11872
+    assert len(memo) == 5466
+    assert len(calls) == 11646
 
 
 def test_a_stored_palindrome_holds_each_int_once(monkeypatch):
@@ -458,6 +464,107 @@ def test_a_component_with_no_repeating_pair_is_a_shifted_twin(monkeypatch):
                     assert p_parity(0, m2, m3, s, 0) == value, (m2, m3, s)
 
 
+def _mirror(m1, s):
+    """(III) of the ppoly docstring: the s' and the shift that read
+    P0(m1, 0, 0, s), for 2(s - 1) > 3 m1, off P0(m1, 0, 0, s')."""
+    return 3 * m1 + 2 - s, (2 * s - 2 - 3 * m1) * (m1 + 1)
+
+
+def test_the_upper_half_of_a_repeating_pair_component_is_its_mirror(monkeypatch):
+    # (III) holds for the dense table at every s, both sides 0 off the
+    # support, and the recursion stores the left side on the mirror's body
+    _cold_memo(monkeypatch)
+    for m1 in range(1, 15):
+        for s in range(-1, 3 * m1 + 4):
+            if 2 * (s - 1) <= 3 * m1:
+                continue
+            below, shift = _mirror(m1, s)
+            twin = p_table(m1, 0, 0, below, 0)
+            value = twin.shifted(shift) if twin else twin
+            assert p_table(m1, 0, 0, s, 0) == value, (m1, s)
+            stored = p_parity(m1, 0, 0, s, 0)
+            assert stored == value, (m1, s)
+            if value:
+                assert stored.body is p_parity(m1, 0, 0, below, 0).body, (m1, s)
+
+
+def test_the_mirror_matches_the_px00_closed_form():
+    # the closed form's two sides of the middle, q^(2m1^2-2m m1+m^2+m) times
+    # [m1, m - m1] in q^2 with m = s - 1, against each other and the recursion
+    for m1 in range(1, 41):
+        for s in range(m1 + 1, 2 * m1 + 3):
+            if 2 * (s - 1) <= 3 * m1:
+                continue
+            below, shift = _mirror(m1, s)
+            twin = closed_form(PX00, m1=m1, s=below)
+            value = twin.shifted(shift) if twin else twin
+            assert closed_form(PX00, m1=m1, s=s) == value == p(m1, 0, 0, s), (m1, s)
+
+
+def test_a_level_of_repeating_pairs_sums_only_its_lower_half(monkeypatch):
+    # level m of P(m,0,0,.) has m + 1 nonzero values; by (III) the descent
+    # sums at most the ceil((m+1)/2) at or below the middle of the support,
+    # where every node with two children summed before (m - 1 of them)
+    from qpartition import ppoly
+
+    calls = []
+    summed = ppoly.lattice_sum
+
+    def counted(*raw):
+        calls.append(None)
+        return summed(*raw)
+
+    _cold_memo(monkeypatch)
+    monkeypatch.setattr(ppoly, "lattice_sum", counted)
+    for m in range(31):
+        before = len(calls)
+        for s in range(1, 2 * m + 3):
+            p(m, 0, 0, s)
+        assert len(calls) - before <= (m + 2) // 2, m
+
+
+def _frames():
+    """The number of Python frames on the stack, this one included."""
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_the_mirror_adds_no_depth_to_the_descent(monkeypatch):
+    # the mirror is summed in the frame that asked for it, so under a
+    # lowered recursion limit the deepest P(m1,0,0,s) that computes from a
+    # cold memo is as deep as before (III), 6 levels short of a bare
+    # recursion: at the foot of the support, whose chain takes no mirror,
+    # at its middle, whose first-child chain crosses it every second level,
+    # and at its top, which is its foot's mirror
+    ppoly = _cold_memo(monkeypatch)
+
+    def deepest(call):
+        n = 0
+        while True:
+            ppoly._pmemo.clear()
+            ppoly._pbodies.clear()
+            try:
+                call(n + 1)
+            except RecursionError:
+                return n
+            n += 1
+
+    def down(n):
+        return n and down(n - 1)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 60)
+    try:
+        bare = deepest(down)
+        assert deepest(lambda m1: p(m1, 0, 0, m1 + 1)) == bare - 6
+        assert deepest(lambda m1: p(m1, 0, 0, (3 * m1 + 2) // 2)) == bare - 6
+        assert deepest(lambda m1: p(m1, 0, 0, 2 * m1 + 1)) == bare - 6
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_a_cold_sweep_builds_each_stored_value_once(monkeypatch):
     # a node sums its children on raw bodies and builds one QPoly, the one
     # it stores; the shifts and partial sums build nothing
@@ -483,27 +590,29 @@ def test_a_cold_sweep_builds_each_stored_value_once(monkeypatch):
 @pytest.mark.parametrize(
     "planted, outcome",
     [
-        # -q^4 + q^6 cancels its sibling P0(1,0,0,3) = q^4: the sum is q^6,
-        # stored as q^12 on no lattice, as the per-child QPoly sums store it
-        (QPoly((0, 0, 0, 0, -1, 0, 1)), (12, 0, (1,))),
-        (QPoly((-1, 1, 2)).stretched(2).shifted(4), (12, 2, (1, 2))),
+        # -q^6 + q^8 cancels its sibling P0(2,0,0,3) = q^6: the sum is q^8,
+        # stored as q^16 on no lattice, as the per-child QPoly sums store it
+        (QPoly((0, 0, 0, 0, 0, 0, -1, 0, 1)), (16, 0, (1,))),
+        (QPoly((-1, 1, 2)).stretched(2).shifted(6), (16, 2, (1, 2))),
         # the cancellation leaves a negative term behind
-        (QPoly((0, 0, 0, 0, -1, -1)), None),
-        (QPoly((0, 0, 0, 0, -2, 0, 1)), None),
+        (QPoly((0, 0, 0, 0, 0, 0, -1, -1)), None),
+        (QPoly((0, 0, 0, 0, 0, 0, -2, 0, 1)), None),
     ],
 )
 def test_a_cancelled_lowest_term_is_trimmed_or_refused(monkeypatch, planted, outcome):
-    # P0(2,0,0,4) = q^6 (P0(1,0,0,3) + P0(1,0,0,2)); plant the second child
+    # P0(3,0,0,5) = q^8 (P0(2,0,0,4) + P0(2,0,0,3)); plant the first child.
+    # Below the middle of P0(3,0,0,·)'s support, neither child is read as
+    # the other's mirror, so the plant is read once
     ppoly = _cold_memo(monkeypatch)
-    ppoly._pmemo[(1, 0, 0, 2, 0)] = planted
+    ppoly._pmemo[(2, 0, 0, 4, 0)] = planted
     if outcome is None:
-        with pytest.raises(AssertionError, match=r"negative coefficient in P at \(2, 0, 0, 4, 0\)"):
-            p_parity(2, 0, 0, 4, 0)
+        with pytest.raises(AssertionError, match=r"negative coefficient in P at \(3, 0, 0, 5, 0\)"):
+            p_parity(3, 0, 0, 5, 0)
         return
-    value = p_parity(2, 0, 0, 4, 0)
+    value = p_parity(3, 0, 0, 5, 0)
     assert (value.low, value.step, value.body) == outcome
-    assert value == (p_parity(1, 0, 0, 3, 0) + planted).shifted(6)
-    assert ppoly._pmemo[(2, 0, 0, 4, 0)] is value
+    assert value == (p_parity(2, 0, 0, 3, 0) + planted).shifted(8)
+    assert ppoly._pmemo[(3, 0, 0, 5, 0)] is value
 
 
 @st.composite
@@ -642,6 +751,9 @@ def test_parse_qpoly():
     for text in ("", " ", "+"):
         with pytest.raises(ValueError, match="^cannot parse %s: no terms$" % re.escape(repr(text))):
             parse_qpoly(text)
+    for value in (None, 7, b"q^2", ["q"]):
+        with pytest.raises(ValueError, match="^cannot parse %s: not a str$" % re.escape(repr(value))):
+            parse_qpoly(value)
 
 
 def test_table_errata_are_independently_confirmed():

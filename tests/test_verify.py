@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from qpartition import verify
+from qpartition.partitions import KrVariant
 
 # SHA-256 of "\n".join(render()), which is the suite's stdout, for each suite
 # and window; a deliberate change to a suite's output must update its digest
@@ -28,3 +29,26 @@ def test_suite_output_is_pinned(suite, max_q):
     digest = hashlib.sha256("\n".join(result.render()).encode()).hexdigest()
     assert (result.ok, digest) == (True, RENDER_DIGESTS[suite, max_q])
 
+
+def test_products_refuses_a_negative_window():
+    # refused before any series is built, with the message of the other
+    # window checks, not the isqrt error of the t-window it would derive
+    with pytest.raises(ValueError, match=r"^max_q and max_t must be >= 0$"):
+        verify.suite_products(-3)
+
+
+def test_products_builds_each_product_once(monkeypatch):
+    # the class 2 product of the first three checks is the one the fourth
+    # compares with its modulus-12 printing
+    from qpartition import genfun
+
+    built = []
+    product_side = genfun.product_side
+
+    def counted(variant, max_q):
+        built.append(variant)
+        return product_side(variant, max_q)
+
+    monkeypatch.setattr(genfun, "product_side", counted)
+    assert verify.suite_products(12).ok
+    assert sorted(built, key=str) == sorted(KrVariant, key=str)
