@@ -410,7 +410,7 @@ def product_side_mod12(variant: KrVariant, max_q: int) -> BiSeries:
 def marginal_max_t(max_q: int) -> int:
     """Smallest t-window that is exhaustive for a t = 1 evaluation:
     a class partition with m parts weighs at least m^2."""
-    check_ints(max_q=max_q)
+    check_window(max_q, 0)
     return math.isqrt(max_q)
 
 

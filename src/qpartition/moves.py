@@ -386,6 +386,18 @@ def decompose(p, trace: Optional[list] = None) -> Decomposition:
     return Decomposition._wrap(base, tuple(mu), tuple(theta))
 
 
+def _int_tuple(name, xs) -> tuple[int, ...]:
+    """``xs`` as a tuple of ints; ``name`` labels the error."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise ValueError("%s %r is not a sequence of integers" % (name, xs)) from None
+    for x in xs:
+        if type(x) is not int:
+            raise ValueError("%s part %r is not an integer" % (name, x))
+    return xs
+
+
 def make_decomposition(base, mu, theta) -> Decomposition:
     """Validate and assemble a (base, mu, theta) triple: the check behind
     the `Decomposition` constructor.
@@ -406,11 +418,7 @@ def make_decomposition(base, mu, theta) -> Decomposition:
         floor = parts[j + 1]
     if parts[end:] != tuple(range(k + 1, k + 2 * (len(parts) - end), 2)):
         raise ValueError("not a base partition: %s" % (parts,))
-    mu, theta = tuple(mu), tuple(theta)
-    for name, xs in (("mu", mu), ("theta", theta)):
-        for x in xs:
-            if type(x) is not int:
-                raise ValueError("%s part %r is not an integer" % (name, x))
+    mu, theta = _int_tuple("mu", mu), _int_tuple("theta", theta)
     n2 = len(starts)
     if len(mu) != n2:
         raise ValueError("mu must have %d parts, got %d" % (n2, len(mu)))

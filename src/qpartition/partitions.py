@@ -93,6 +93,8 @@ def as_parts(p) -> tuple[int, ...]:
 
 def parse_ints(text: str, name: str) -> tuple[int, ...]:
     """Parse a comma-separated list of integers; ``name`` labels the error."""
+    if not isinstance(text, str):
+        raise ValueError("cannot parse %s %r: not a str" % (name, text))
     text = text.strip()
     if not text:
         return ()

@@ -45,18 +45,6 @@ def test_ppoly_parity_component(capsys):
     assert code == 0 and out == "q^9\n"
 
 
-def test_decompose_matches_documented_output(capsys):
-    code, out, _ = run_cli(
-        capsys, "decompose", "--partition", "1,4,4,5,6,6,9,10,11,12,12,14"
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data["base"] == "[1,2],[3,4],4,[6,6],[7,8],8,10,12"
-    assert data["mu"] == "3,3,6,6"
-    assert data["theta"] == "0,1,2,2"
-    assert data["weights"] == {"total": 94, "base": 71, "mu": 18, "theta": 5}
-
-
 def test_decompose_trace_events(capsys):
     code, out, _ = run_cli(
         capsys, "decompose", "--partition", "1,4,4", "--trace"
@@ -213,12 +201,6 @@ def test_kr_table_rows_are_sorted(capsys):
     rows = [tuple(map(int, line.split("\t"))) for line in out.splitlines()]
     assert rows == sorted(rows)
     assert (4, 1, 1) in rows  # the partition "4"
-
-
-def test_bases_table(capsys):
-    code, out, _ = run_cli(capsys, "bases", "--m1", "0", "--m2", "0", "--m3", "1")
-    assert code == 0
-    assert out.splitlines() == ["[1,2],2,[4,4]\t13\t4\t0"]
 
 
 @pytest.mark.parametrize("counts", [(2, 1, 0), (1, 2, 1), (3, 0, 0), (0, 3, 1)])

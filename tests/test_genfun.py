@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import pytest
@@ -188,7 +189,7 @@ def test_listed_partitions_have_the_right_counts():
 def test_staircase_assembles_the_marker_products():
     # at a = 2 the marker numerator is H(t; q^2), so the class series
     for variant in (D, DP, DPP):
-        for window in ((200, 14), (1000, 31)):
+        for window in ((200, 14), (1000, 31), (2500, 50)):
             assert kr_marker(variant, 2, *window) == kr_alternating(variant, *window)
 
 
@@ -238,6 +239,13 @@ def test_pair_product_matches_the_dense_product(widths, c2, b):
     rows = genfun._pair_product(sizes, c2, b)
     dense = _dense_pair_product(c2, b, sizes[0] - 1, len(sizes) - 1)
     assert rows == [row[:size] for row, size in zip(dense._rows, sizes)]
+
+
+def test_h_product_rows_on_a_wide_window_are_pinned():
+    # the q-difference equation gives H's product rows byte for byte as the
+    # factor-by-factor product gave them
+    digest = hashlib.sha256(repr(h_product(800, 60)._rows).encode()).hexdigest()
+    assert digest == "6b4ec8e8dc5b16941f0c069c0da9a98f63b5f34db335d8c3342a855485a31b4e"
 
 
 def test_product_routes_on_a_wide_window():
@@ -303,6 +311,11 @@ def test_marginal_window_is_exhaustive():
     wide = kr_alternating(D, max_q, 12).t_marginal()
     tight = kr_alternating(D, max_q, marginal_max_t(max_q)).t_marginal()
     assert wide == tight
+
+
+def test_marginal_window_refuses_a_negative_max_q():
+    with pytest.raises(ValueError, match=r"^max_q and max_t must be >= 0$"):
+        marginal_max_t(-1)
 
 
 def test_compare_reports():

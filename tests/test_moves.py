@@ -364,6 +364,12 @@ def test_make_decomposition_validation():
         ):
             with pytest.raises(ValueError, match="%s is not an integer" % bad):
                 build(base, mu, theta)
+        for mu, theta, bad in (
+            (None, (0, 1, 2, 2), "mu None"),
+            ((3, 3, 6, 6), 2, "theta 2"),
+        ):
+            with pytest.raises(ValueError, match="^%s is not a sequence of integers$" % bad):
+                build(base, mu, theta)
 
 
 # Triples with two faults, one for each pair of neighbouring checks, the

@@ -16,6 +16,7 @@ from qpartition.partitions import (
     format_parts,
     iter_partitions,
     kr_rule,
+    parse_ints,
     parse_parts,
 )
 from qpartition.series import BiSeries, QPoly
@@ -45,6 +46,13 @@ def test_partition_parsing_and_str():
         parse_parts("-1,2")
     with pytest.raises(ValueError, match=r"^cannot parse partition '1,x'$"):
         parse_parts("1,x")
+    # a value that is no str is named, not read through a missing .strip
+    with pytest.raises(ValueError, match=r"^cannot parse partition None: not a str$"):
+        parse_parts(None)
+    with pytest.raises(ValueError, match=r"^cannot parse x 5: not a str$"):
+        parse_ints(5, "x")
+    with pytest.raises(ValueError, match=r"^cannot parse mu b'3,6': not a str$"):
+        parse_ints(b"3,6", "mu")
 
 
 def test_condition_c_worked_rejections():
