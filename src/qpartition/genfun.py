@@ -30,7 +30,7 @@ depends only on coefficients <= n), so it commutes with multiplication by
 q^e on a window truncated from above: a row divided on the first
 max_q + 1 - e coefficients and then shifted by e equals the row shifted
 first and divided on the whole window.  So each sum extends a row by one
-division on a copy cut to the window it is shifted into (`_divided`), and
+division on a copy cut to the window it is shifted into, and
 `series.add_shifted` adds the copy at its shift.  The exponent grows with
 every index, so each sum stops at the first term past the window and rows
 shrink as it grows.
@@ -50,10 +50,11 @@ positive routes (``h_positive`` and ``kr_positive`` for each class):
 hands every caller a copy of a slice of it.  Only this shared numerator
 is kept; no route's output is.
 
-Every class series is a numerator N(t;q) times Euler factors, then a
+Every class series is a numerator N(t;q) times Pochhammer factors, then a
 staircase t^M -> t^M q^{M^2 + extra*M}.  One engine, `_class_series`,
-builds them all and takes the staircase and the factors as data; the
-positive and marker sums read theirs from `_CLASSES`:
+builds them all and takes the staircase and the factors as data: each
+factor is one row (dt, dq, b, power), meaning (t^dt q^dq; q^b)_inf^power.
+The positive and marker sums read theirs from `_CLASSES`:
 
 * D:   N / (tq;q^2)_inf (t^2q^4;q^4)_inf (1 - t);
 * D':  N / (tq;q^2)_inf (t^2;q^4)_inf;
@@ -64,21 +65,21 @@ prod (1 + t q^{2n} + (a-1) t^2 q^{4n}), built by `_pair_product` like
 ``h_product``; at a = 2 it is H(t;q^2).
 
 Kanade and Russell's alternating sum is the same engine on another
-staircase.  Its (i, j, k) term is
+staircase and the unit numerator.  Its (i, j, k) term is
 
     (-1)^k t^s q^{s(s-1) + a*i + b*j + 3k^2 + c*k} / (q;q)_i (q^4;q^4)_j (q^6;q^6)_k,
 
 s = i + 2j + 3k, with (a, b, c) = (1, 6, 6) for D, (2, 2, 6) for D' and
-(4, 6, 12) for D'' (`_ALTERNATING`).  The part s(s-1) is the staircase
-t^M -> t^M q^{M(M-1)} (extra = -1); the sums over i and j are the Euler
-factors 1/(t q^a; q)_inf and 1/(t^2 q^b; q^4)_inf; and the sum over k is
-the numerator sum_k (-1)^k t^{3k} q^{3k^2 + ck} / (q^6;q^6)_k, one division
-per k.  That numerator is zero off the t-degrees 0, 3, 6, ..., and
-`_euler_sum` skips a zero row, so the t-degree-1 factor goes first: it
-fills the rows the t^2 factor then reads.
+(4, 6, 12) for D''.  The part s(s-1) is the staircase t^M -> t^M q^{M(M-1)}
+(extra = -1); the sums over i and j are 1/(t q^a; q)_inf and
+1/(t^2 q^b; q^4)_inf; and as 3k^2 + ck = 6 k(k-1)/2 + (c+3)k, the sum over
+k is (t^3 q^{c+3}; q^6)_inf (`_ALTERNATING`).  `_euler_sum` skips a zero
+row, so the t^3 factor goes first, and the t-degree-1 factor next fills
+the rows the t^2 factor then reads.
 
-Each 1/(x;q^b)_inf is expanded by Euler's sum_k x^k/(q^b;q^b)_k (Andrews,
-*The Theory of Partitions*, 1976, ch. 2), `_euler_sum`: row L reaches row
+Each 1/(x;q^b)_inf is expanded by Euler's sum_k x^k/(q^b;q^b)_k, and each
+(x;q^b)_inf by sum_k (-1)^k x^k q^{b k(k-1)/2}/(q^b;q^b)_k (Andrews, *The
+Theory of Partitions*, 1976, ch. 2), `_euler_sum`: row L reaches row
 L + k*deg_t(x) through k divisions on a copy.  For the positive sum of D
 these are the sums over the multi-sum's indices i and j, and 1/(1 - t),
 its k index, adds each t-row into the next, in ascending order.
@@ -115,13 +116,6 @@ def h_brute(max_q: int, max_t: int) -> BiSeries:
 
 # ----------------------------------------------------------------- rows
 
-def _divided(row: list, d: int, size: int) -> list:
-    """The first ``size`` coefficients of ``row`` times 1/(1 - q^d), as a new row."""
-    out = row[:size]
-    divide_geometric(out, d)
-    return out
-
-
 def _pair_product(sizes: list, c2: int, b: int) -> list:
     """The t-rows p_m of P(t) = prod_{n>=1} (1 + t q^{bn} + c2 t^2 q^{2bn}),
     row m on its first sizes[m] >= 1 coefficients (non-increasing), from
@@ -143,14 +137,18 @@ def _pair_product(sizes: list, c2: int, b: int) -> list:
     return rows
 
 
-def _euler_sum(rows: list, dt: int, dq: int, b: int) -> None:
-    """rows times 1/(t^dt q^dq; q^b)_inf in place, as Euler's sum
-    sum_k t^{dt k} q^{dq k} / (q^b; q^b)_k: row L reaches row L + dt*k
-    through k divisions.  Rows are taken from the top down, so each is read
-    before anything is added into it; an all-zero row adds nothing and is
-    skipped, and each row's window bounds the copies added into it.  b = 0
-    stands for 1/(1 - t^dt q^dq): each row is added into the row dt above
-    it, from the bottom up, so it is final when it is read."""
+def _euler_sum(rows: list, dt: int, dq: int, b: int, power: int) -> None:
+    """rows times (t^dt q^dq; q^b)_inf^power in place, power -1 or 1, as
+    Euler's sum over k of t^{dt k} q^{dq k} / (q^b; q^b)_k, times
+    (-1)^k q^{b k(k-1)/2} for power 1: row L reaches row L + dt*k through
+    k divisions.  Rows are taken from the top down, so each is read before
+    anything is added into it; an all-zero row adds nothing and is skipped.
+    The shift grows with k and each row's window bounds the copies added
+    into it, so the sum stops at the first copy past its row.  b = 0 stands
+    for 1/(1 - t^dt q^dq), which has no power 1: each row is added into the
+    row dt above it, from the bottom up, so it is final when it is read."""
+    if power not in (-1, 1) or not b and power == 1:
+        raise ValueError("no factor (t^%d q^%d; q^%d)_inf^%r" % (dt, dq, b, power))
     if not b:
         for L in range(dt, len(rows)):
             add_shifted(rows[L], rows[L - dt], dq)
@@ -161,26 +159,29 @@ def _euler_sum(rows: list, dt: int, dq: int, b: int) -> None:
             continue
         for k in range(1, (len(rows) - 1 - L) // dt + 1):
             dst = rows[L + dt * k]
-            size = len(dst) - dq * k
+            shift = dq * k if power == -1 else dq * k + b * k * (k - 1) // 2
+            size = len(dst) - shift
             if size <= 0:
                 break
-            term = _divided(term, b * k, size)
-            add_shifted(dst, term, dq * k)
+            term = term[:size]
+            divide_geometric(term, b * k)
+            add_shifted(dst, term, shift, -1 if power == 1 and k % 2 else 1)
 
 
 def _class_series(max_q: int, max_t: int, numerator, extra: int, factors) -> BiSeries:
-    """The numerator N times the Euler ``factors``, each `_euler_sum`'s
-    (dt, dq, b) and summed in order, on the staircase
+    """The numerator N times the ``factors``, each `_euler_sum`'s
+    (dt, dq, b, power) and expanded in order, on the staircase
     t^M -> t^M q^{M^2 + extra*M} (see the module docstring).
 
     Row M is needed only on its first size_M = max_q + 1 - M^2 - extra*M
     coefficients, so ``numerator(sizes)`` returns N's t-rows, row M exactly
     sizes[M] long, and the staircase puts M^2 + extra*M zeros before it.
     Rows with M^2 > max_q are zero and are not built.  For extra >= 0 the
-    staircase alone moves them past the window.  For the alternating sum
-    (extra = -1) every term has q-exponent at least s^2: in
-    s(s-1) + a*i + b*j + 3k^2 + c*k, a >= 1, b >= 2 and 3k^2 + ck >= 3k,
-    so the linear part is at least i + 2j + 3k = s."""
+    staircase alone moves them past the window.  For extra = -1 every
+    factor has dq >= dt, so a term that raises the t-degree by dt*k raises
+    the q-exponent by at least dq*k >= dt*k: a term of t-degree M of the
+    unit numerator's product has q-exponent at least M before the staircase
+    and M^2 after it."""
     check_window(max_q, max_t)
     shifts = [m * (m + extra) for m in range(min(max_t, math.isqrt(max_q)) + 1)]
     rows = numerator([max_q + 1 - shift for shift in shifts if shift <= max_q])
@@ -193,39 +194,31 @@ def _class_series(max_q: int, max_t: int, numerator, extra: int, factors) -> BiS
 
 # ----------------------------------------------------------- alternating
 
-# the linear exponents (a, b, c) of the alternating term's q-exponent
-# s(s-1) + a*i + b*j + 3k^2 + c*k, s = i + 2j + 3k
+# each class's staircase and factors (t^3 q^{c+3}; q^6) / (t q^a; q) (t^2 q^b; q^4)
+# for the term's q-exponent s(s-1) + a*i + b*j + 3k^2 + c*k, s = i + 2j + 3k,
+# as `_class_series` takes them; (a, b, c) = (1, 6, 6), (2, 2, 6), (4, 6, 12)
 _ALTERNATING = {
-    KrVariant.D: (1, 6, 6),
-    KrVariant.DPRIME: (2, 2, 6),
-    KrVariant.DPRIMEPRIME: (4, 6, 12),
+    KrVariant.D: (-1, ((3, 9, 6, 1), (1, 1, 1, -1), (2, 6, 4, -1))),
+    KrVariant.DPRIME: (-1, ((3, 9, 6, 1), (1, 2, 1, -1), (2, 2, 4, -1))),
+    KrVariant.DPRIMEPRIME: (-1, ((3, 15, 6, 1), (1, 4, 1, -1), (2, 6, 4, -1))),
 }
+
+
+def _one(sizes: list) -> list:
+    """The unit numerator's t-rows, row M sizes[M] long."""
+    rows = [[0] * size for size in sizes]
+    rows[0][0] = 1
+    return rows
 
 
 def kr_alternating(variant: KrVariant, max_q: int, max_t: int) -> BiSeries:
     """The signed triple sum over (i, j, k) of
     (-1)^k t^s q^{s(s-1) + a*i + b*j + 3k^2 + c*k} / (q;q)_i (q^4;q^4)_j (q^6;q^6)_k,
-    s = i + 2j + 3k, as `_class_series` on the staircase t^M -> t^M q^{M(M-1)}:
-    the sums over i and j are 1/(t q^a; q)_inf and 1/(t^2 q^b; q^4)_inf,
-    and the numerator is the sum over k, one division per k."""
+    s = i + 2j + 3k, as `_class_series` of the unit numerator on the
+    staircase t^M -> t^M q^{M(M-1)}: the sum over k is (t^3 q^{c+3}; q^6)_inf,
+    and the sums over i and j are 1/(t q^a; q)_inf and 1/(t^2 q^b; q^4)_inf."""
     check_variant(variant)
-    a, b, c = _ALTERNATING[variant]
-
-    def numerator(sizes):
-        rows = [[0] * size for size in sizes]
-        rows[0][0] = 1
-        term = rows[0]
-        for k in range(1, (len(rows) + 2) // 3):
-            shift = 3 * k * k + c * k
-            size = sizes[3 * k] - shift
-            if size <= 0:
-                break
-            term = _divided(term, 6 * k, size)
-            add_shifted(rows[3 * k], term, shift, -1 if k % 2 else 1)
-        return rows
-
-    # the t-degree-1 factor first: it skips the numerator's zero rows
-    return _class_series(max_q, max_t, numerator, -1, ((1, a, 1), (2, b, 4)))
+    return _class_series(max_q, max_t, _one, *_ALTERNATING[variant])
 
 
 # --------------------------------------------------------------- positive
@@ -303,12 +296,12 @@ def _h_plus_rows(sizes: list) -> list:
     return rows
 
 
-# each class's staircase t^M -> t^M q^{M^2 + extra*M} and Euler factors
-# (dt, dq, b), as `_class_series` takes them
+# each class's staircase t^M -> t^M q^{M^2 + extra*M} and denominator
+# factors (dt, dq, b, -1), as `_class_series` takes them
 _CLASSES = {
-    KrVariant.D: (0, ((1, 1, 2), (2, 4, 4), (1, 0, 0))),  # (tq;q^2) (t^2q^4;q^4) (1-t)
-    KrVariant.DPRIME: (0, ((1, 1, 2), (2, 0, 4))),  # (tq;q^2) (t^2;q^4)
-    KrVariant.DPRIMEPRIME: (2, ((1, 1, 2), (2, 0, 4))),  # D' at t -> t q^2
+    KrVariant.D: (0, ((1, 1, 2, -1), (2, 4, 4, -1), (1, 0, 0, -1))),  # (tq;q^2) (t^2q^4;q^4) (1-t)
+    KrVariant.DPRIME: (0, ((1, 1, 2, -1), (2, 0, 4, -1))),  # (tq;q^2) (t^2;q^4)
+    KrVariant.DPRIMEPRIME: (2, ((1, 1, 2, -1), (2, 0, 4, -1))),  # D' at t -> t q^2
 }
 
 

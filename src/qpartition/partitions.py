@@ -218,6 +218,8 @@ def brute_series(admits: Rule, max_q: int, max_t: int) -> BiSeries:
     loop over no candidate, so ``admits`` sees the same prefixes, in the same
     order, as a walk that enters every admitted node."""
     check_window(max_q, max_t)
+    if not callable(admits):
+        raise ValueError("admits=%r is not callable" % (admits,))
     rows = [[0] * (max_q + 1) for _ in range(max_t + 1)]
     rows[0][0] = 1  # the empty partition
 

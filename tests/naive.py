@@ -9,6 +9,9 @@ their parent's loop; it is the reference for both the series and the order
 of the prefixes ``admits`` is asked about.
 ``qbinomial_pascal`` builds a Gaussian binomial by the Pascal recurrence in
 ``QPoly`` sums, where the library divides one Pochhammer quotient on a row.
+``inv_product`` and ``product`` expand 1/(x; q^base)_inf and (x; q^base)_inf
+one factor per n on dense ``BiSeries``, where the library sums Euler's
+series on t-rows.
 ``p_table`` is the recursion table of `qpartition.ppoly`'s docstring on
 dense coefficient lists, its rows written out by hand: no recursion table,
 no shifted twins and no lattice sums.
@@ -58,6 +61,24 @@ def brute_series_walk(admits, max_q, max_t):
 
     visit((), 0)
     return BiSeries._wrap(max_q, max_t, rows)
+
+
+def inv_product(x_dt, x_dq, base, max_q, max_t):
+    """1/(x; q^base)_inf for x = t^x_dt q^x_dq, one geometric factor per n."""
+    s = BiSeries.one(max_q, max_t)
+    for dq in range(x_dq, max_q + 1, base):
+        s = s.mul_geometric_inverse(x_dt, dq)
+    return s
+
+
+def product(x_dt, x_dq, base, max_q, max_t):
+    """(x; q^base)_inf through the dense Cauchy product, one factor
+    (1 - x q^{base n}) per n."""
+    one = s = BiSeries.one(max_q, max_t)
+    for dq in range(x_dq, max_q + 1, base):
+        if x_dt <= max_t:
+            s = s * (one + BiSeries.monomial(-1, dq, x_dt, max_q, max_t))
+    return s
 
 
 @lru_cache(maxsize=None)

@@ -83,6 +83,19 @@ PINS = (
         "kr --variant 3 --form alternating --max-q 1000 --max-t 31",
         sha256="a3ccbed894ebace1ba4cc83bf177d5a6b635e0ef0aa9f73f46bcf7491a714cef",
     ),
+    # the widest window the routes are checked on
+    Pin(
+        "kr --variant 1 --form alternating --max-q 2500 --max-t 50",
+        sha256="575877d8067cc71d2c9344930237cdb6cdefd635d8ada6773606e79cc080cae9",
+    ),
+    Pin(
+        "kr --variant 2 --form alternating --max-q 2500 --max-t 50",
+        sha256="68713278b480135c1d9f89dfc901af8b7214018b6b836d11091bdec4b0982e2e",
+    ),
+    Pin(
+        "kr --variant 3 --form alternating --max-q 2500 --max-t 50",
+        sha256="cc164d8fe515d1b74736124bfdc85cf70cedfc10bf4227de792957b1a4c0176c",
+    ),
     Pin("verify --suite forms"),
     Pin("verify --suite forms --max-q 24"),
     Pin("verify --suite appendix --max-q 3", code=2),

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from naive import check_kr_literal
+from naive import check_kr_literal, inv_product, product
 
 from qpartition import genfun, ppoly
 from qpartition.genfun import (
@@ -61,10 +61,13 @@ def test_kr_positive_divides_by_t_degree(monkeypatch):
     assert 0 < len(calls) <= 1500
 
 
-def test_kr_alternating_divides_by_t_degree(monkeypatch):
+@pytest.mark.parametrize("variant", [D, DP, DPP])
+def test_kr_alternating_divides_by_t_degree(monkeypatch, variant):
     # one division per (i, j, k) term of the triple sum is 1,029 on this
-    # window.  As a numerator over two Euler sums it makes 420; summing the
-    # t^2 factor first makes 559, and dividing all-zero rows makes 741
+    # window for D.  As three Euler sums with the t^3 factor first and the
+    # t-degree-1 factor next it makes 420, 424 and 410 for D, D' and D'';
+    # summing the t^2 factor before the t-degree-1 factor makes 559 for D,
+    # and dividing all-zero rows makes 741
     calls = []
     real = genfun.divide_geometric
 
@@ -73,8 +76,83 @@ def test_kr_alternating_divides_by_t_degree(monkeypatch):
         real(row, d)
 
     monkeypatch.setattr(genfun, "divide_geometric", counted)
-    kr_alternating(D, 1000, 31)
+    kr_alternating(variant, 1000, 31)
     assert 0 < len(calls) <= 450
+
+
+_FACTORS = sorted(
+    {
+        factor
+        for table in (genfun._ALTERNATING, genfun._CLASSES)
+        for _, factors in table.values()
+        for factor in factors
+    }
+)
+
+
+@pytest.mark.parametrize("factor", _FACTORS, ids=str)
+def test_each_factor_alone_matches_its_dense_product(factor):
+    # every factor of every class-series sum, on the unit rows, against the
+    # dense product one factor per n; b = 0 is the single 1/(1 - t^dt q^dq)
+    dt, dq, b, power = factor
+    max_q, max_t = 40, 9
+    rows = genfun._one([max_q + 1] * (max_t + 1))
+    genfun._euler_sum(rows, *factor)
+    if not b:
+        expected = BiSeries.one(max_q, max_t).mul_geometric_inverse(dt, dq)
+    else:
+        expected = (inv_product if power == -1 else product)(dt, dq, b, max_q, max_t)
+    assert BiSeries._wrap(max_q, max_t, rows) == expected
+
+
+def test_euler_sum_refuses_a_factor_it_cannot_expand():
+    rows = [[1, 0, 0], [0, 0, 0]]
+    for factor in ((1, 0, 0, 1), (1, 1, 2, 0), (1, 1, 2, 2)):
+        with pytest.raises(ValueError, match=r"^no factor \(t\^1 q\^"):
+            genfun._euler_sum(rows, *factor)
+    assert rows == [[1, 0, 0], [0, 0, 0]]
+
+
+def test_alternating_factors_keep_the_t_cap():
+    # `_class_series` builds no row M with M^2 > max_q; on the staircase
+    # M(M-1) that is exact only while every factor has dq >= dt
+    for extra, factors in genfun._ALTERNATING.values():
+        assert extra == -1 and all(dq >= dt for dt, dq, _, _ in factors)
+
+
+def _planted(table):
+    """Each class's table with one number of one factor nudged by +-1, or
+    one power flipped."""
+    for variant, (extra, factors) in table.items():
+        for f, factor in enumerate(factors):
+            nudged = [
+                factor[:n] + (factor[n] + e,) + factor[n + 1 :] for n in range(3) for e in (-1, 1)
+            ]
+            for fault in (*nudged, factor[:3] + (-factor[3],)):
+                yield variant, (extra, factors[:f] + (fault,) + factors[f + 1 :])
+
+
+def _differs(left, right, variant):
+    """True if the two routes differ at (60, 10) or either raises: a bad
+    factor, a zero step, or the positive sum's own guard."""
+    try:
+        return left(variant, 60, 10) != right(variant, 60, 10)
+    except (ValueError, ZeroDivisionError, AssertionError):
+        return True
+
+
+@pytest.mark.parametrize("name", ["_ALTERNATING", "_CLASSES"])
+def test_planted_factor_faults_break_the_identity(monkeypatch, name):
+    # kr_alternating reads `_ALTERNATING` and kr_positive `_CLASSES`, so a
+    # fault in either table must part the two routes
+    table = getattr(genfun, name)
+    missed = []
+    for variant, planted in _planted(dict(table)):
+        monkeypatch.setitem(table, variant, planted)
+        if not _differs(kr_alternating, kr_positive, variant):
+            missed.append((variant, planted))
+        monkeypatch.undo()
+    assert missed == []
 
 
 def test_pair_product_builds_each_row_by_its_q_difference(monkeypatch):
@@ -151,7 +229,7 @@ def test_positivity_guard_names_the_cell(monkeypatch):
 
 def test_positivity_guard_checks_the_rows_after_the_euler_sums(monkeypatch):
     # a denominator that subtracts breaks positivity only after every P is in
-    def subtracting_sum(rows, dt, dq, b):
+    def subtracting_sum(rows, dt, dq, b, power):
         for row in rows[dt:]:
             row[:] = [c - 1 for c in row]
 

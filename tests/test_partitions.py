@@ -1,4 +1,5 @@
 import enum
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,14 @@ def test_series_and_brute_walk_share_the_window_check(max_q, max_t):
     for build in (BiSeries, lambda q, t: brute_series(at_most_twice_rule, q, t)):
         with pytest.raises(ValueError, match="max_q and max_t must be >= 0"):
             build(max_q, max_t)
+
+
+@pytest.mark.parametrize("admits", [None, 5, "kr"])
+@pytest.mark.parametrize("max_t", [0, 2])
+def test_brute_series_refuses_a_rule_it_cannot_call(admits, max_t):
+    # even a window that asks the rule nothing
+    with pytest.raises(ValueError, match=r"^admits=%s is not callable$" % re.escape(repr(admits))):
+        brute_series(admits, 3, max_t)
 
 
 # Rules for the walk: the class rules, rules that read only the last parts,

@@ -5,6 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive import inv_product, product
 
 from qpartition.moves import Decomposition, TaggedPartition, decompose
 from qpartition.partitions import iter_partitions
@@ -17,24 +18,6 @@ from qpartition.series import (
     lattice_sum,
     trim,
 )
-
-
-def inv_product(x_dt, x_dq, base, max_q, max_t):
-    """1/(x; q^base)_inf for x = t^x_dt q^x_dq, one geometric factor per n."""
-    s = BiSeries.one(max_q, max_t)
-    for dq in range(x_dq, max_q + 1, base):
-        s = s.mul_geometric_inverse(x_dt, dq)
-    return s
-
-
-def product(x_dt, x_dq, base, max_q, max_t):
-    """(x; q^base)_inf through the dense Cauchy product, one factor
-    (1 - x q^{base n}) per n."""
-    one = s = BiSeries.one(max_q, max_t)
-    for dq in range(x_dq, max_q + 1, base):
-        if x_dt <= max_t:
-            s = s * (one + BiSeries.monomial(-1, dq, x_dt, max_q, max_t))
-    return s
 
 
 def euler_sum(x_dt, x_dq, base, max_q, max_t, alternating):
